@@ -778,13 +778,8 @@ class DeviceManager:
             task = self.accumulator.flush(session.name, operation.queue_id)
             self._submit(task)
         # FIRST step of the client's event state machine: op is enqueued.
-        self.env.process(
-            send_to_client(
-                session.transport, session.completion_queue,
-                Message(method=protocol.OP_ENQUEUED, tag=operation.tag,
-                        sender=self.name),
-            )
-        )
+        self._notify(session, Message(method=protocol.OP_ENQUEUED,
+                                      tag=operation.tag, sender=self.name))
         return
         yield  # pragma: no cover - marks this handler as a generator
 
@@ -969,9 +964,14 @@ class DeviceManager:
             # live device view must be snapshotted *now* — the remote read
             # path's single real copy (timing-only zero-page views pass
             # through uncopied).
-            self.env.process(self._send_read_result(
-                session, operation, materialize(result)
-            ))
+            data = materialize(result)
+            session.transport.data_to_client_then(
+                operation.nbytes,
+                lambda: self._notify(session, Message(
+                    method=protocol.OP_COMPLETE, tag=operation.tag,
+                    payload={"data": data}, sender=self.name,
+                )),
+            )
         else:
             self._notify(session, Message(
                 method=protocol.OP_COMPLETE, tag=operation.tag,
@@ -979,20 +979,9 @@ class DeviceManager:
             ))
         return True
 
-    def _send_read_result(self, session: ClientSession,
-                          operation: Operation, data):
-        yield from session.transport.data_to_client(operation.nbytes)
-        self._notify(session, Message(
-            method=protocol.OP_COMPLETE, tag=operation.tag,
-            payload={"data": data}, sender=self.name,
-        ))
-
     def _notify(self, session: ClientSession, message: Message) -> None:
         """Asynchronously push a notification to the client."""
-        self.env.process(
-            send_to_client(session.transport, session.completion_queue,
-                           message)
-        )
+        send_to_client(session.transport, session.completion_queue, message)
 
     def _execute(self, session: ClientSession, operation: Operation):
         """Process: perform one operation on the board."""

@@ -97,7 +97,7 @@ class FIFOScheduler(TaskScheduler):
         self._queue = Store(env)
 
     def push(self, task: Task, estimate: float) -> None:
-        self._queue.put(task)
+        self._queue.put_nowait(task)
 
     def pop(self):
         return self._queue.get()
@@ -144,7 +144,7 @@ class PriorityScheduler(_HeapBacklogMixin, TaskScheduler):
 
     def push(self, task: Task, estimate: float) -> None:
         priority = self._priorities.get(task.client, self.default_priority)
-        self._queue.put(PriorityItem(priority, task))
+        self._queue.put_nowait(PriorityItem(priority, task))
 
     def pop(self):
         event = self._queue.get()
@@ -164,7 +164,7 @@ class SJFScheduler(_HeapBacklogMixin, TaskScheduler):
         self._queue = PriorityStore(env)
 
     def push(self, task: Task, estimate: float) -> None:
-        self._queue.put(PriorityItem(estimate, task))
+        self._queue.put_nowait(PriorityItem(estimate, task))
 
     def pop(self):
         return _unwrap(self.env, self._queue.get())
@@ -202,7 +202,7 @@ class WFQScheduler(_HeapBacklogMixin, TaskScheduler):
                         self._virtual_finish.get(task.client, 0.0))
         finish_tag = start_tag + estimate / weight
         self._virtual_finish[task.client] = finish_tag
-        self._queue.put(PriorityItem(start_tag, task))
+        self._queue.put_nowait(PriorityItem(start_tag, task))
 
     def pop(self):
         event = self._queue.get()

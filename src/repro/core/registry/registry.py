@@ -747,22 +747,32 @@ class AcceleratorsRegistry:
             self.functions.register(name, DeviceQuery(*args["query"]))
             return True
         if op == "admit":
-            instance = args["instance"]
-            if self.functions.instance(instance) is not None:
-                return False
-            function = args["function"]
-            if not self.functions.known(function):
-                return False  # its register_function record was lost
-            self.functions.add_instance(function, InstanceRecord(
-                name=instance, function=function,
-                node=args["node"], device=args["device"],
-            ))
+            name = args["instance"]
+            instance = self.functions.instance(name)
+            applied = instance is None
+            if applied:
+                function = args["function"]
+                if not self.functions.known(function):
+                    return False  # its register_function record was lost
+                instance = InstanceRecord(
+                    name=name, function=function,
+                    node=args["node"], device=args["device"],
+                    function_seq=self.functions.get(function).seq,
+                    seq=self._logged_instance_seq(record.seq),
+                )
+                self.functions.restore_instance(instance)
             if args["device"] in self.devices:
                 device = self.devices.get(args["device"])
-                device.instances.add(instance)
-                if args.get("pending"):
-                    device.pending_bitstream = args["pending"]
-            return True
+                if instance.device == device.name:
+                    device.instances.add(name)
+                # The reconfiguration promise is re-made even when the
+                # instance is already known: an older device_dead replayed
+                # before this record has just cleared it.
+                pending = args.get("pending")
+                if pending and device.effective_bitstream != pending:
+                    device.pending_bitstream = pending
+                    applied = True
+            return applied
         if op == "remove_instance":
             instance = self.functions.remove_instance(
                 args["function"], args["instance"]
@@ -794,13 +804,34 @@ class AcceleratorsRegistry:
                 return False
             device = self.devices.get(name)
             alive = op == "device_alive"
-            if device.alive == alive:
-                return False
+            # Absolute, not a toggle: a dead device holds no promise even
+            # if a replayed admit re-made one on the already-dead record.
+            changed = device.alive != alive or (
+                not alive and device.pending_bitstream is not None)
             device.alive = alive
             if not alive:
                 device.pending_bitstream = None
-            return True
+            return changed
         return False  # unknown op: forward-compatible skip
+
+    def _logged_instance_seq(self, wal_seq: int) -> int:
+        """Instance sequence number the admit record at ``wal_seq`` minted.
+
+        Every number the Functions Service mints is logged by exactly one
+        admit record, in order, so it is the snapshot's counter plus the
+        admits logged since, up to and including this one.  Replaying an
+        admit therefore restores its original number instead of minting a
+        fresh one, which keeps re-admission after a replayed remove
+        idempotent without widening the record on the wire.
+        """
+        snapshot = self.store.snapshot_state
+        seq = snapshot["instance_seq"] if snapshot is not None else 0
+        for record in self.store.wal:
+            if record.seq > wal_seq:
+                break
+            if record.op == "admit":
+                seq += 1
+        return seq
 
     def crash(self) -> None:
         """Fail-stop the Registry process.

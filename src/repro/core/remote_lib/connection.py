@@ -1,4 +1,4 @@
-"""Client↔Device-Manager connection: stream, completion queue, dispatcher.
+"""Client↔Device-Manager connection: stream and completion queue.
 
 Mirrors Figure 2 of the paper:
 
@@ -6,9 +6,9 @@ Mirrors Figure 2 of the paper:
   payloads) to the manager — the sender process pays the transport costs,
   so per-call control latency and data-plane copies land on the simulated
   clock exactly once, in order;
-* a **completion queue** receives the manager's asynchronous notifications;
-* the **connection thread** (dispatcher process) pulls notifications,
-  retrieves the event state machine by tag and advances it.
+* a **completion queue** receives the manager's asynchronous notifications
+  and plays the paper's connection thread: on arrival it retrieves the
+  event state machine by tag and advances it, synchronously.
 """
 
 from __future__ import annotations
@@ -79,12 +79,11 @@ class Connection:
             env, network, client_host, manager_host, prefer_shm=prefer_shm
         )
         self.completion_queue = RpcEndpoint(
-            env, f"{client_name}/completions"
+            env, f"{client_name}/completions", handler=self._on_completion
         )
         self._machines: Dict[Any, RemoteEventMachine] = {}
         self._outbound: Store = Store(env)
         self._sender_proc = env.process(self._sender())
-        self._dispatcher_proc = env.process(self._dispatcher())
         self.connected = False
         # -- live-migration stream state (see docs/live_migration.md) -------
         #: While True the sender holds items untransmitted; queued and
@@ -113,11 +112,12 @@ class Connection:
         self.close()
 
     def close(self) -> None:
-        for process in (self._sender_proc, self._dispatcher_proc):
-            if process.is_alive:
-                process.interrupt("connection closed")
-        # Any machine still in flight can never hear back once the
-        # dispatcher stops: resolve it to a structured error, not a hang.
+        if self._sender_proc.is_alive:
+            self._sender_proc.interrupt("connection closed")
+        # Later notifications queue unread in the inbox, so any machine
+        # still in flight can never hear back: resolve it to a structured
+        # error, not a hang.
+        self.completion_queue.handler = None
         for machine in list(self._machines.values()):
             machine.on_notification(Message(
                 method=protocol.OP_FAILED,
@@ -162,8 +162,8 @@ class Connection:
 
         Must be called with the stream paused.  Every queued item, every
         later unary call and every outstanding event machine's traffic
-        flows over a fresh transport to the new endpoint; the dispatcher
-        routes completions by tag, so machines restored server-side
+        flows over a fresh transport to the new endpoint; the completion
+        queue routes completions by tag, so machines restored server-side
         resolve on the new manager without the client observing an error.
         """
         if prefer_shm is None:
@@ -288,7 +288,7 @@ class Connection:
         """Queue a control message on the ordered outbound stream."""
         message = Message(method=method, payload=payload,
                           sender=self.client_name, tag=tag)
-        self._outbound.put(_StreamItem(message))
+        self._outbound.put_nowait(_StreamItem(message))
 
     def stream_send_op(self, method: str, finalize, tag: Any,
                        gates: list) -> None:
@@ -300,7 +300,7 @@ class Connection:
         """
         message = Message(method=method, payload={},
                           sender=self.client_name, tag=tag)
-        self._outbound.put(
+        self._outbound.put_nowait(
             _StreamItem(message, gates=tuple(gates), finalize=finalize)
         )
 
@@ -316,7 +316,7 @@ class Connection:
         message = Message(method=protocol.WRITE_DATA,
                           payload={"data": data},
                           sender=self.client_name, tag=tag)
-        self._outbound.put(_StreamItem(message, data_nbytes=nbytes))
+        self._outbound.put_nowait(_StreamItem(message, data_nbytes=nbytes))
 
     # -- worker processes -----------------------------------------------------
     def _sender(self):
@@ -373,14 +373,9 @@ class Connection:
                 sender="local", tag=tag,
             ))
 
-    def _dispatcher(self):
-        """The connection thread: route notifications to state machines."""
-        try:
-            while True:
-                message: Message = yield self.completion_queue.inbox.get()
-                machine = self._machines.get(message.tag)
-                if machine is not None:
-                    machine.on_notification(message)
-                # Unknown tags: the machine already failed/completed; drop.
-        except Interrupt:
-            return
+    def _on_completion(self, message: Message) -> None:
+        """The connection thread: route a notification to its machine."""
+        machine = self._machines.get(message.tag)
+        if machine is not None:
+            machine.on_notification(message)
+        # Unknown tags: the machine already failed/completed; drop.

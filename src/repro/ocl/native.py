@@ -161,7 +161,7 @@ class NativeDriver(Driver):
 
     def enqueue(self, queue: CommandQueue, command: Command) -> None:
         store, _worker = self._queues[queue.id]
-        store.put(command)
+        store.put_nowait(command)
 
     def flush(self, queue: CommandQueue) -> None:
         # The native worker drains continuously; flush is a no-op.

@@ -1,8 +1,9 @@
 """Control-plane messaging: endpoints, messages, unary calls.
 
 The components of BlastFunction talk gRPC for control.  Here a *message* is
-delivered into the destination endpoint's inbox after the transport's
-control latency; unary request/response is built from two one-way messages.
+delivered to the destination endpoint (its inbox, or its handler) after the
+transport's control latency; unary request/response is built from two
+one-way messages.
 The convention mirrors gRPC's asynchronous completion-queue API, which is
 exactly what the paper's Remote OpenCL Library builds its event state
 machines on (a *tag* identifying the waiting operation travels with each
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..sim import Environment, Event, Store
 from .transport import Transport
@@ -66,18 +67,29 @@ class Message:
 
 
 class RpcEndpoint:
-    """A named service endpoint with an inbox of delivered messages."""
+    """A named service endpoint.
 
-    def __init__(self, env: Environment, name: str):
+    Delivered messages queue in ``inbox`` for a server process to get, or,
+    when the endpoint has a ``handler``, are handed to it synchronously on
+    arrival: a completion queue whose dispatch costs no process.
+    """
+
+    def __init__(self, env: Environment, name: str,
+                 handler: Optional[Callable[[Message], None]] = None):
         self.env = env
         self.name = name
         self.inbox: Store = Store(env)
+        self.handler = handler
         self.delivered = 0
 
     def deliver(self, message: Message) -> None:
-        """Place a message in the inbox (after transport delay)."""
-        self.inbox.put(message)
+        """Hand a message to the handler, or queue it in the inbox (after
+        transport delay)."""
         self.delivered += 1
+        if self.handler is not None:
+            self.handler(message)
+        else:
+            self.inbox.put_nowait(message)
 
     def __repr__(self) -> str:
         return f"<RpcEndpoint {self.name}>"
@@ -90,9 +102,13 @@ def send_to_server(transport: Transport, endpoint: RpcEndpoint,
 
 
 def send_to_client(transport: Transport, endpoint: RpcEndpoint,
-                   message: Message):
-    """Process: deliver a server→client control message."""
-    yield from transport.deliver_to_client(endpoint, message)
+                   message: Message) -> Event:
+    """Push a server→client control message; returns its arrival event.
+
+    Fire-and-forget, like a Device Manager notification: the sender does
+    not wait, though a caller may yield the returned event.
+    """
+    return transport.deliver_to_client(endpoint, message)
 
 
 class RpcTimeout(RpcError):

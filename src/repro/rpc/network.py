@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..fpga.hwspec import ETHERNET_1G, HOST_I7_6700, HostSpec, NetworkSpec
-from ..sim import Environment, Resource
+from ..sim import Environment, Event, Resource
 
 #: Local (same-node) virtual network stack: memcpy-class byte movement.
 LOCAL_STACK = NetworkSpec(bandwidth=13.9e9, latency=25e-6)
@@ -63,6 +63,17 @@ class Network:
 
     def is_local(self, src: NetworkHost, dst: NetworkHost) -> bool:
         return src.name == dst.name
+
+    def local_arrival(self, src: NetworkHost, nbytes: int,
+                      after: float) -> Event:
+        """Event at which ``nbytes`` sent over the local stack ``after``
+        seconds from now have arrived: ``(now + after) + transfer``, the
+        time a delay Timeout followed by :meth:`transfer` would end on.
+        """
+        env = self.env
+        src.bytes_sent += nbytes
+        return env.timeout_at(
+            (env.now + after) + self.local.transfer_time(nbytes))
 
     def transfer(self, src: NetworkHost, dst: NetworkHost, nbytes: int):
         """Process: move ``nbytes`` from ``src`` to ``dst``.

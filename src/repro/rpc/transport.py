@@ -18,9 +18,10 @@ invariant, not prose.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Optional
 
-from ..sim import Environment
+from ..sim import Environment, Event
 from .network import Network, NetworkHost
 
 #: Size of a control message on the wire (call metadata, acks), bytes.
@@ -65,12 +66,33 @@ class Transport(abc.ABC):
         self.stats = stats if stats is not None else CopyStats()
 
     # -- control plane -----------------------------------------------------
-    def send_control(self, src: NetworkHost, dst: NetworkHost):
-        """Process: one-way control message (gRPC in both transports)."""
-        overhead = CONTROL_HANDLING_OVERHEAD * max(
+    def _control_overhead(self, src: NetworkHost, dst: NetworkHost) -> float:
+        return CONTROL_HANDLING_OVERHEAD * max(
             src.host.speed_factor, dst.host.speed_factor
         )
-        yield self.env.timeout(overhead)
+
+    def _control_arrival(self, src: NetworkHost,
+                         dst: NetworkHost) -> Optional[Event]:
+        """The arrival event of a fault-free, same-node control message.
+
+        One event at ``(now + overhead) + transfer``: the float the
+        handling-overhead and local-transfer Timeouts would end on.
+        ``None`` when the message needs the full path: a fault plane is
+        installed, or the message crosses nodes and queues on the NIC.
+        """
+        network = self.network
+        if network.faults is not None or not network.is_local(src, dst):
+            return None
+        return network.local_arrival(
+            src, CONTROL_MESSAGE_BYTES, self._control_overhead(src, dst))
+
+    def send_control(self, src: NetworkHost, dst: NetworkHost):
+        """Process: one-way control message (gRPC in both transports)."""
+        arrival = self._control_arrival(src, dst)
+        if arrival is not None:
+            yield arrival
+            return
+        yield self.env.timeout(self._control_overhead(src, dst))
         yield from self.network.transfer(src, dst, CONTROL_MESSAGE_BYTES)
 
     def control_to_server(self):
@@ -85,28 +107,30 @@ class Transport(abc.ABC):
 
         This is where the network fault plane bites: with
         ``network.faults`` installed the message may be dropped, delayed
-        or duplicated.  Disabled, the path is identical (same generator
-        depth, same event sequence) to ``control_to_server`` + deliver.
+        or duplicated.
         """
-        faults = self.network.faults
-        if faults is not None:
-            yield from self._deliver_faulty(
-                faults, self.client, self.server, endpoint, message)
-            return
-        yield from self.send_control(self.client, self.server)
-        endpoint.deliver(message)
+        yield from self._deliver(self.client, self.server, endpoint, message)
 
-    def deliver_to_client(self, endpoint, message):
-        """Process: send one control message and deliver it server→client."""
-        faults = self.network.faults
-        if faults is not None:
-            yield from self._deliver_faulty(
-                faults, self.server, self.client, endpoint, message)
-            return
-        yield from self.send_control(self.server, self.client)
-        endpoint.deliver(message)
+    def deliver_to_client(self, endpoint, message) -> Event:
+        """Send one control message server→client; returns its arrival.
 
-    def _deliver_faulty(self, faults, src, dst, endpoint, message):
+        Fire-and-forget: a fault-free, same-node message is one scheduled
+        callback delivering into ``endpoint``.  The fault-plane and
+        cross-node paths run as a process, which is the returned event.
+        """
+        arrival = self._control_arrival(self.server, self.client)
+        if arrival is None:
+            return self.env.process(
+                self._deliver(self.server, self.client, endpoint, message))
+        arrival.callbacks.append(lambda _: endpoint.deliver(message))
+        return arrival
+
+    def _deliver(self, src, dst, endpoint, message):
+        faults = self.network.faults
+        if faults is None:
+            yield from self.send_control(src, dst)
+            endpoint.deliver(message)
+            return
         # The sender always pays the send cost — it cannot know the fabric
         # ate the message.
         verdict = faults.message_action(src.name, dst.name)
@@ -129,6 +153,16 @@ class Transport(abc.ABC):
 
     def data_to_client(self, nbytes: int):
         yield from self.send_data(self.server, self.client, nbytes)
+
+    def data_to_client_then(self, nbytes: int,
+                            then: Callable[[], None]) -> None:
+        """Move a bulk payload to the client in the background, then call
+        ``then()`` the instant it has landed (a read result's data)."""
+        def run():
+            yield from self.data_to_client(nbytes)
+            then()
+
+        self.env.process(run())
 
     def _slow_memcpy_bandwidth(self) -> float:
         return min(
@@ -187,11 +221,23 @@ class ShmTransport(Transport):
             )
         super().__init__(env, network, client, server, stats)
 
-    def send_data(self, src: NetworkHost, dst: NetworkHost, nbytes: int):
+    def _copy_time(self, nbytes: int) -> float:
         if nbytes < 0:
             raise ValueError("negative payload size")
-        yield self.env.timeout(nbytes / self._slow_memcpy_bandwidth())
+        return nbytes / self._slow_memcpy_bandwidth()
+
+    def send_data(self, src: NetworkHost, dst: NetworkHost, nbytes: int):
+        yield self.env.timeout(self._copy_time(nbytes))
         self.stats.record(self.data_copies, nbytes)
+
+    def data_to_client_then(self, nbytes: int,
+                            then: Callable[[], None]) -> None:
+        """One scheduled callback: the memcpy's Timeout, then ``then()``."""
+        def landed(_event) -> None:
+            self.stats.record(self.data_copies, nbytes)
+            then()
+
+        self.env.timeout(self._copy_time(nbytes)).callbacks.append(landed)
 
 
 def make_transport(

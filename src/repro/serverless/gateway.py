@@ -218,7 +218,7 @@ class Gateway:
         yield self.env.timeout(GATEWAY_OVERHEAD)
         request = Request(dict(payload or {}), self.env.now,
                           Event(self.env))
-        function.request_queue.put(request)
+        function.request_queue.put_nowait(request)
         function.invocations += 1
         try:
             result = yield request.response
@@ -262,7 +262,7 @@ class Gateway:
                 )
             request = Request(dict(payload or {}), self.env.now,
                               Event(self.env))
-            function.request_queue.put(request)
+            function.request_queue.put_nowait(request)
             function.invocations += 1
             try:
                 result = yield from self._await_response(request)

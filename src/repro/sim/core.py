@@ -75,6 +75,19 @@ class Environment:
         """Create an event that triggers after ``delay`` seconds."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Create an event that triggers at the absolute time ``when``.
+
+        One event where a chain of timeouts would cost one per link: a
+        caller keeps the chain's float association by computing ``when``
+        as ``(now + a) + b``, the time two Timeouts would fire at.
+        """
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        self.schedule_at(event, when)
+        return event
+
     def process(self, generator: ProcessGenerator) -> "Process":
         """Start a new process running ``generator``."""
         return Process(self, generator)
@@ -95,6 +108,24 @@ class Environment:
         eid = self._eid
         self._eid = eid + 1
         heappush(self._queue, (self._now + delay, priority, eid, event))
+
+    def schedule_at(self, event: Event, when: float,
+                    priority: int = NORMAL) -> None:
+        """Enqueue ``event`` to be processed at the absolute time ``when``.
+
+        Goes through :meth:`schedule`, so a subclass overriding it sees
+        every event: the clock reads ``when`` for the call, making the
+        scheduled time exactly ``when`` (``now + (when - now)`` may not
+        round back to it), and is restored afterwards.
+        """
+        now = self._now
+        if when < now:
+            raise ValueError(f"time {when} is before now ({now})")
+        self._now = when
+        try:
+            self.schedule(event, 0.0, priority)
+        finally:
+            self._now = now
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

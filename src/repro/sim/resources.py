@@ -18,7 +18,7 @@ from itertools import count
 from typing import Any, Callable, Optional
 
 from .core import Environment
-from .events import Event
+from .events import Event, SimError
 
 
 class Request(Event):
@@ -177,13 +177,28 @@ class Store:
         """Put ``item``; the event triggers once there is room."""
         return StorePut(self, item)
 
+    def put_nowait(self, item: Any) -> None:
+        """Put ``item`` now, scheduling no event.
+
+        For fire-and-forget producers: a :class:`StorePut` nobody waits on
+        is an event with no callbacks, so skipping it reorders nothing.
+        Raises :class:`SimError` if the store has no room right now.
+        """
+        if self._put_queue or len(self.items) >= self.capacity:
+            raise SimError(f"{type(self).__name__} is full")
+        self._insert(item)
+        self._dispatch()
+
     def get(self) -> StoreGet:
         """Take the oldest item; the event triggers once one is available."""
         return StoreGet(self)
 
+    def _insert(self, item: Any) -> None:
+        self.items.append(item)
+
     def _do_put(self, event: StorePut) -> bool:
         if len(self.items) < self.capacity:
-            self.items.append(event.item)
+            self._insert(event.item)
             event.succeed()
             return True
         return False
@@ -255,12 +270,8 @@ class PriorityItem:
 class PriorityStore(Store):
     """A :class:`Store` that yields items in priority order."""
 
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self.capacity:
-            heapq.heappush(self.items, event.item)
-            event.succeed()
-            return True
-        return False
+    def _insert(self, item: Any) -> None:
+        heapq.heappush(self.items, item)
 
     def _do_get(self, event: StoreGet) -> bool:
         if self.items:

@@ -20,6 +20,7 @@ from repro.core.device_manager.manager import (
 )
 from repro.core.registry import (
     AcceleratorsRegistry,
+    AllocationError,
     RegistryStore,
     RegistryUnavailableError,
     StandbyPolicy,
@@ -403,11 +404,20 @@ ACTIONS = st.lists(
 )
 
 
-@settings(max_examples=15, deadline=None)
-@given(actions=ACTIONS, cut=st.integers(0, 40), data=st.data())
-def test_recovery_idempotent_at_any_wal_position(actions, cut, data):
-    """Crash at an arbitrary WAL cut; replayed state converges to pod/DM
-    ground truth, and replaying the WAL a second time changes nothing."""
+def reapply_wal(registry, managers):
+    """Replay the store's WAL, in order, over the Registry's live state."""
+    _snapshot, records = registry.store.replay()
+    registry._replaying = True
+    try:
+        for record in records:
+            registry._apply_record(record, dict(managers))
+    finally:
+        registry._replaying = False
+
+
+def check_recovery_idempotent(actions, cut, snapshot):
+    """Crash at a WAL cut; replayed state converges to pod/DM ground truth,
+    and replaying the WAL a second time changes nothing."""
     env = Environment()
     testbed = build_testbed(env, functional=False, with_scraper=False)
     registry = AcceleratorsRegistry(
@@ -415,7 +425,6 @@ def test_recovery_idempotent_at_any_wal_position(actions, cut, data):
         durability="durable", snapshot_interval=None,
     )
     manager_names = sorted(testbed.managers)
-    created = set()
 
     def driver():
         for action, arg in actions:
@@ -424,11 +433,15 @@ def test_recovery_idempotent_at_any_wal_position(actions, cut, data):
                 name = f"pod-{arg}"
                 if name in testbed.cluster.pods:
                     continue
-                yield from testbed.cluster.create_pod(PodSpec(
-                    name=name, function="fn-sobel",
-                    device_query=DeviceQuery(accelerator="sobel"),
-                ))
-                created.add(name)
+                try:
+                    yield from testbed.cluster.create_pod(PodSpec(
+                        name=name, function="fn-sobel",
+                        device_query=DeviceQuery(accelerator="sobel"),
+                    ))
+                except AllocationError:
+                    # Admission denied (every device is dead): the pod
+                    # was never created, as a rejected kubectl create.
+                    assert name not in testbed.cluster.pods
             elif action == "delete":
                 name = f"pod-{arg}"
                 if name in testbed.cluster.pods:
@@ -442,7 +455,7 @@ def test_recovery_idempotent_at_any_wal_position(actions, cut, data):
     env.run(until=env.now + 1.0)  # let evacuations settle
 
     # Maybe snapshot mid-history, then lose an arbitrary WAL tail.
-    if data.draw(st.booleans(), label="snapshot"):
+    if snapshot:
         registry.store.take_snapshot(registry.snapshot_state())
     low = registry.store.snapshot_seq
     registry.store.truncate(low + cut)
@@ -457,13 +470,7 @@ def test_recovery_idempotent_at_any_wal_position(actions, cut, data):
     # 2. Double replay is a no-op: re-applying the full WAL in order
     #    leaves both services bit-identical.
     before = state_digest(registry)
-    _snapshot, records = registry.store.replay()
-    registry._replaying = True
-    try:
-        for record in records:
-            registry._apply_record(record, dict(testbed.managers))
-    finally:
-        registry._replaying = False
+    reapply_wal(registry, testbed.managers)
     assert state_digest(registry) == before
 
     # 3. A second crash/restart converges to the same state.
@@ -471,3 +478,57 @@ def test_recovery_idempotent_at_any_wal_position(actions, cut, data):
     env.run(until=registry.restart())
     env.run(until=env.now + 1.0)
     assert check_invariants(registry, testbed.cluster) == (0, 0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(actions=ACTIONS, cut=st.integers(0, 40), data=st.data())
+def test_recovery_idempotent_at_any_wal_position(actions, cut, data):
+    """Crash at an arbitrary WAL cut; replayed state converges to pod/DM
+    ground truth, and replaying the WAL a second time changes nothing."""
+    check_recovery_idempotent(
+        actions, cut, data.draw(st.booleans(), label="snapshot"))
+
+
+def test_replaying_readmission_twice_keeps_instance_seq():
+    """Regression: the WAL holds admit, remove and admit of one pod name.
+    Replaying it over the recovered state must restore the logged
+    instance sequence numbers, not mint fresh ones."""
+    check_recovery_idempotent(
+        [("create", 0), ("delete", 0), ("create", 0)], cut=7,
+        snapshot=False)
+
+
+def test_replaying_device_toggles_keeps_pending_bitstream():
+    """Regression: replaying device_dead/device_alive over a state that
+    is already past them must not clear the pending bitstream the
+    post-recovery re-adoption set."""
+    check_recovery_idempotent(
+        [("fail_device", 0), ("recover_device", 0), ("create", 0)], cut=5,
+        snapshot=False)
+
+
+def test_creation_denied_when_every_device_is_dead():
+    """Regression: an admission Algorithm 1 refuses leaves no pod and no
+    WAL admit to recover."""
+    check_recovery_idempotent(
+        [("fail_device", 0), ("fail_device", 1), ("fail_device", 2),
+         ("create", 0)], cut=0, snapshot=False)
+
+
+def test_reapplying_device_death_over_a_dead_device_clears_the_promise():
+    """Regression: pod-0's admission promised dm-A a Sobel bitstream,
+    then dm-A died and pod-0 was shed.  Re-applying that log over the
+    state that wrote it re-admits pod-0 and re-makes the promise; the
+    following device_dead must clear it although dm-A is dead already."""
+    env = Environment()
+    testbed, registry = build(env, with_scraper=False)
+    create_pods(env, testbed.cluster, 1, prefix="pod")
+    device = registry.functions.instance("pod-0").device
+    registry.on_device_failure(device)
+    env.run(until=env.now + 1.0)
+    assert "pod-0" not in testbed.cluster.pods
+    assert [record.op for record in registry.store.wal][-3:] == [
+        "admit", "device_dead", "remove_instance"]
+    before = state_digest(registry)
+    reapply_wal(registry, testbed.managers)
+    assert state_digest(registry) == before

@@ -30,10 +30,10 @@ class FakeTransport:
 
     def deliver_to_client(self, endpoint, message):
         self.delivered.append(message)
-        yield self.env.timeout(0)
+        return self.env.timeout(0)
 
-    def data_to_client(self, nbytes):
-        yield self.env.timeout(0)
+    def data_to_client_then(self, nbytes, then):
+        self.env.timeout(0).callbacks.append(lambda _: then())
 
 
 def make_pair(functional=True):

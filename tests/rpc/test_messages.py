@@ -120,7 +120,7 @@ def test_server_push_notification(env, setup):
     client_endpoint = RpcEndpoint(env, "client-completion-queue")
 
     def server(env):
-        yield from send_to_client(
+        yield send_to_client(
             transport, client_endpoint, Message(method="OpComplete", tag=42)
         )
 
