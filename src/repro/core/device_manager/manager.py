@@ -58,6 +58,15 @@ from . import protocol
 from .schedulers import TaskScheduler, make_scheduler
 from .tasks import Operation, OpType, Task, TaskAccumulator
 
+#: Operation type of each streamed command-queue method.
+_OP_TYPES = {
+    protocol.ENQUEUE_WRITE: OpType.WRITE,
+    protocol.ENQUEUE_READ: OpType.READ,
+    protocol.ENQUEUE_COPY: OpType.COPY,
+    protocol.ENQUEUE_KERNEL: OpType.KERNEL,
+    protocol.ENQUEUE_MARKER: OpType.MARKER,
+}
+
 
 class ClientSession:
     """Server-side state of one connected client (isolated resource pool)."""
@@ -121,6 +130,22 @@ class StaleEpochError(DeviceManagerError):
         super().__init__(message, CL_STALE_REGISTRY_EPOCH)
 
 
+def _continue(generator, event):
+    """Finish ``generator``, suspended at ``yield event`` outside any
+    process, as ``yield from generator`` would inside one."""
+    while True:
+        try:
+            value = yield event
+        except BaseException as exc:  # an Interrupt thrown into the server
+            resume, value = generator.throw, exc
+        else:
+            resume = generator.send
+        try:
+            event = resume(value)
+        except StopIteration as stop:
+            return stop.value
+
+
 def _error_code(exc: Exception) -> int:
     """Map a server-side failure to the OpenCL error code clients see."""
     code = getattr(exc, "cl_code", None)
@@ -165,7 +190,11 @@ class DeviceManager:
         self.library = library
         self.network = network
         self.node = node
-        self.endpoint = RpcEndpoint(env, name)
+        self.endpoint = RpcEndpoint(env, name, handler=self._on_message)
+        #: True while the serve process waits on an empty inbox: the next
+        #: message may then be served in its arrival callback.  False while
+        #: a message is served or queued, and while the manager is down.
+        self._idle = False
         self.sessions: Dict[str, ClientSession] = {}
         self.accumulator = TaskAccumulator()
         #: Central task queue policy; the paper's system is FIFO.
@@ -268,6 +297,10 @@ class DeviceManager:
         )
         board.add_busy_listener(self._on_board_activity)
 
+        #: Per-label children of the two labelled counters the worker
+        #: bumps on every operation.
+        self._client_busy_children: Dict[str, Any] = {}
+        self._op_children: Dict[str, Any] = {}
         self._serve_proc = env.process(self._serve())
         # One worker per PR slot (space-sharing boards execute one task per
         # slot concurrently); classic boards get the single FIFO worker.
@@ -325,6 +358,7 @@ class DeviceManager:
 
     def stop(self) -> None:
         """Shut the manager down (used in tests and migrations)."""
+        self._idle = False
         for process in (self._serve_proc, *self._worker_procs):
             if process.is_alive:
                 process.interrupt("device manager stopped")
@@ -458,81 +492,116 @@ class DeviceManager:
     #: Unary replies remembered for retry deduplication.
     REPLY_CACHE_SIZE = 512
 
+    def _on_message(self, message: Message) -> None:
+        """Endpoint handler: serve ``message`` in its arrival callback when
+        the server is idle and no fault plane is installed.
+
+        A handler that waits (a unary reply) is finished by the serve
+        process; messages arriving meanwhile queue behind it in the inbox.
+        Otherwise the message takes the inbox.  Under a fault plane every
+        message does: serving on arrival moves the fault draws within an
+        instant, and the chaos golden pins them.
+        """
+        inbox = self.endpoint.inbox
+        if not self._idle or self.network.faults is not None:
+            self._idle = False
+            inbox.put_nowait(message)
+            return
+        self._idle = False
+        handling = self._handle(message)
+        try:
+            event = handling.send(None)
+        except StopIteration:
+            self._idle = True
+            return
+        inbox.put_nowait(_continue(handling, event))
+
     def _serve(self):
-        """gRPC server loop: dispatch inbox messages by method group."""
+        """gRPC server loop: serve inbox messages one at a time, in order.
+
+        The inbox also carries the rest of a handler started on arrival
+        (a generator), which is finished before the next message.
+        """
+        inbox = self.endpoint.inbox
         try:
             while True:
-                message: Message = yield self.endpoint.inbox.get()
-                # Capture the reply path up front: a handler may tear the
-                # session down (DISCONNECT) before the reply goes out.
-                reply_transport = None
-                key = None
-                if message.reply_to is not None:
-                    session = self._session_of(message)
-                    reply_transport = (
-                        session.transport if session is not None
-                        else message.payload.get("transport")
-                    )
-                    key = (message.sender, message.id)
-                    cached = self._replies.get(key)
-                    if cached is not None:
-                        # At-least-once retry of an executed request:
-                        # replay the reply, never re-execute.
-                        self.env.process(self._replay_reply(message, cached))
-                        continue
-                if (self.migrating and message.reply_to is not None
-                        and message.sender in self.migrating_clients):
-                    # Racing submit from a client being checkpointed off
-                    # this board: reject it; the connection replays the
-                    # call against the rebound endpoint once the stream
-                    # resumes (unary replies are idempotent either way).
-                    transport = (reply_transport
-                                 or self._migrating_transports.get(
-                                     message.sender))
-                    if transport is None:
-                        self.rejected_messages += 1
-                        continue
-                    yield from reply_error(
-                        transport, message,
-                        DeviceManagerError(
-                            f"client {message.sender!r} is live-migrating",
-                            CL_DEVICE_MIGRATING,
-                        ),
-                    )
-                    continue
-                handler = self._handlers().get(message.method)
-                if handler is None:
-                    if message.reply_to is not None:
-                        yield from reply_error(
-                            reply_transport, message,
-                            DeviceManagerError(
-                                f"unknown method {message.method!r}"
-                            ),
-                        )
-                    else:
-                        self.rejected_messages += 1
-                    continue
-                try:
-                    yield from handler(message)
-                except Interrupt:
-                    raise
-                except (DeviceManagerError, BoardError) as exc:
-                    # A bad request must not kill the server: answer unary
-                    # calls with a structured error, drop stray streamed
-                    # messages (e.g. from sessions lost in a crash).
-                    if (message.reply_to is not None
-                            and reply_transport is not None
-                            and not message.reply_to.triggered):
-                        yield from reply_error(
-                            reply_transport, message,
-                            RpcError(str(exc), code=_error_code(exc)),
-                        )
-                    else:
-                        self.rejected_messages += 1
-                if key is not None and message.reply_to.triggered:
-                    self._cache_reply(key, reply_transport, message.reply_to)
+                get = inbox.get()
+                self._idle = not get.triggered
+                item = yield get
+                if type(item) is Message:
+                    yield from self._handle(item)
+                else:
+                    yield from item
         except Interrupt:
             return
+
+    def _handle(self, message: Message):
+        """Process: serve one message (dispatch by method group)."""
+        # Capture the reply path up front: a handler may tear the session
+        # down (DISCONNECT) before the reply goes out.
+        reply_transport = None
+        key = None
+        if message.reply_to is not None:
+            session = self._session_of(message)
+            reply_transport = (
+                session.transport if session is not None
+                else message.payload.get("transport")
+            )
+            key = (message.sender, message.id)
+            cached = self._replies.get(key)
+            if cached is not None:
+                # At-least-once retry of an executed request: replay the
+                # reply, never re-execute.
+                self.env.process(self._replay_reply(message, cached))
+                return
+        if (self.migrating and message.reply_to is not None
+                and message.sender in self.migrating_clients):
+            # Racing submit from a client being checkpointed off this
+            # board: reject it; the connection replays the call against
+            # the rebound endpoint once the stream resumes (unary replies
+            # are idempotent either way).
+            transport = (reply_transport
+                         or self._migrating_transports.get(message.sender))
+            if transport is None:
+                self.rejected_messages += 1
+                return
+            yield from reply_error(
+                transport, message,
+                DeviceManagerError(
+                    f"client {message.sender!r} is live-migrating",
+                    CL_DEVICE_MIGRATING,
+                ),
+            )
+            return
+        handler = self._METHODS.get(message.method)
+        if handler is None:
+            if message.reply_to is not None:
+                yield from reply_error(
+                    reply_transport, message,
+                    DeviceManagerError(f"unknown method {message.method!r}"),
+                )
+            else:
+                self.rejected_messages += 1
+            return
+        try:
+            yield from handler(self, message)
+        except Interrupt:
+            raise
+        except (DeviceManagerError, BoardError) as exc:
+            # A bad request must not kill the server: answer unary calls
+            # with a structured error, drop stray streamed messages (e.g.
+            # from sessions lost in a crash).
+            if (message.reply_to is not None
+                    and reply_transport is not None
+                    and not message.reply_to.triggered):
+                yield from reply_error(
+                    reply_transport, message,
+                    RpcError(str(exc), code=_error_code(exc)),
+                )
+            else:
+                self.rejected_messages += 1
+        if key is not None and message.reply_to.triggered:
+            self._cache_reply(key, reply_transport, message.reply_to)
 
     def _cache_reply(self, key, transport, reply_event) -> None:
         self._replies[key] = (transport, reply_event.ok, reply_event.value)
@@ -549,25 +618,6 @@ class DeviceManager:
             message.reply_to.succeed(value)
         else:
             message.reply_to.fail(value)
-
-    def _handlers(self):
-        return {
-            protocol.CONNECT: self._on_connect,
-            protocol.DISCONNECT: self._on_disconnect,
-            protocol.GET_PLATFORM_INFO: self._on_platform_info,
-            protocol.GET_DEVICE_INFO: self._on_device_info,
-            protocol.CREATE_BUFFER: self._on_create_buffer,
-            protocol.RELEASE_BUFFER: self._on_release_buffer,
-            protocol.BUILD_PROGRAM: self._on_build_program,
-            protocol.CREATE_KERNEL: self._on_create_kernel,
-            protocol.ENQUEUE_WRITE: self._on_enqueue,
-            protocol.ENQUEUE_READ: self._on_enqueue,
-            protocol.ENQUEUE_COPY: self._on_enqueue,
-            protocol.ENQUEUE_KERNEL: self._on_enqueue,
-            protocol.ENQUEUE_MARKER: self._on_enqueue,
-            protocol.WRITE_DATA: self._on_write_data,
-            protocol.FLUSH: self._on_flush,
-        }
 
     def _session_of(self, message: Message) -> Optional[ClientSession]:
         return self.sessions.get(message.sender)
@@ -749,15 +799,8 @@ class DeviceManager:
     def _on_enqueue(self, message: Message):
         session = self._require_session(message)
         payload = message.payload
-        op_type = {
-            protocol.ENQUEUE_WRITE: OpType.WRITE,
-            protocol.ENQUEUE_READ: OpType.READ,
-            protocol.ENQUEUE_COPY: OpType.COPY,
-            protocol.ENQUEUE_KERNEL: OpType.KERNEL,
-            protocol.ENQUEUE_MARKER: OpType.MARKER,
-        }[message.method]
         operation = Operation(
-            type=op_type,
+            type=_OP_TYPES[message.method],
             client=session.name,
             queue_id=int(payload.get("queue", 0)),
             tag=message.tag,
@@ -802,6 +845,25 @@ class DeviceManager:
         self._submit(task)
         return
         yield  # pragma: no cover - marks this handler as a generator
+
+    #: The handler of each protocol method.
+    _METHODS = {
+        protocol.CONNECT: _on_connect,
+        protocol.DISCONNECT: _on_disconnect,
+        protocol.GET_PLATFORM_INFO: _on_platform_info,
+        protocol.GET_DEVICE_INFO: _on_device_info,
+        protocol.CREATE_BUFFER: _on_create_buffer,
+        protocol.RELEASE_BUFFER: _on_release_buffer,
+        protocol.BUILD_PROGRAM: _on_build_program,
+        protocol.CREATE_KERNEL: _on_create_kernel,
+        protocol.ENQUEUE_WRITE: _on_enqueue,
+        protocol.ENQUEUE_READ: _on_enqueue,
+        protocol.ENQUEUE_COPY: _on_enqueue,
+        protocol.ENQUEUE_KERNEL: _on_enqueue,
+        protocol.ENQUEUE_MARKER: _on_enqueue,
+        protocol.WRITE_DATA: _on_write_data,
+        protocol.FLUSH: _on_flush,
+    }
 
     def _submit(self, task: Optional[Task]) -> None:
         """Place a closed task on the central queue."""
@@ -953,8 +1015,16 @@ class DeviceManager:
         operation.finished_at = self.env.now
         busy = self.env.now - started
         self._m_busy.inc(busy)
-        self._m_client_busy.labels(operation.client).inc(busy)
-        self._m_ops.labels(operation.type.value).inc()
+        client_busy = self._client_busy_children.get(operation.client)
+        if client_busy is None:
+            client_busy = self._m_client_busy.labels(operation.client)
+            self._client_busy_children[operation.client] = client_busy
+        client_busy.inc(busy)
+        op_type = operation.type.value
+        ops = self._op_children.get(op_type)
+        if ops is None:
+            ops = self._op_children[op_type] = self._m_ops.labels(op_type)
+        ops.inc()
         for listener in self.op_listeners:
             listener(operation)
         if operation.type is OpType.READ:

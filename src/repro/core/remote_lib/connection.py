@@ -320,10 +320,20 @@ class Connection:
 
     # -- worker processes -----------------------------------------------------
     def _sender(self):
-        """Transmit stream items in order, paying transport costs."""
+        """Transmit stream items in order, paying transport costs.
+
+        A queued item is taken without an event; the sender waits on a
+        get only when the stream is empty.  Under a fault plane it always
+        gets: the get's event order sets the order of the fault draws
+        within an instant, which the chaos golden pins.
+        """
+        outbound = self._outbound
         try:
             while True:
-                item: _StreamItem = yield self._outbound.get()
+                if outbound.items and self.network.faults is None:
+                    item: _StreamItem = outbound.items.pop(0)
+                else:
+                    item = yield outbound.get()
                 if not (yield from self._resolve_gates(item)):
                     continue
                 while self._paused:

@@ -172,10 +172,12 @@ class MetricFamily:
         self._rows_cache: list = []
         self._text_version = 0
         self._text_cache = ""
+        #: The one child of an unlabelled metric, for the passthroughs.
+        self._unlabelled: Optional[_Child] = None
         if not self.labelnames:
             # Unlabelled metrics are exposed immediately (at zero), like the
             # Prometheus client library does.
-            self.labels()
+            self._unlabelled = self.labels()
 
     def labels(self, *values: str, **kwvalues: str) -> _Child:
         """Get (creating if needed) the child for a label-value combination."""
@@ -212,9 +214,10 @@ class MetricFamily:
 
     @property
     def _default(self) -> _Child:
-        if self.labelnames:
+        child = self._unlabelled
+        if child is None:
             raise MetricError(f"{self.name} requires labels()")
-        return self.labels()
+        return child
 
     # Convenience passthroughs for unlabelled metrics -----------------------
     def inc(self, amount: float = 1.0) -> None:

@@ -50,6 +50,15 @@ from .types import (
 
 _ids = count(1)
 
+#: The profiling counter each execution status stamps, indexed by status
+#: (COMPLETE = 0 ... QUEUED = 3).
+_STATUS_STAMPS = (
+    ProfilingInfo.END,
+    ProfilingInfo.START,
+    ProfilingInfo.SUBMIT,
+    None,
+)
+
 
 class CLEvent:
     """An OpenCL event: status, profiling timestamps, completion waiting.
@@ -106,11 +115,7 @@ class CLEvent:
                 f"status may only advance ({self._status} -> {status})",
             )
         self._status = status
-        stamp = {
-            ExecutionStatus.SUBMITTED: ProfilingInfo.SUBMIT,
-            ExecutionStatus.RUNNING: ProfilingInfo.START,
-            ExecutionStatus.COMPLETE: ProfilingInfo.END,
-        }.get(status)
+        stamp = _STATUS_STAMPS[status]
         if stamp is not None:
             self.profiling[stamp] = self.env.now
         if status is ExecutionStatus.COMPLETE:

@@ -81,7 +81,12 @@ class Resource:
         return len(self.users)
 
     def request(self) -> Request:
-        """Request a slot; the returned event triggers when granted."""
+        """Request a slot; the returned event triggers when granted.
+
+        A request that needs no wait (a free slot, nobody queued) is
+        granted on the spot and comes back already processed, so a
+        process yielding it continues without an event.
+        """
         return Request(self)
 
     def release(self, request: Request) -> None:
@@ -93,6 +98,14 @@ class Resource:
         self._trigger_waiters()
 
     def _request(self, request: Request) -> None:
+        if not self.queue and len(self.users) < self._capacity:
+            self.users.append(request)
+            request._ok = True
+            request.callbacks = None
+            return
+        self._enqueue(request)
+
+    def _enqueue(self, request: Request) -> None:
         self.queue.append(request)
         self._trigger_waiters()
 
@@ -108,7 +121,12 @@ class Resource:
 
 
 class PriorityResource(Resource):
-    """A :class:`Resource` whose wait queue is served by priority."""
+    """A :class:`Resource` whose wait queue is served by priority.
+
+    Every request queues, even an uncontended one: its grant is an event.
+    """
+
+    _request = Resource._enqueue
 
     def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
         return PriorityRequest(self, priority)
@@ -186,8 +204,16 @@ class Store:
         """
         if self._put_queue or len(self.items) >= self.capacity:
             raise SimError(f"{type(self).__name__} is full")
-        self._insert(item)
-        self._dispatch()
+        self._hand_over(item)
+
+    def _hand_over(self, item: Any) -> None:
+        # A get waits only while the store is empty, so the item goes to
+        # the oldest waiting get, exactly as _dispatch would send it.
+        getters = self._get_queue
+        if getters:
+            getters.pop(0).succeed(item)
+        else:
+            self._insert(item)
 
     def get(self) -> StoreGet:
         """Take the oldest item; the event triggers once one is available."""
@@ -239,6 +265,12 @@ class FilterStore(Store):
                 event.succeed(item)
                 return True
         return False
+
+    def _hand_over(self, item: Any) -> None:
+        # Gets wait here even while items are stored (their predicate
+        # matched none), so the item may not go to the oldest get.
+        self._insert(item)
+        self._dispatch()
 
     def _dispatch(self) -> None:
         # Unlike the FIFO store, one blocked get must not block later gets

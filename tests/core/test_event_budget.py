@@ -8,21 +8,24 @@ hop is documented in docs/simulation.md ("Performance notes").
 import pytest
 
 from repro.cluster import build_testbed
+from repro.core.device_manager import DeviceManager, protocol
 from repro.core.remote_lib import remote_platform
+from repro.fpga import FPGABoard, standard_library
 from repro.rpc import (
     Message,
     Network,
     RpcEndpoint,
     make_transport,
     send_to_client,
+    unary_call,
 )
 from repro.serverless import SobelApp
-from repro.sim import Environment, SimError, Store
+from repro.sim import Environment, Resource, SimError, Store
 from repro.sim.events import NORMAL
 
 #: DES events of one full-HD remote Sobel request (write, kernel,
 #: blocking read over shared memory) on an idle board.
-SOBEL_REQUEST_EVENTS = 39
+SOBEL_REQUEST_EVENTS = 27
 
 
 class CountingEnvironment(Environment):
@@ -92,6 +95,61 @@ def test_notification_is_one_event():
     assert env.scheduled == 1
     assert received == [message]
     assert arrival.processed and env.now > 0
+
+
+def connected_manager(env):
+    """A Device Manager with one connected client, run until quiet."""
+    network = Network(env)
+    node = network.host("B")
+    manager = DeviceManager(env, "dm-B", FPGABoard(env), standard_library(),
+                            network, node)
+    transport = make_transport(env, network, node, node)
+    completions = RpcEndpoint(env, "client/completions",
+                              handler=lambda message: None)
+
+    def connect():
+        yield from unary_call(
+            transport, manager.endpoint, protocol.CONNECT,
+            {"transport": transport, "completion_queue": completions},
+            sender="client",
+        )
+
+    env.run(until=env.process(connect()))
+    env.run()
+    return manager, transport
+
+
+def streamed_message_cost(method, payload):
+    env = CountingEnvironment()
+    manager, transport = connected_manager(env)
+    spent = []
+
+    def client():
+        before = env.scheduled
+        yield from transport.deliver_to_server(
+            manager.endpoint,
+            Message(method=method, payload=payload, sender="client", tag=1))
+        spent.append(env.scheduled - before)
+
+    env.run(until=env.process(client()))
+    return spent[0]
+
+
+def test_streamed_message_into_an_idle_manager_is_its_arrival_only():
+    # A flush with no open task: the handler schedules nothing.
+    assert streamed_message_cost(protocol.FLUSH, {"queue": 0}) == 1
+
+
+def test_streamed_enqueue_is_its_arrival_and_its_notification():
+    assert streamed_message_cost(protocol.ENQUEUE_MARKER, {"queue": 0}) == 2
+
+
+def test_uncontended_grant_schedules_nothing():
+    env = CountingEnvironment()
+    resource = Resource(env, capacity=1)
+    request = resource.request()
+    assert env.scheduled == 0
+    assert request.processed and resource.users == [request]
 
 
 def test_put_nowait_schedules_nothing():
