@@ -48,7 +48,7 @@ from .gatherer import MetricsGatherer
 from .index import DeviceIndex
 from .services import DeviceRecord, DevicesService, FunctionsService, \
     InstanceRecord
-from .store import RegistryStore, WalRecord
+from .store import RegistryStore
 
 #: Pod environment variable carrying the allocated Device Manager address.
 MANAGER_ENV = "BF_MANAGER"
@@ -129,8 +129,6 @@ class AcceleratorsRegistry:
         #: perform checkpoint/restore moves; only consulted in "live" mode.
         self.live_migrator = None
         self.allocations = 0
-        self.migrations = 0
-        self.live_migrations = 0
         self.device_failures = 0
         #: Host wall clock accumulated inside Algorithm 1, seconds
         #: (allocation latency = alloc_wall / allocations).
@@ -180,7 +178,6 @@ class AcceleratorsRegistry:
         self.missed_watch_events = 0
         #: Divergence healed by the post-replay reconciliation pass.
         self.reconciliation: Dict[str, int] = {}
-        self._replaying = False
         #: name → manager resolver surviving crashes (Device Manager
         #: addresses live in cluster DNS, not in Registry process memory).
         self._known_managers: Dict[str, DeviceManager] = {}
@@ -235,31 +232,40 @@ class AcceleratorsRegistry:
         cluster.add_admission_hook(self._admit)
         cluster.watch(self._on_watch)
 
+    @property
+    def migrations(self) -> int:
+        """Instances moved off a device (``registry_migrations_total``)."""
+        return int(self._m_migrations.value)
+
+    @property
+    def live_migrations(self) -> int:
+        """Moves made live (``registry_live_migrations_total``)."""
+        return int(self._m_live_migrations.value)
+
     def register_manager(self, manager: DeviceManager) -> None:
-        """Add a Device Manager to the Devices Service (autoscaled nodes)."""
-        record = self.devices.register(manager)
-        manager.reconfiguration_validator = self._validate_reconfiguration
+        """Add a Device Manager to the Devices Service (autoscaled nodes).
+
+        The one path by which a manager joins: its record, scrape target,
+        health watch and index entry.  While the Registry is down only the
+        address book learns it; the next reconciliation adopts it here.
+        """
         self._known_managers[manager.name] = manager
-        self._log("register_manager", manager=manager.name)
+        if not self._commit("register_manager", manager=manager.name):
+            return
         if self.gatherer is not None:
             self.gatherer.scraper.add_target(
                 manager.name, manager.metrics, node=manager.node.name
             )
         if self.health is not None:
             self.health.watch_manager(manager)
-        self._index_refresh(record)
+        self._index_refresh(self.devices.get(manager.name))
 
     def deregister_manager(self, manager_name: str) -> bool:
         """Forget a retired device; refuses while instances are allocated."""
-        try:
-            record = self.devices.get(manager_name)
-        except KeyError:
+        record = self.devices.find(manager_name)
+        if record is None or record.instances:
             return False
-        if record.instances:
-            return False
-        self.devices.remove(manager_name)
-        self._known_managers.pop(manager_name, None)
-        self._log("deregister_manager", manager=manager_name)
+        self._commit("deregister_manager", manager=manager_name)
         if self.gatherer is not None:
             self.gatherer.scraper.remove_target(manager_name)
         if self.health is not None:
@@ -272,11 +278,8 @@ class AcceleratorsRegistry:
     # -- public API ----------------------------------------------------------
     def register_function(self, name: str, query: DeviceQuery) -> None:
         """Pre-register a function's device requirements."""
-        known = self.functions.known(name)
-        record = self.functions.register(name, query)
-        if not known:
-            self._log("register_function", function=name,
-                      query=_query_triple(record.device_query))
+        self._commit("register_function", function=name,
+                     query=_query_triple(query))
 
     def _view_of(self, record: DeviceRecord,
                  metrics: Optional[Dict[str, float]] = None) -> DeviceView:
@@ -353,11 +356,7 @@ class AcceleratorsRegistry:
             valid_until, name = heapq.heappop(falloff)
             if self._valid_until.get(name) != valid_until:
                 continue  # superseded by a newer refresh
-            try:
-                record = self.devices.get(name)
-            except KeyError:
-                continue
-            self._index_refresh(record)
+            self._index_refresh(self.devices.find(name))
 
     def _on_scrape(self, now: float) -> None:
         """Scrape listener: fold fresh samples into the allocator index."""
@@ -399,12 +398,8 @@ class AcceleratorsRegistry:
             raise RegistryUnavailableError(
                 f"registry down, cannot admit {spec.name!r}"
             )
-        known = self.functions.known(spec.function)
-        function = self.functions.register(spec.function, spec.device_query)
-        if not known:
-            self._log("register_function", function=spec.function,
-                      query=_query_triple(function.device_query))
-        query = function.device_query
+        self.register_function(spec.function, spec.device_query)
+        query = self.functions.get(spec.function).device_query
         decision = self._allocate(query, spec.node_name)
 
         record = self.devices.get(decision.device.name)
@@ -413,22 +408,14 @@ class AcceleratorsRegistry:
         if not spec.node_name:
             spec.node_name = decision.node
 
-        record.instances.add(spec.name)
-        self.functions.add_instance(spec.function, InstanceRecord(
-            name=spec.name, function=spec.function,
-            node=spec.node_name, device=record.name,
-        ))
-        self._log(
+        self._commit(
             "admit", instance=spec.name, function=spec.function,
             node=spec.node_name, device=record.name,
             pending=(query.accelerator if decision.needs_reconfiguration
                      else None),
         )
-
-        if decision.needs_reconfiguration:
-            record.pending_bitstream = query.accelerator
-            if decision.redistribution:
-                self._migrate(record, decision.redistribution)
+        if decision.redistribution:
+            self._migrate(record, decision.redistribution)
         self._index_refresh(record)
 
     def _migrate(self, source: DeviceRecord, moves: List) -> None:
@@ -452,17 +439,7 @@ class AcceleratorsRegistry:
             self.env.process(self.live_migrator.migrate(source.name, live))
             return
         for instance_name, _target in live:
-            instance = self.functions.instance(instance_name)
-            if instance is None:
-                continue
-            self.migrations += 1
-            self._m_migrations.inc()
-            # _evacuate guards the migrator: a move whose replacement fails
-            # to start (e.g. its target got reprogrammed meanwhile) degrades
-            # to a plain delete instead of crashing the Registry.
-            self.env.process(
-                self._evacuate(instance_name, instance.function)
-            )
+            self.evacuate(instance_name)
 
     def complete_live_migration(self, instance_name: str,
                                 source_name: str, target_name: str) -> None:
@@ -470,24 +447,19 @@ class AcceleratorsRegistry:
 
         The pod never restarted — only its accelerator side moved — so the
         cluster object survives; its Device Manager env var is patched to
-        the new address and the Registry's indexes are re-pointed.
+        the new address and the Registry's indexes are re-pointed.  A move
+        that finishes while the Registry is down patches the pod alone;
+        reconciliation re-points the services from it after the restart.
         """
-        source = self.devices.get(source_name)
-        target = self.devices.get(target_name)
-        source.instances.discard(instance_name)
-        target.instances.add(instance_name)
-        self.functions.move_instance(instance_name, target_name)
-        self._log("move_instance", instance=instance_name,
-                  device=target_name)
+        self._commit("move_instance", instance=instance_name,
+                     device=target_name)
         if instance_name in self.cluster.pods:
             self.cluster.patch_pod(instance_name,
                                    **{MANAGER_ENV: target_name})
-        self.migrations += 1
-        self.live_migrations += 1
         self._m_migrations.inc()
         self._m_live_migrations.inc()
-        self._index_refresh(source)
-        self._index_refresh(target)
+        self._index_refresh(self.devices.find(source_name))
+        self._index_refresh(self.devices.find(target_name))
 
     # -- failure detection and recovery ---------------------------------------
     def enable_health(self, network=None, policy=None, wheel=None):
@@ -521,28 +493,29 @@ class AcceleratorsRegistry:
         Algorithm 1 via the create-before-delete migrator.  Returns the
         affected instance names.
         """
-        try:
-            record = self.devices.get(device_name)
-        except KeyError:
+        if not self._commit("device_dead", manager=device_name):
             return []
-        if not record.alive:
-            return []
-        record.alive = False
-        record.pending_bitstream = None
+        record = self.devices.get(device_name)
         self.device_failures += 1
-        self._log("device_dead", manager=device_name)
         self._index_refresh(record)  # drops the dead device from the index
         affected = sorted(record.instances)
         for instance_name in affected:
-            instance = self.functions.instance(instance_name)
-            if instance is None:
-                continue
-            self.migrations += 1
-            self._m_migrations.inc()
-            self.env.process(
-                self._evacuate(instance_name, instance.function)
-            )
+            self.evacuate(instance_name)
         return affected
+
+    def evacuate(self, instance_name: str):
+        """Count one move of a known instance and start it.
+
+        Returns the :meth:`_evacuate` process, or None for an instance the
+        Functions Service does not know.
+        """
+        instance = self.functions.instance(instance_name)
+        if instance is None:
+            return None
+        self._m_migrations.inc()
+        return self.env.process(
+            self._evacuate(instance_name, instance.function)
+        )
 
     def _evacuate(self, instance_name: str, function: str):
         """Process: move one instance off a dead device.
@@ -551,6 +524,8 @@ class AcceleratorsRegistry:
         picks the target among live devices; when no compatible device is
         left the pod is shed with a plain delete — graceful degradation,
         the endpoint queue upstream holds requests until capacity returns.
+        The guard also covers a move whose replacement fails to start
+        (e.g. its target got reprogrammed meanwhile).
         """
         try:
             if self.migrator is not None:
@@ -562,14 +537,8 @@ class AcceleratorsRegistry:
 
     def on_device_recovery(self, device_name: str) -> None:
         """A dead device heartbeats again: return it to the usable set."""
-        try:
-            record = self.devices.get(device_name)
-        except KeyError:
-            return
-        if not record.alive:
-            self._log("device_alive", manager=device_name)
-        record.alive = True
-        self._index_refresh(record)
+        self._commit("device_alive", manager=device_name)
+        self._index_refresh(self.devices.find(device_name))
 
     # -- watch ------------------------------------------------------------------
     def _on_watch(self, event: WatchEvent) -> None:
@@ -580,19 +549,10 @@ class AcceleratorsRegistry:
             return
         if event.type is WatchEventType.DELETED:
             pod = event.pod
-            instance = self.functions.remove_instance(
-                pod.spec.function, pod.name
-            )
-            if instance is not None:
-                self._log("remove_instance", function=pod.spec.function,
-                          instance=pod.name)
-            if instance and instance.device:
-                try:
-                    record = self.devices.get(instance.device)
-                except KeyError:
-                    return
-                record.instances.discard(pod.name)
-                self._index_refresh(record)
+            instance = self.functions.instance(pod.name)
+            if self._commit("remove_instance", function=pod.spec.function,
+                            instance=pod.name):
+                self._index_refresh(self.devices.find(instance.device))
 
     # -- reconfiguration validation ------------------------------------------------
     def _validate_reconfiguration(self, client: str, binary: str) -> bool:
@@ -630,11 +590,119 @@ class AcceleratorsRegistry:
     #: Simulated snapshot read bandwidth (bytes/second) at restart.
     SNAPSHOT_LOAD_BYTES_PER_SECOND = 1e9
 
-    def _log(self, op: str, **args: object) -> None:
-        """Append one operation to the WAL (no-op in volatile mode or
-        while the log itself is being replayed)."""
-        if self.store is not None and not self._replaying:
+    def _commit(self, op: str, **args: object) -> bool:
+        """Apply one live operation; log it if it changed the state.
+
+        Nothing is applied while the Registry is down: its services died
+        with the process, and reconciliation heals what it missed.
+        Returns True if the state changed.
+        """
+        if not self.alive or not self._apply(op, args, self._known_managers):
+            return False
+        if self.store is not None:
             self.store.append(op, **args)
+        return True
+
+    def _attach(self, manager: DeviceManager) -> DeviceRecord:
+        """Enter a manager into the Devices Service and wire its validator."""
+        record = self.devices.register(manager)
+        manager.reconfiguration_validator = self._validate_reconfiguration
+        self._known_managers[manager.name] = manager
+        return record
+
+    def _apply(self, op: str, args: Dict[str, object],
+               resolver: Dict[str, DeviceManager],
+               wal_seq: Optional[int] = None) -> bool:
+        """Apply one operation to the services: the only code that changes
+        device membership, liveness, pending bitstreams, function
+        registration or instance placement.
+
+        Live writes (via :meth:`_commit`), WAL replay (with the record's
+        ``wal_seq``) and reconciliation all land here.  Each op states a
+        result rather than a step, so re-applying one the state already
+        reflects is a no-op.  Returns True if the state changed.
+        """
+        devices, functions = self.devices, self.functions
+        if op == "register_manager":
+            manager = resolver.get(args["manager"])
+            if manager is None or manager.name in devices:
+                return False
+            self._attach(manager)
+            return True
+        if op == "deregister_manager":
+            if devices.remove(args["manager"]) is None:
+                return False
+            self._known_managers.pop(args["manager"], None)
+            return True
+        if op == "register_function":
+            if functions.known(args["function"]):
+                return False
+            functions.register(args["function"], DeviceQuery(*args["query"]))
+            return True
+        if op == "admit":
+            name, function = args["instance"], args["function"]
+            instance = functions.instance(name)
+            changed = instance is None
+            if changed:
+                if not functions.known(function):
+                    return False  # its register_function record was lost
+                instance = InstanceRecord(
+                    name=name, function=function,
+                    node=args["node"], device=args["device"],
+                )
+                if wal_seq is None:
+                    functions.add_instance(function, instance)
+                else:
+                    instance.function_seq = functions.get(function).seq
+                    instance.seq = self._logged_instance_seq(wal_seq)
+                    functions.restore_instance(instance)
+            device = devices.find(args["device"])
+            if device is not None:
+                if instance.device == device.name:
+                    device.instances.add(name)
+                # The reconfiguration promise is re-made even when the
+                # instance is already known: an older device_dead replayed
+                # before this record has just cleared it.
+                pending = args.get("pending")
+                if pending and device.effective_bitstream != pending:
+                    device.pending_bitstream = pending
+                    changed = True
+            return changed
+        if op == "remove_instance":
+            instance = functions.remove_instance(args["function"],
+                                                 args["instance"])
+            if instance is None:
+                return False
+            device = devices.find(instance.device)
+            if device is not None:
+                device.instances.discard(instance.name)
+            return True
+        if op == "move_instance":
+            instance = functions.instance(args["instance"])
+            if instance is None or instance.device == args["device"]:
+                return False
+            source = devices.find(instance.device)
+            if source is not None:
+                source.instances.discard(instance.name)
+            functions.move_instance(instance.name, args["device"])
+            target = devices.find(args["device"])
+            if target is not None:
+                target.instances.add(instance.name)
+            return True
+        if op in ("device_dead", "device_alive"):
+            device = devices.find(args["manager"])
+            if device is None:
+                return False
+            alive = op == "device_alive"
+            # Absolute, not a toggle: a dead device holds no promise even
+            # if a replayed admit re-made one on the already-dead record.
+            changed = device.alive != alive or (
+                not alive and device.pending_bitstream is not None)
+            device.alive = alive
+            if not alive:
+                device.pending_bitstream = None
+            return changed
+        return False  # "epoch" or an unknown op: forward-compatible skip
 
     def snapshot_state(self) -> dict:
         """Deterministic full-state snapshot (plain JSON-clean dict)."""
@@ -686,11 +754,7 @@ class AcceleratorsRegistry:
             manager = resolver.get(name)
             if manager is None:
                 continue  # address lost; reconciliation may re-adopt it
-            record = self.devices.register(manager)
-            manager.reconfiguration_validator = (
-                self._validate_reconfiguration
-            )
-            self._known_managers[name] = manager
+            record = self._attach(manager)
             record.alive = cell["alive"]
             record.pending_bitstream = cell["pending_bitstream"]
             record.instances = set(cell["instances"])
@@ -713,106 +777,6 @@ class AcceleratorsRegistry:
         self.functions._instance_seq = max(
             self.functions._instance_seq, state["instance_seq"]
         )
-
-    def _apply_record(self, record: WalRecord,
-                      resolver: Dict[str, DeviceManager]) -> bool:
-        """Apply one replayed WAL record; idempotent (re-applying a record
-        the state already reflects is a no-op).  Returns True if applied."""
-        op, args = record.op, record.args
-        if op == "epoch":
-            return False
-        if op == "register_manager":
-            name = args["manager"]
-            if name in self.devices:
-                return False
-            manager = resolver.get(name)
-            if manager is None:
-                return False
-            self.devices.register(manager)
-            manager.reconfiguration_validator = (
-                self._validate_reconfiguration
-            )
-            self._known_managers[name] = manager
-            return True
-        if op == "deregister_manager":
-            name = args["manager"]
-            if name not in self.devices:
-                return False
-            self.devices.remove(name)
-            return True
-        if op == "register_function":
-            name = args["function"]
-            if self.functions.known(name):
-                return False
-            self.functions.register(name, DeviceQuery(*args["query"]))
-            return True
-        if op == "admit":
-            name = args["instance"]
-            instance = self.functions.instance(name)
-            applied = instance is None
-            if applied:
-                function = args["function"]
-                if not self.functions.known(function):
-                    return False  # its register_function record was lost
-                instance = InstanceRecord(
-                    name=name, function=function,
-                    node=args["node"], device=args["device"],
-                    function_seq=self.functions.get(function).seq,
-                    seq=self._logged_instance_seq(record.seq),
-                )
-                self.functions.restore_instance(instance)
-            if args["device"] in self.devices:
-                device = self.devices.get(args["device"])
-                if instance.device == device.name:
-                    device.instances.add(name)
-                # The reconfiguration promise is re-made even when the
-                # instance is already known: an older device_dead replayed
-                # before this record has just cleared it.
-                pending = args.get("pending")
-                if pending and device.effective_bitstream != pending:
-                    device.pending_bitstream = pending
-                    applied = True
-            return applied
-        if op == "remove_instance":
-            instance = self.functions.remove_instance(
-                args["function"], args["instance"]
-            )
-            if instance is None:
-                return False
-            if instance.device and instance.device in self.devices:
-                self.devices.get(instance.device).instances.discard(
-                    args["instance"]
-                )
-            return True
-        if op == "move_instance":
-            instance = self.functions.instance(args["instance"])
-            if instance is None or instance.device == args["device"]:
-                return False
-            if instance.device and instance.device in self.devices:
-                self.devices.get(instance.device).instances.discard(
-                    args["instance"]
-                )
-            self.functions.move_instance(args["instance"], args["device"])
-            if args["device"] in self.devices:
-                self.devices.get(args["device"]).instances.add(
-                    args["instance"]
-                )
-            return True
-        if op in ("device_dead", "device_alive"):
-            name = args["manager"]
-            if name not in self.devices:
-                return False
-            device = self.devices.get(name)
-            alive = op == "device_alive"
-            # Absolute, not a toggle: a dead device holds no promise even
-            # if a replayed admit re-made one on the already-dead record.
-            changed = device.alive != alive or (
-                not alive and device.pending_bitstream is not None)
-            device.alive = alive
-            if not alive:
-                device.pending_bitstream = None
-            return changed
-        return False  # unknown op: forward-compatible skip
 
     def _logged_instance_seq(self, wal_seq: int) -> int:
         """Instance sequence number the admit record at ``wal_seq`` minted.
@@ -897,15 +861,12 @@ class AcceleratorsRegistry:
             + self.REPLAY_SECONDS_PER_OP * len(records)
         )
         self.epoch = self.store.epoch + 1
-        self._replaying = True
-        try:
-            if snapshot is not None:
-                self._install_state(snapshot, resolver)
-            for record in records:
-                if self._apply_record(record, resolver):
-                    self.replay_applied += 1
-        finally:
-            self._replaying = False
+        if snapshot is not None:
+            self._install_state(snapshot, resolver)
+        for record in records:
+            if self._apply(record.op, record.args, resolver,
+                           wal_seq=record.seq):
+                self.replay_applied += 1
         self.replayed_ops += len(records)
         self.store.record_epoch(self.epoch)
         # Replay done: the control plane serves again (blackout over).
@@ -931,12 +892,15 @@ class AcceleratorsRegistry:
         The boards are authoritative: every known manager is probed with
         an epoch-fenced ``report_state`` command (paying control-message
         network costs), the cluster's pod set is compared with the
-        Functions Service, and divergence heals through the existing
-        Algorithm-1 / ``_evacuate`` paths.
+        Functions Service, and divergence heals through the live write
+        path and the existing Algorithm-1 / ``_evacuate`` paths.  The pass
+        stops at any ``yield`` after which its incarnation is gone (the
+        Registry crashed, or crashed and restarted).
         """
         from ...rpc.transport import CONTROL_MESSAGE_BYTES
         from .health import REGISTRY_HOST
 
+        epoch = self.epoch
         diffs = {key: 0 for key in (
             "adopted_devices", "dead_devices", "revived_devices",
             "adopted_instances", "dropped_instances", "moved_instances",
@@ -948,40 +912,24 @@ class AcceleratorsRegistry:
             registry_host = network.host(REGISTRY_HOST)
             yield from network.transfer(registry_host, manager.node,
                                         CONTROL_MESSAGE_BYTES)
+            if not self.alive or self.epoch != epoch:
+                return
             try:
-                report = manager.registry_command(self.epoch, "report_state")
+                report = manager.registry_command(epoch, "report_state")
             except DeviceManagerError:
-                report = None
+                report = None  # dead manager process: nothing answered
             yield from network.transfer(manager.node, registry_host,
                                         CONTROL_MESSAGE_BYTES)
-            if report is None:
-                # Dead manager process: nothing answered the probe.
-                if name in self.devices and self.devices.get(name).alive:
-                    device = self.devices.get(name)
-                    device.alive = False
-                    device.pending_bitstream = None
-                    diffs["dead_devices"] += 1
-                    self._log("device_dead", manager=name)
-                continue
-            if name not in self.devices:
-                self.devices.register(manager)
-                manager.reconfiguration_validator = (
-                    self._validate_reconfiguration
-                )
-                self._known_managers[name] = manager
+            if not self.alive or self.epoch != epoch:
+                return
+            if report is not None and name not in self.devices:
+                self.register_manager(manager)
                 diffs["adopted_devices"] += 1
-                self._log("register_manager", manager=name)
-            device = self.devices.get(name)
-            if report["alive"] and not device.alive:
-                device.alive = True
-                diffs["revived_devices"] += 1
-                self._log("device_alive", manager=name)
-            elif not report["alive"] and device.alive:
-                device.alive = False
-                device.pending_bitstream = None
-                diffs["dead_devices"] += 1
-                self._log("device_dead", manager=name)
-            for client in report["clients"]:
+            alive = report is not None and report["alive"]
+            if self._commit("device_alive" if alive else "device_dead",
+                            manager=name):
+                diffs["revived_devices" if alive else "dead_devices"] += 1
+            for client in report["clients"] if report is not None else ():
                 if self.functions.instance(client) is None:
                     diffs["orphan_sessions"] += 1
 
@@ -991,75 +939,49 @@ class AcceleratorsRegistry:
             for instance_name in sorted(device.instances):
                 pod = pods.get(instance_name)
                 instance = self.functions.instance(instance_name)
+                if instance is None:
+                    # A device claim no Functions Service record backs: no
+                    # op describes it, so it is discarded here, outside
+                    # _apply; a live pod is re-adopted below.
+                    device.instances.discard(instance_name)
                 if pod is None:
                     # The pod died while the Registry was dark.
-                    device.instances.discard(instance_name)
                     if instance is not None:
-                        self.functions.remove_instance(
-                            instance.function, instance_name
-                        )
-                        self._log("remove_instance",
-                                  function=instance.function,
-                                  instance=instance_name)
+                        self._commit("remove_instance",
+                                     function=instance.function,
+                                     instance=instance_name)
                     diffs["dropped_instances"] += 1
                     continue
                 actual = pod.spec.env.get(MANAGER_ENV, "")
-                if actual and actual != device.name:
-                    device.instances.discard(instance_name)
-                    if actual in self.devices:
-                        self.devices.get(actual).instances.add(
-                            instance_name
-                        )
-                    self.functions.move_instance(instance_name, actual)
-                    self._log("move_instance", instance=instance_name,
-                              device=actual)
+                if actual and self._commit("move_instance",
+                                           instance=instance_name,
+                                           device=actual):
                     diffs["moved_instances"] += 1
-        for pod_name in sorted(pods):
-            pod = pods[pod_name]
+        for pod_name, pod in sorted(pods.items()):
             allocated = pod.spec.env.get(MANAGER_ENV, "")
             if not allocated or self.functions.instance(pod_name) is not None:
                 continue
             # An allocation the replayed log never heard of (lost tail).
-            if not self.functions.known(pod.spec.function):
-                self.functions.register(pod.spec.function,
-                                        pod.spec.device_query)
-                self._log("register_function", function=pod.spec.function,
-                          query=_query_triple(pod.spec.device_query))
+            self.register_function(pod.spec.function, pod.spec.device_query)
+            # Re-make the admission's reconfiguration promise: the adopted
+            # instance needs its accelerator on the device.
+            device = self.devices.find(allocated)
+            accelerator = pod.spec.device_query.accelerator
+            pending = (accelerator if device is not None and accelerator
+                       and device.effective_bitstream != accelerator
+                       else None)
             node = pod.spec.node_name or (pod.node.name if pod.node else "")
-            self.functions.add_instance(pod.spec.function, InstanceRecord(
-                name=pod_name, function=pod.spec.function,
-                node=node, device=allocated,
-            ))
-            pending = None
-            if allocated in self.devices:
-                device = self.devices.get(allocated)
-                device.instances.add(pod_name)
-                # Reconstruct the admission's reconfiguration promise: the
-                # adopted instance needs its accelerator on the device, so
-                # a lost pending_bitstream must be re-established too.
-                accelerator = pod.spec.device_query.accelerator
-                if accelerator and device.effective_bitstream != accelerator:
-                    device.pending_bitstream = accelerator
-                    pending = accelerator
-            self._log("admit", instance=pod_name,
-                      function=pod.spec.function, node=node,
-                      device=allocated, pending=pending)
+            self._commit("admit", instance=pod_name,
+                         function=pod.spec.function, node=node,
+                         device=allocated, pending=pending)
             diffs["adopted_instances"] += 1
 
         # Instances stranded on dead devices: the usual failure path.
         for device in self.devices.all():
-            if device.alive:
-                continue
-            for instance_name in sorted(device.instances):
-                instance = self.functions.instance(instance_name)
-                if instance is None:
-                    continue
-                self.migrations += 1
-                self._m_migrations.inc()
-                diffs["evacuated_instances"] += 1
-                self.env.process(
-                    self._evacuate(instance_name, instance.function)
-                )
+            if not device.alive:
+                for instance_name in sorted(device.instances):
+                    if self.evacuate(instance_name) is not None:
+                        diffs["evacuated_instances"] += 1
         for device in self.devices.all():
             self._index_refresh(device)
         for key, value in diffs.items():

@@ -76,6 +76,9 @@ class DevicesService:
         except KeyError:
             raise KeyError(f"unknown device {name!r}") from None
 
+    def find(self, name: str) -> Optional[DeviceRecord]:
+        return self._devices.get(name)
+
     def remove(self, name: str) -> Optional[DeviceRecord]:
         """Forget a device (node retired by the autoscaler)."""
         self._sorted = None

@@ -2,14 +2,18 @@
 
 The Registry keeps its Devices Service and Functions Service in process
 memory; a crash erases them.  A :class:`RegistryStore` models the durable
-medium that survives the crash — the write-ahead log every state-changing
-operation is appended to before it takes effect, plus periodic full
-snapshots that truncate the log.  The store object lives *outside* the
-Registry (it represents the disk / replicated log, not the process), so a
+medium that survives the crash — the write-ahead log every live write
+and reconciliation step that changed the state is appended to, plus
+periodic full snapshots that truncate the log.  Replay feeds the records
+back through the same reducer (the Registry's ``_apply``) without logging
+them again, and nothing is appended while the Registry is down.  The
+store object lives *outside* the Registry (it represents the disk /
+replicated log, not the process), so a
 :class:`~repro.faults.registry_crash.RegistryCrash` injection clears the
 Registry's volatile services but leaves the store intact for replay.
 
-Record vocabulary (``op`` → ``args``):
+Record vocabulary (``op`` → ``args``), which is also the input of the
+Registry's reducer:
 
 * ``register_manager`` / ``deregister_manager`` — Devices Service
   membership (``manager``);

@@ -190,10 +190,6 @@ class LiveMigrator:
     # -- restart fallback -----------------------------------------------------
     def _restart(self, instance_name: str):
         """Process: the paper's create-before-delete move for one victim."""
-        registry = self.registry
-        instance = registry.functions.instance(instance_name)
-        if instance is None:
-            return
-        registry.migrations += 1
-        registry._m_migrations.inc()
-        yield from registry._evacuate(instance_name, instance.function)
+        evacuation = self.registry.evacuate(instance_name)
+        if evacuation is not None:
+            yield evacuation

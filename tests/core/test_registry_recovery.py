@@ -8,6 +8,8 @@ fenced.  The Hypothesis suite crashes at *arbitrary* WAL positions and
 asserts recovery is idempotent.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +28,11 @@ from repro.core.registry import (
     StandbyPolicy,
     WarmStandby,
 )
+from repro.experiments.migration import MigrationSpec, run_migration_mode
 from repro.experiments.registry_chaos import check_invariants
 from repro.faults import FaultScript, HealthPolicy, RegistryCrash
+from repro.fpga.hwspec import GiB, HOST_I7_6700, PCIE_GEN3_X8, NodeSpec
+from repro.live import LiveMigrator
 from repro.ocl.errors import (
     CL_REGISTRY_UNAVAILABLE,
     CL_STALE_REGISTRY_EPOCH,
@@ -389,6 +394,116 @@ class TestWarmStandby:
         standby.stop()
 
 
+NEW_NODE = NodeSpec(name="D", host=HOST_I7_6700, pcie=PCIE_GEN3_X8,
+                    memory_bytes=32 * GiB)
+
+
+class TestMutationFences:
+    """Registry state changes only while the incarnation that makes them
+    is alive; everything missed in between heals through reconciliation."""
+
+    @pytest.mark.parametrize("delay", [0.0, 0.01, 0.03])
+    def test_crash_during_live_migration(self, monkeypatch, delay):
+        """A live move that finishes while the Registry is down patches
+        the pod alone; reconciliation re-points the services from it."""
+        for name in ("REPRO_MIGRATION", "REPRO_ALLOCATOR"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("REPRO_QUICK", "1")
+        monkeypatch.setenv("REPRO_REGISTRY", "durable")
+        registries = []
+        migrate = LiveMigrator.migrate
+
+        def crash_on_first_move(migrator, source_name, moves):
+            if not registries:
+                registry = migrator.registry
+                registries.append(registry)
+
+                def crash_and_restart():
+                    yield registry.env.timeout(delay)
+                    injector = RegistryCrash(registry)
+                    injector.kill()
+                    yield registry.env.timeout(0.5)
+                    yield injector.restore()
+
+                registry.env.process(crash_and_restart())
+            return migrate(migrator, source_name, moves)
+
+        monkeypatch.setattr(LiveMigrator, "migrate", crash_on_first_move)
+        result = run_migration_mode("live", MigrationSpec())
+        registry = registries[0]
+        assert registry.crashes == registry.recoveries == 1
+        assert result.live_migrations == 4
+        assert result.live_fallbacks == 0
+        assert result.hung_events == 0
+        assert check_invariants(registry, registry.cluster) == (0, 0)
+        assert registry.reconciliation["moved_instances"] == 1
+
+    def test_crash_right_after_replay_ends(self):
+        """A reconciliation pass stops once its incarnation is gone: it
+        logs nothing into, and fills nothing of, a crashed Registry."""
+        env = Environment()
+        testbed, registry = build(env, snapshot_interval=None)
+        create_pods(env, testbed.cluster, 4)
+        registry.crash()
+        recovery = registry.restart()
+        while not registry.alive:
+            env.step()
+        registry.crash()
+        seq = registry.store.seq
+        env.run(until=recovery)
+        env.run(until=env.now + 1.0)
+        assert registry.store.seq == seq
+        assert len(registry.devices) == 0
+        assert registry.functions.all() == []
+        assert not any(registry.reconciliation.values())
+
+    def test_adopted_manager_is_health_watched(self):
+        """A manager whose register_manager record was lost is adopted
+        through register_manager, so its later crash is detected."""
+        env = Environment()
+        testbed, registry = build(env, snapshot_interval=None)
+        registry.enable_health(network=testbed.network,
+                               policy=HealthPolicy(heartbeat_interval=0.25,
+                                                   lease_timeout=1.0))
+        manager = testbed.add_node(NEW_NODE)
+        registry.register_manager(manager)
+        assert registry.store.wal[-1].op == "register_manager"
+        registry.store.truncate(registry.store.seq - 1)
+        injector = RegistryCrash(registry)
+        injector.kill()
+        env.run(until=injector.restore())
+        assert registry.reconciliation["adopted_devices"] == 1
+        assert manager.name in registry.health.last_seen
+        failures = registry.device_failures
+        manager.crash()
+        env.run(until=env.now + 5.0)
+        assert registry.device_failures == failures + 1
+        assert not registry.devices.get(manager.name).alive
+        registry.health.stop()
+
+    def test_register_manager_while_down(self):
+        """Registering while down only updates the address book; the
+        restart adopts the manager, scrapes it and watches it."""
+        env = Environment()
+        testbed, registry = build(env, snapshot_interval=None)
+        registry.enable_health(network=testbed.network,
+                               policy=HealthPolicy(heartbeat_interval=0.25,
+                                                   lease_timeout=1.0))
+        manager = testbed.add_node(NEW_NODE)
+        testbed.scraper.remove_target(manager.name)  # the Registry adds it
+        registry.crash()
+        seq = registry.store.seq
+        registry.register_manager(manager)
+        assert registry.store.seq == seq
+        assert len(registry.devices) == 0
+        env.run(until=registry.restart())
+        assert registry.reconciliation["adopted_devices"] == 1
+        assert registry.devices.get(manager.name).alive
+        assert manager.name in testbed.scraper._targets
+        assert manager.name in registry.health.last_seen
+        registry.health.stop()
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis: crash at arbitrary WAL positions, recovery is idempotent
 # ---------------------------------------------------------------------------
@@ -399,20 +514,27 @@ ACTIONS = st.lists(
         st.tuples(st.just("delete"), st.integers(0, 7)),
         st.tuples(st.just("fail_device"), st.integers(0, 2)),
         st.tuples(st.just("recover_device"), st.integers(0, 2)),
+        st.tuples(st.just("add_node"), st.integers(0, 1)),
+        st.tuples(st.just("retire_node"), st.integers(0, 4)),
     ),
     min_size=1, max_size=10,
 )
 
 
-def reapply_wal(registry, managers):
-    """Replay the store's WAL, in order, over the Registry's live state."""
+def reapply_wal(registry):
+    """Replay the store's WAL, in order, over the Registry's live state
+    through the reducer; replay must append nothing to the WAL.
+
+    Managers resolve through the Registry's own address book, as at a
+    restart: a retired manager is no longer in it.
+    """
     _snapshot, records = registry.store.replay()
-    registry._replaying = True
-    try:
-        for record in records:
-            registry._apply_record(record, dict(managers))
-    finally:
-        registry._replaying = False
+    appends = registry.store.appends
+    resolver = dict(registry._known_managers)
+    for record in records:
+        registry._apply(record.op, record.args, resolver,
+                        wal_seq=record.seq)
+    assert registry.store.appends == appends
 
 
 def check_recovery_idempotent(actions, cut, snapshot):
@@ -450,6 +572,13 @@ def check_recovery_idempotent(actions, cut, snapshot):
                 registry.on_device_failure(manager_names[arg])
             elif action == "recover_device":
                 registry.on_device_recovery(manager_names[arg])
+            elif action == "add_node":
+                spec = replace(NEW_NODE, name=f"X{arg}")
+                if f"dm-{spec.name}" not in testbed.managers:
+                    registry.register_manager(testbed.add_node(spec))
+            elif action == "retire_node":
+                names = sorted(testbed.managers)
+                registry.deregister_manager(names[arg % len(names)])
 
     env.run(until=env.process(driver()))
     env.run(until=env.now + 1.0)  # let evacuations settle
@@ -470,7 +599,7 @@ def check_recovery_idempotent(actions, cut, snapshot):
     # 2. Double replay is a no-op: re-applying the full WAL in order
     #    leaves both services bit-identical.
     before = state_digest(registry)
-    reapply_wal(registry, testbed.managers)
+    reapply_wal(registry)
     assert state_digest(registry) == before
 
     # 3. A second crash/restart converges to the same state.
@@ -480,7 +609,7 @@ def check_recovery_idempotent(actions, cut, snapshot):
     assert check_invariants(registry, testbed.cluster) == (0, 0)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(actions=ACTIONS, cut=st.integers(0, 40), data=st.data())
 def test_recovery_idempotent_at_any_wal_position(actions, cut, data):
     """Crash at an arbitrary WAL cut; replayed state converges to pod/DM
@@ -530,5 +659,5 @@ def test_reapplying_device_death_over_a_dead_device_clears_the_promise():
     assert [record.op for record in registry.store.wal][-3:] == [
         "admit", "device_dead", "remove_instance"]
     before = state_digest(registry)
-    reapply_wal(registry, testbed.managers)
+    reapply_wal(registry)
     assert state_digest(registry) == before

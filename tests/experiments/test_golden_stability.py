@@ -3,8 +3,8 @@
 PR 3 replaced the allocator, the metrics pipeline, and the periodic-timer
 machinery under the experiments.  None of that is allowed to change any
 *decision* the system makes, so the golden files regression-tested by
-``test_zero_copy_regression.py`` and ``test_chaos.py`` must remain
-bit-identical — not merely "equivalent after regeneration".  Pinning the
+``test_zero_copy_regression.py``, ``test_chaos.py``, ``test_migration.py``
+and ``test_registry_chaos.py`` must remain bit-identical — not merely "equivalent after regeneration".  Pinning the
 SHA-256 of the committed bytes catches the failure mode those tests
 cannot: someone silently regenerating a golden to paper over drift.
 
@@ -24,6 +24,10 @@ GOLDEN_DIGESTS = {
         "d8b3fb66dc84f3b31b890512a215873d09a3ea95a026919e92cf2dc160448eee",
     "golden_chaos.json":
         "a19c303714fc02c4a1ff31f99a72b7ad1bd800c889df802e7fe18d7cc0d23da4",
+    "golden_migration.json":
+        "9674068e0bc99fdd080185f4008a4afa9da0bec2d993c9b0ed1ddd263ca3272e",
+    "golden_registry_chaos.json":
+        "af28ffe24c9db4a5a8e733bb70f0be36e073d2e95c0e440b50ab149d78f22326",
 }
 
 
