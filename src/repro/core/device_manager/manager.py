@@ -834,7 +834,7 @@ class DeviceManager:
             )
         operation.data = message.payload.get("data")
         assert operation.data_ready is not None
-        operation.data_ready.succeed()
+        operation.data_ready.settle()
         return
         yield  # pragma: no cover - marks this handler as a generator
 

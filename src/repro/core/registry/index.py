@@ -85,6 +85,10 @@ class DeviceIndex:
         self._entries: Dict[str, Tuple[BucketKey, Optional[str], tuple,
                                        DeviceView]] = {}
         self._buckets: Dict[BucketKey, Dict[Optional[str], _Partition]] = {}
+        #: Partitions the queries have opened: the allocator's work as a
+        #: count.  A query opens exactly the non-empty partitions of the
+        #: buckets compatible with it.
+        self.partitions_visited = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -154,6 +158,7 @@ class DeviceIndex:
             for bitstream, partition in partitions.items():
                 if not partition.entries:
                     continue
+                self.partitions_visited += 1
                 iterators.append(self._annotated(
                     partition.entries, 0 if bitstream == accelerator else 1
                 ))

@@ -957,6 +957,15 @@ class AcceleratorsRegistry:
                                            instance=instance_name,
                                            device=actual):
                     diffs["moved_instances"] += 1
+        # An instance whose device no record holds (its manager was
+        # retired after the cut, so replay could not re-register it) is
+        # not reached above; drop it if its pod died too.
+        for function in self.functions.all():
+            for instance_name in sorted(function.instances):
+                if instance_name not in pods:
+                    self._commit("remove_instance", function=function.name,
+                                 instance=instance_name)
+                    diffs["dropped_instances"] += 1
         for pod_name, pod in sorted(pods.items()):
             allocated = pod.spec.env.get(MANAGER_ENV, "")
             if not allocated or self.functions.instance(pod_name) is not None:

@@ -43,7 +43,7 @@ class RemoteHandle:
 
     def resolve(self, remote_id: int) -> None:
         self.remote_id = remote_id
-        self.ready.succeed(remote_id)
+        self.ready.settle(remote_id)
 
     def reject(self, error: Exception) -> None:
         self.error = error

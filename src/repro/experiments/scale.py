@@ -19,8 +19,7 @@ The cell runs in fleet mode: indexed allocation (the default), a shared
 :class:`~repro.sim.TimerWheel` carrying both the scraper and the
 coalesced heartbeat/lease protocol, and ring-buffer sample retention.
 ``python -m repro.experiments scale`` writes the sweep to
-``BENCH_scale.json`` at the repo root; ``scripts/scale_smoke.py`` gates
-CI regressions against the committed copy.
+``BENCH_scale.json`` at the repo root, a record of its wall times.
 """
 
 from __future__ import annotations

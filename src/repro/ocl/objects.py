@@ -119,7 +119,9 @@ class CLEvent:
         if stamp is not None:
             self.profiling[stamp] = self.env.now
         if status is ExecutionStatus.COMPLETE:
-            self.completion.succeed(self.value)
+            # Host code waits on few completions (a blocking read's); the
+            # rest settle without an event.
+            self.completion.settle(self.value)
         self._fire_callbacks()
 
     def complete(self, value: Any = None) -> None:

@@ -218,7 +218,9 @@ class Process(Event):
 
     A process *is* an event: it triggers when the wrapped generator returns
     (with the return value) or raises (as a failure).  Other processes can
-    therefore ``yield`` a process to join it.
+    therefore ``yield`` a process to join it.  A return nobody joins yet
+    is processed at once, with no event; a failure is always scheduled, so
+    an unhandled one reaches :meth:`Environment.run`.
     """
 
     __slots__ = ("_generator", "_target")
@@ -304,7 +306,11 @@ class Process(Event):
                 except StopIteration as stop:
                     self._ok = True
                     self._value = stop.value
-                    schedule(self, 0.0, NORMAL)
+                    if self.callbacks:
+                        schedule(self, 0.0, NORMAL)
+                    else:
+                        # Nobody joins it yet: processed at once, no event.
+                        self.callbacks = None
                     break
                 except BaseException as exc:
                     self._ok = False

@@ -44,7 +44,8 @@ class Event:
     """An event that may happen at some point in simulated time.
 
     An event starts *untriggered*, becomes *triggered* once :meth:`succeed`
-    or :meth:`fail` schedules it, and *processed* after its callbacks ran.
+    or :meth:`fail` schedules it, and *processed* after its callbacks ran
+    (:meth:`settle` processes an event nobody waits for at once).
     Processes wait for an event by yielding it.
     """
 
@@ -95,6 +96,23 @@ class Event:
         self._ok = True
         self._value = value
         self.env.schedule(self, 0.0, NORMAL)
+        return self
+
+    def settle(self, value: Any = None) -> "Event":
+        """Succeed, processed at once when nobody waits yet.
+
+        With callbacks attached this is :meth:`succeed`.  Without, the
+        event is processed on the spot and schedules nothing, so a waiter
+        that yields it later at the same instant resumes at once rather
+        than after the events already queued for that instant.  Use it
+        only where every waiter attaches before the trigger or checks
+        :attr:`triggered` first.
+        """
+        if self.callbacks or self._ok is not None:
+            return self.succeed(value)
+        self._ok = True
+        self._value = value
+        self.callbacks = None
         return self
 
     def fail(self, exception: BaseException) -> "Event":

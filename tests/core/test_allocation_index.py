@@ -7,7 +7,9 @@ reconfiguration flag, same redistribution moves, same "device not found"
 failures — across any fleet, any metric ordering, any filters, any
 workload placement.  The hypothesis drive below checks that contract on
 randomized fleets, including incremental refreshes (the index's reason to
-exist) and removals.
+exist) and removals.  It also counts the index's work: a query opens
+exactly the partitions that hold a device the oracle's compatibility
+filter keeps, never one more.
 """
 
 import pytest
@@ -21,6 +23,7 @@ from repro.core.registry import (
     MetricFilter,
     allocate,
 )
+from repro.core.registry.allocation import filterby_compatibility
 from repro.core.registry.index import DeviceIndex
 
 VENDOR = "Intel(R) Corporation"
@@ -96,6 +99,16 @@ def run_indexed(index, query, node_hint):
         return None
 
 
+def oracle_partitions(query, views):
+    """Partitions holding a device the oracle's compatibility filter keeps:
+    all an indexed query may open (its work, as a count)."""
+    return len({
+        (view.vendor, view.platform, tuple(view.available_bitstreams),
+         view.bitstream)
+        for view in filterby_compatibility(views, query)
+    })
+
+
 def decisions_equal(indexed, oracle):
     if indexed is None or oracle is None:
         return indexed is None and oracle is None
@@ -126,6 +139,7 @@ class TestEquivalenceProperty:
             f"divergence for {query} over {[v.name for v in views]}: "
             f"{indexed} != {oracle}"
         )
+        assert index.partitions_visited == oracle_partitions(query, views)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -161,6 +175,7 @@ class TestEquivalenceProperty:
         indexed = run_indexed(index, query, "")
         oracle = run_oracle(query, "", views, order, ())
         assert decisions_equal(indexed, oracle)
+        assert index.partitions_visited == oracle_partitions(query, views)
 
 
 class TestIndexMaintenance:

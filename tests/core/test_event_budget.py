@@ -11,6 +11,8 @@ from repro.cluster import build_testbed
 from repro.core.device_manager import DeviceManager, protocol
 from repro.core.remote_lib import remote_platform
 from repro.fpga import FPGABoard, standard_library
+from repro.ocl.objects import CLEvent
+from repro.ocl.types import CommandType, ExecutionStatus
 from repro.rpc import (
     Message,
     Network,
@@ -24,8 +26,9 @@ from repro.sim import Environment, Resource, SimError, Store
 from repro.sim.events import NORMAL
 
 #: DES events of one full-HD remote Sobel request (write, kernel,
-#: blocking read over shared memory) on an idle board.
-SOBEL_REQUEST_EVENTS = 27
+#: blocking read over shared memory) on an idle board.  The write's and
+#: the kernel's CLEvent completions cost nothing: nobody waits on them.
+SOBEL_REQUEST_EVENTS = 24
 
 
 class CountingEnvironment(Environment):
@@ -119,29 +122,33 @@ def connected_manager(env):
     return manager, transport
 
 
-def streamed_message_cost(method, payload):
+def streamed_costs(messages):
+    """Events each streamed message costs, sent in order to one manager
+    under one tag."""
     env = CountingEnvironment()
     manager, transport = connected_manager(env)
     spent = []
 
     def client():
-        before = env.scheduled
-        yield from transport.deliver_to_server(
-            manager.endpoint,
-            Message(method=method, payload=payload, sender="client", tag=1))
-        spent.append(env.scheduled - before)
+        for method, payload in messages:
+            before = env.scheduled
+            yield from transport.deliver_to_server(
+                manager.endpoint,
+                Message(method=method, payload=payload, sender="client",
+                        tag=1))
+            spent.append(env.scheduled - before)
 
     env.run(until=env.process(client()))
-    return spent[0]
+    return manager, spent
 
 
 def test_streamed_message_into_an_idle_manager_is_its_arrival_only():
     # A flush with no open task: the handler schedules nothing.
-    assert streamed_message_cost(protocol.FLUSH, {"queue": 0}) == 1
+    assert streamed_costs([(protocol.FLUSH, {"queue": 0})])[1] == [1]
 
 
 def test_streamed_enqueue_is_its_arrival_and_its_notification():
-    assert streamed_message_cost(protocol.ENQUEUE_MARKER, {"queue": 0}) == 2
+    assert streamed_costs([(protocol.ENQUEUE_MARKER, {"queue": 0})])[1] == [2]
 
 
 def test_uncontended_grant_schedules_nothing():
@@ -178,3 +185,73 @@ def test_put_nowait_refuses_a_full_store():
     with pytest.raises(SimError, match="full"):
         store.put_nowait("b")
     assert store.items == ["a"]
+
+
+def test_write_payload_before_the_worker_waits_is_its_arrival_only():
+    # The write sits in the open task, so nobody waits on its payload yet:
+    # its data_ready settles without an event.
+    manager, spent = streamed_costs([
+        (protocol.ENQUEUE_WRITE, {"queue": 0, "nbytes": 16, "buffer_id": 1}),
+        (protocol.WRITE_DATA, {"data": bytes(16)}),
+    ])
+    assert spent == [2, 1]
+    operation = manager.accumulator.flush("client", 0).operations[0]
+    assert operation.data_ready.processed and operation.data == bytes(16)
+
+
+def cl_event(env):
+    event = CLEvent(env, CommandType.WRITE_BUFFER)
+    event.set_status(ExecutionStatus.SUBMITTED)
+    event.set_status(ExecutionStatus.RUNNING)
+    return event
+
+
+def test_unwatched_cl_event_completion_schedules_nothing():
+    env = CountingEnvironment()
+    event = cl_event(env)
+    event.complete("done")
+    assert env.scheduled == 0
+    assert event.completion.processed and event.completion.value == "done"
+
+
+def test_waited_cl_event_completion_is_one_event():
+    env = CountingEnvironment()
+    event = cl_event(env)
+    got = []
+
+    def host():
+        got.append((yield event.wait()))
+
+    env.process(host())
+    env.run()
+    before = env.scheduled
+    event.complete("done")
+    assert env.scheduled - before == 1
+    env.run()
+    assert got == ["done"]
+
+
+def test_unjoined_process_end_schedules_nothing():
+    env = CountingEnvironment()
+
+    def worker():
+        yield env.timeout(1.0)
+        return "done"
+
+    process = env.process(worker())
+    env.run()
+    assert env.scheduled == 2  # its start and its timeout, not its end
+    assert process.processed and process.value == "done"
+
+
+def test_unjoined_process_failure_still_raises_from_run():
+    env = CountingEnvironment()
+
+    def worker():
+        yield env.timeout(1.0)
+        raise ValueError("boom")
+
+    env.process(worker())
+    with pytest.raises(ValueError, match="boom"):
+        env.run()
+    assert env.scheduled == 3  # the failure keeps its event

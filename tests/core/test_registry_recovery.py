@@ -627,6 +627,17 @@ def test_replaying_readmission_twice_keeps_instance_seq():
         snapshot=False)
 
 
+def test_instance_on_a_retired_manager_is_dropped_after_a_lost_tail():
+    """Regression: the WAL holds admit pod-0 → dm-A, remove_instance and
+    deregister_manager dm-A, and the cut keeps the admit only.  Replay
+    cannot re-register dm-A (the address book forgot it), so the admit
+    restores an instance no device record holds; reconciliation must
+    still drop it, since its pod is gone."""
+    check_recovery_idempotent(
+        [("create", 0), ("delete", 0), ("retire_node", 0)], cut=6,
+        snapshot=False)
+
+
 def test_replaying_device_toggles_keeps_pending_bitstream():
     """Regression: replaying device_dead/device_alive over a state that
     is already past them must not clear the pending bitstream the

@@ -1,10 +1,11 @@
-"""Event-free fast paths of the kernel's resources.
+"""Event-free fast paths of the kernel.
 
 An uncontended :class:`Resource` request is granted on the spot and comes
-back already processed, and :meth:`Store.put_nowait` hands an item to a
-waiting get without the generic ``_dispatch`` loop.  Both must decide
-exactly what the general paths decide; the properties below compare each
-fast path with a subclass forced onto the general path.
+back already processed, :meth:`Store.put_nowait` hands an item to a
+waiting get without the generic ``_dispatch`` loop, and a settled event or
+a finished process that nobody waits for yet is processed at once.  Each
+must decide exactly what the general path decides; the properties below
+compare each fast path with the general one.
 """
 
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.sim import (
     Environment,
+    Event,
     Interrupt,
     PriorityResource,
     PriorityStore,
@@ -288,3 +290,188 @@ def test_put_nowait_fast_path_matches_dispatch(ops):
 def test_priority_put_nowait_fast_path_matches_dispatch(ops):
     assert (_store_log(PriorityStore, ops)
             == _store_log(DispatchPriorityStore, ops))
+
+
+# ---------------------------------------------------------------------------
+# Settled events and unjoined process ends
+# ---------------------------------------------------------------------------
+
+class SucceedEvent(Event):
+    """An Event whose settle is the generic, always-scheduled succeed."""
+
+    __slots__ = ()
+
+    settle = Event.succeed
+
+
+#: Driver operations on four events (or four workers): attach a waiter,
+#: trigger (or start a worker, which ends 0, 0.5 or 1 s later), or let
+#: time pass; ("queue",) schedules an unrelated event at the current
+#: instant, so ties with the queued events show.
+TARGET = st.integers(min_value=0, max_value=3)
+SETTLE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("wait"), TARGET),
+        st.tuples(st.just("trigger"), TARGET),
+        st.just(("queue",)),
+        st.tuples(st.just("time"), st.sampled_from([0.0, 0.5, 1.0])),
+    ),
+    max_size=40,
+)
+
+
+def _unwatched_removed(scheduled, unwatched):
+    return [name for name in scheduled if name not in unwatched]
+
+
+def _settle_log(event_class, ops):
+    """When each waiter resumed, with what, and every scheduled event."""
+    env = RecordingEnvironment()
+    events = [event_class(env) for _ in range(4)]
+    names = {id(event): f"e{index}" for index, event in enumerate(events)}
+    resumed = []
+    unwatched = set()
+
+    def waiter(number, event):
+        # Checks ``triggered`` first, as every settle call site's waiter.
+        value = event.value if event.triggered else (yield event)
+        resumed.append((number, env.now, value))
+
+    def driver():
+        for number, op in enumerate(ops):
+            if op[0] == "wait":
+                proc = env.process(waiter(number, events[op[1]]))
+                names[id(proc)] = f"w{number}"
+            elif op[0] == "trigger" and not events[op[1]].triggered:
+                if not events[op[1]].callbacks:
+                    unwatched.add(f"e{op[1]}")
+                events[op[1]].settle(number)
+            elif op[0] == "queue":
+                tick = env.timeout(0.0)
+                names[id(tick)] = f"q{number}"
+                tick.callbacks.append(
+                    lambda _, n=number: resumed.append((f"q{n}", env.now)))
+            elif op[0] == "time":
+                yield env.timeout(op[1])
+
+    env.run(until=env.process(driver()))
+    env.run()
+    scheduled = [names.get(id(event), type(event).__name__)
+                 for event in env.scheduled]
+    return resumed, _unwatched_removed(scheduled, unwatched)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=SETTLE_OPS)
+def test_settle_matches_succeed_for_waiters_that_come_first(ops):
+    """Same resumes, in the same order, at the same times, with the same
+    values; the same scheduled events, less the triggers nobody waited
+    for, which settle does not schedule."""
+    assert (_settle_log(Event, ops) == _settle_log(SucceedEvent, ops))
+
+
+def _placeholder(_event):
+    """A callback that forces an end onto the scheduled path."""
+
+
+def _ends_log(joined_always, ops):
+    """When each joiner resumed, with what, and every scheduled event.
+
+    With ``joined_always`` each worker carries a placeholder callback, so
+    its end always takes the generic scheduled path.
+    """
+    env = RecordingEnvironment()
+    workers = {}
+    names = {}
+    resumed = []
+    joined = set()
+
+    def worker(number, delay):
+        if delay:
+            yield env.timeout(delay)
+        return number
+
+    def joiner(number, proc):
+        # Checks ``triggered`` first: never yields a process that ended.
+        if proc.triggered:
+            value = proc.value
+        else:
+            joined.add(names[id(proc)])
+            value = yield proc
+        resumed.append((number, env.now, value))
+
+    def driver():
+        for number, op in enumerate(ops):
+            if op[0] == "trigger" and op[1] not in workers:
+                delay = 0.5 * (number % 3)
+                proc = workers[op[1]] = env.process(worker(number, delay))
+                names[id(proc)] = f"p{op[1]}"
+                if joined_always:
+                    proc.callbacks.append(_placeholder)
+            elif op[0] == "wait" and op[1] in workers:
+                proc = env.process(joiner(number, workers[op[1]]))
+                names[id(proc)] = f"j{number}"
+            elif op[0] == "queue":
+                tick = env.timeout(0.0)
+                names[id(tick)] = f"q{number}"
+                tick.callbacks.append(
+                    lambda _, n=number: resumed.append((f"q{n}", env.now)))
+            elif op[0] == "time":
+                yield env.timeout(op[1])
+
+    env.run(until=env.process(driver()))
+    env.run()
+    scheduled = [names.get(id(event), type(event).__name__)
+                 for event in env.scheduled]
+    unjoined = {names[id(proc)] for proc in workers.values()} - joined
+    return resumed, _unwatched_removed(scheduled, unjoined)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=SETTLE_OPS)
+def test_unjoined_ends_match_the_scheduled_path(ops):
+    """A process end nobody joins is processed at once; joiners that
+    check ``triggered`` first see the same resumes and the same events,
+    less those unjoined ends."""
+    assert _ends_log(False, ops) == _ends_log(True, ops)
+
+
+def _late_waiter_order(make_target):
+    """Order of an event queued first and a waiter that yields a target
+    triggered at the same instant, before the target is processed."""
+    env = Environment()
+    order = []
+    env.timeout(0.0).callbacks.append(lambda _: order.append("queued"))
+    target = make_target(env)
+
+    def late():
+        order.append(("late", (yield target)))
+
+    env.process(late())
+    env.run()
+    return order
+
+
+def _worker():
+    return "v"
+    yield  # pragma: no cover - marks a generator
+
+
+def _joined_worker(env):
+    proc = env.process(_worker())
+    proc.callbacks.append(_placeholder)
+    return proc
+
+
+def test_a_late_waiter_resumes_at_once():
+    """Tie-order rule: a waiter that yields a settled event or a finished
+    process at the instant it triggered resumes at once.  On the generic
+    path it resumes after the events already queued for that instant."""
+    assert _late_waiter_order(lambda env: Event(env).settle("v")) == [
+        ("late", "v"), "queued"]
+    assert _late_waiter_order(lambda env: Event(env).succeed("v")) == [
+        "queued", ("late", "v")]
+    # The worker starts (urgently) and ends before the waiter starts.
+    assert _late_waiter_order(lambda env: env.process(_worker())) == [
+        ("late", "v"), "queued"]
+    assert _late_waiter_order(_joined_worker) == ["queued", ("late", "v")]
