@@ -10,8 +10,8 @@ every function onto the first programmed board, collapsing throughput.
 
 import pytest
 
-from repro.experiments import rates_for, run_scenario
-from repro.serverless import SobelApp
+from repro.experiments import run_scenario
+from repro.system import SystemConfig
 
 
 def _run():
@@ -21,13 +21,7 @@ def _run():
         ("utilization_only", ("utilization",)),
     ):
         results[label] = run_scenario(
-            use_case="sobel", configuration="high",
-            runtime="blastfunction",
-            app_factory=lambda: SobelApp(),
-            accelerator="sobel",
-            rates=rates_for("sobel", "high", "blastfunction"),
-            metrics_order=order,
-        )
+            "sobel", "high", config=SystemConfig(metrics_order=order))
     return results
 
 

@@ -14,8 +14,9 @@ device-order isolation, not raw speed.
 
 import pytest
 
-from repro.experiments import rates_for, run_scenario
-from repro.serverless import SobelApp
+import repro.system
+from repro.experiments import run_scenario
+from repro.system import SystemConfig
 
 
 def _interleavings(runs):
@@ -47,8 +48,7 @@ def _run():
         device_order = []
 
         # Capture per-device op order through the manager hook.
-        import repro.experiments.loadtest as loadtest_mod
-        from repro.cluster.testbed import build_testbed as real_build
+        real_build = repro.system.build_testbed
 
         def instrumented_build(env, **kwargs):
             testbed = real_build(env, **kwargs)
@@ -60,18 +60,12 @@ def _run():
                 )
             return testbed
 
-        loadtest_mod.build_testbed = instrumented_build
+        repro.system.build_testbed = instrumented_build
         try:
             result = run_scenario(
-                use_case="sobel", configuration="high",
-                runtime="blastfunction",
-                app_factory=lambda: SobelApp(),
-                accelerator="sobel",
-                rates=rates_for("sobel", "high", "blastfunction"),
-                batching=batching,
-            )
+                "sobel", "high", config=SystemConfig(batching=batching))
         finally:
-            loadtest_mod.build_testbed = real_build
+            repro.system.build_testbed = real_build
 
         per_device = {}
         for device, client, op_type in device_order:

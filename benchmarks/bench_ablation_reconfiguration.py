@@ -8,38 +8,17 @@ occupied by Sobel tenants, so the Registry must migrate one tenant
 
 import pytest
 
-from repro.cluster import DeviceQuery, build_testbed
-from repro.core.registry import AcceleratorsRegistry
-from repro.core.remote_lib import ManagerAddress, PlatformRouter
-from repro.serverless import (
-    FunctionController,
-    FunctionSpec,
-    Gateway,
-    MMApp,
-    SobelApp,
-)
+from repro.cluster import DeviceQuery
+from repro.serverless import FunctionSpec, MMApp, SobelApp
 from repro.sim import Environment
-
-
-def _stack(env):
-    testbed = build_testbed(env, functional=False)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper,
-    )
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    gateway = Gateway(env, testbed.cluster)
-    controller = FunctionController(env, testbed.cluster, gateway, router)
-    registry.migrator = controller.migrate
-    return testbed, registry, gateway, controller
+from repro.system import build_system
 
 
 def _time_to_first_mm(occupy_all_boards: bool):
     env = Environment()
-    testbed, registry, gateway, controller = _stack(env)
+    system = build_system(env)
+    registry, gateway = system.registry, system.gateway
+    controller = system.controller
 
     def flow():
         sobel_count = 3 if occupy_all_boards else 0

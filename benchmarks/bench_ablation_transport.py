@@ -8,21 +8,15 @@ disabled, quantifying what the one-copy data path is worth end to end
 
 import pytest
 
-from repro.experiments import rates_for, run_scenario
-from repro.serverless import SobelApp
+from repro.experiments import run_scenario
+from repro.system import SystemConfig
 
 
 def _run():
     results = {}
     for use_shm in (True, False):
         results[use_shm] = run_scenario(
-            use_case="sobel", configuration="medium",
-            runtime="blastfunction",
-            app_factory=lambda: SobelApp(),
-            accelerator="sobel",
-            rates=rates_for("sobel", "medium", "blastfunction"),
-            use_shm=use_shm,
-        )
+            "sobel", "medium", config=SystemConfig(use_shm=use_shm))
     return results
 
 

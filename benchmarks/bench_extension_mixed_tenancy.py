@@ -14,19 +14,10 @@ point of this extension.
 import pytest
 
 from repro.experiments.config import LoadTiming
-from repro.cluster import DeviceQuery, build_testbed
-from repro.core.registry import AcceleratorsRegistry
-from repro.core.remote_lib import ManagerAddress, PlatformRouter
-from repro.loadgen import run_load
-from repro.serverless import (
-    AlexNetApp,
-    FunctionController,
-    FunctionSpec,
-    Gateway,
-    MMApp,
-    SobelApp,
-)
-from repro.sim import AllOf, Environment
+from repro.cluster import DeviceQuery
+from repro.serverless import AlexNetApp, FunctionSpec, MMApp, SobelApp
+from repro.sim import Environment
+from repro.system import Load, build_system
 
 TIMING = LoadTiming(warmup=3.0, duration=12.0)
 
@@ -42,36 +33,17 @@ WORKLOAD = [
 
 def _run():
     env = Environment()
-    testbed = build_testbed(env, functional=False)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper,
-    )
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    gateway = Gateway(env, testbed.cluster)
-    controller = FunctionController(env, testbed.cluster, gateway, router)
-    registry.migrator = controller.migrate
-
-    def flow():
-        for name, factory, accelerator, _rate in WORKLOAD:
-            yield from gateway.deploy(FunctionSpec(
-                name=name, app_factory=factory,
-                device_query=DeviceQuery(accelerator=accelerator),
-            ))
-            yield from controller.wait_ready(name)
-        loads = [
-            env.process(run_load(env, gateway, name, rate=rate,
-                                 duration=TIMING.duration,
-                                 warmup=TIMING.warmup))
-            for name, _f, _a, rate in WORKLOAD
-        ]
-        results = yield AllOf(env, loads)
-        return [results[p] for p in loads]
-
-    stats = env.run(until=env.process(flow()))
+    system = build_system(env)
+    system.deploy([
+        FunctionSpec(name=name, app_factory=factory,
+                     device_query=DeviceQuery(accelerator=accelerator))
+        for name, factory, accelerator, _rate in WORKLOAD
+    ], order="sequential")
+    stats = system.drive([
+        Load(name, rate, warmup=TIMING.warmup, duration=TIMING.duration)
+        for name, _f, _a, rate in WORKLOAD
+    ])
+    registry = system.registry
     bitstreams = sorted(
         record.configured_bitstream
         for record in registry.devices.all()

@@ -19,11 +19,12 @@ import statistics
 import time
 from pathlib import Path
 
-from repro.experiments.config import load_timing, rates_for
+from repro.experiments.config import load_timing
 from repro.experiments.loadtest import run_scenario
-from repro.experiments.tables import ACCELERATORS, APP_FACTORIES, run_use_case
+from repro.experiments.tables import run_use_case
 from repro.faults import NetworkFaultPlane
 from repro.sim import Environment
+from repro.system import SystemConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = ROOT / "BENCH_simcore.json"
@@ -78,19 +79,12 @@ def test_table2_quick_wall(benchmark):
 OVERHEAD_RUNS = 5
 
 
-def _scenario_wall(network_setup) -> float:
-    """Wall clock of one quick Table-II "low" BlastFunction scenario."""
+def _scenario_wall(network_setup=None,
+                   config: SystemConfig = SystemConfig()) -> float:
+    """Wall clock of one quick Table-II "low" scenario."""
     start = time.perf_counter()
-    run_scenario(
-        use_case="sobel",
-        configuration="low",
-        runtime="blastfunction",
-        app_factory=APP_FACTORIES["sobel"],
-        accelerator=ACCELERATORS["sobel"],
-        rates=rates_for("sobel", "low", "blastfunction"),
-        timing=load_timing(),
-        network_setup=network_setup,
-    )
+    run_scenario("sobel", "low", timing=load_timing(), config=config,
+                 network_setup=network_setup)
     return time.perf_counter() - start
 
 
@@ -138,7 +132,7 @@ def test_disabled_fault_hook_overhead():
 def test_durable_store_overhead():
     """The WAL + snapshot layer must stay cheap on the serving hot path.
 
-    With ``REPRO_REGISTRY=durable`` every admission, removal, device
+    With a durable Registry every admission, removal, device
     state flip and watch event appends an in-memory WAL record, and a
     background process snapshots the full registry image every
     ``snapshot_interval`` simulated seconds.  None of that sits on the
@@ -147,23 +141,13 @@ def test_durable_store_overhead():
     measurement: median of ``OVERHEAD_RUNS`` identical in-process quick
     Table-II 'low' runs per arm, both arms on the same machine.
     """
-    import os
-
-    saved = os.environ.get("REPRO_REGISTRY")
-    try:
-        os.environ.pop("REPRO_REGISTRY", None)
-        volatile = statistics.median(
-            _scenario_wall(None) for _ in range(OVERHEAD_RUNS)
-        )
-        os.environ["REPRO_REGISTRY"] = "durable"
-        durable = statistics.median(
-            _scenario_wall(None) for _ in range(OVERHEAD_RUNS)
-        )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_REGISTRY", None)
-        else:
-            os.environ["REPRO_REGISTRY"] = saved
+    volatile = statistics.median(
+        _scenario_wall() for _ in range(OVERHEAD_RUNS)
+    )
+    durable = statistics.median(
+        _scenario_wall(config=SystemConfig(durability="durable"))
+        for _ in range(OVERHEAD_RUNS)
+    )
     overhead_pct = (durable / volatile - 1.0) * 100
     _results["durable_store_overhead_pct"] = round(overhead_pct, 2)
     _results["registry_volatile_median_s"] = round(volatile, 3)
@@ -211,7 +195,7 @@ def test_write_bench_json():
             "durable_median_s": _results.get("registry_durable_median_s"),
             "method": (
                 f"median of {OVERHEAD_RUNS} in-process quick Table-II "
-                "'low' runs per arm (REPRO_REGISTRY unset vs =durable)"
+                "'low' runs per arm (volatile vs durable Registry)"
             ),
         },
     }, indent=2) + "\n")

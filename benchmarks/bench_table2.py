@@ -8,8 +8,8 @@ raises aggregate utilization and served throughput.
 
 import pytest
 
-from repro.experiments import rates_for, run_scenario
-from repro.serverless import SobelApp
+from repro.experiments import run_scenario
+from repro.system import SystemConfig
 
 
 def _run():
@@ -17,12 +17,7 @@ def _run():
     for runtime in ("blastfunction", "native"):
         for configuration in ("low", "high"):
             results[(runtime, configuration)] = run_scenario(
-                use_case="sobel", configuration=configuration,
-                runtime=runtime,
-                app_factory=lambda: SobelApp(),
-                accelerator="sobel",
-                rates=rates_for("sobel", configuration, runtime),
-            )
+                "sobel", configuration, config=SystemConfig(runtime=runtime))
     return results
 
 

@@ -9,8 +9,8 @@ within ~1-2% of the 266 rq/s aggregate target at a *lower* latency.
 
 import pytest
 
-from repro.experiments import rates_for, run_scenario
-from repro.serverless import MMApp
+from repro.experiments import run_scenario
+from repro.system import SystemConfig
 
 
 def _run():
@@ -18,11 +18,7 @@ def _run():
     for runtime in ("blastfunction", "native"):
         for configuration in ("low", "high"):
             results[(runtime, configuration)] = run_scenario(
-                use_case="mm", configuration=configuration, runtime=runtime,
-                app_factory=lambda: MMApp(),
-                accelerator="mm",
-                rates=rates_for("mm", configuration, runtime),
-            )
+                "mm", configuration, config=SystemConfig(runtime=runtime))
     return results
 
 

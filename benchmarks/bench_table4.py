@@ -8,8 +8,8 @@ yet sharing still delivers more processed requests and higher utilization.
 
 import pytest
 
-from repro.experiments import rates_for, run_scenario
-from repro.serverless import AlexNetApp
+from repro.experiments import run_scenario
+from repro.system import SystemConfig
 
 
 def _run():
@@ -17,12 +17,7 @@ def _run():
     for runtime in ("blastfunction", "native"):
         for configuration in ("medium", "high"):
             results[(runtime, configuration)] = run_scenario(
-                use_case="alexnet", configuration=configuration,
-                runtime=runtime,
-                app_factory=lambda: AlexNetApp(),
-                accelerator="pipecnn_alexnet",
-                rates=rates_for("alexnet", configuration, runtime),
-            )
+                "alexnet", configuration, config=SystemConfig(runtime=runtime))
     return results
 
 

@@ -15,22 +15,16 @@ Run:  python examples/alexnet_inference.py      (~30 s of NumPy compute)
 
 import numpy as np
 
-from repro.cluster import DeviceQuery, build_testbed
-from repro.core.registry import AcceleratorsRegistry
-from repro.core.remote_lib import ManagerAddress, PlatformRouter
+from repro.cluster import DeviceQuery
 from repro.kernels import (
     alexnet_layers,
     conv2d_reference,
     lrn_reference,
     maxpool_reference,
 )
-from repro.serverless import (
-    AlexNetApp,
-    FunctionController,
-    FunctionSpec,
-    Gateway,
-)
+from repro.serverless import AlexNetApp, FunctionSpec
 from repro.sim import Environment
+from repro.system import SystemConfig, build_system
 
 SEED = 7
 
@@ -54,18 +48,9 @@ def numpy_forward(image, weights, biases):
 
 def main():
     env = Environment()
-    testbed = build_testbed(env, functional=True)  # boards compute for real
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper,
-    )
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    gateway = Gateway(env, testbed.cluster)
-    controller = FunctionController(env, testbed.cluster, gateway, router)
-    registry.migrator = controller.migrate
+    # Boards compute for real.
+    system = build_system(env, SystemConfig(functional=True))
+    gateway, controller = system.gateway, system.controller
 
     app_holder = {}
 

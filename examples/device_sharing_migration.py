@@ -14,33 +14,17 @@ Shows the Accelerators Registry's control plane in action:
 Run:  python examples/device_sharing_migration.py
 """
 
-from repro.cluster import DeviceQuery, WatchEventType, build_testbed
-from repro.core.registry import AcceleratorsRegistry
-from repro.core.remote_lib import ManagerAddress, PlatformRouter
-from repro.serverless import (
-    FunctionController,
-    FunctionSpec,
-    Gateway,
-    MMApp,
-    SobelApp,
-)
+from repro.cluster import DeviceQuery
+from repro.serverless import FunctionSpec, MMApp, SobelApp
 from repro.sim import Environment
+from repro.system import build_system
 
 
 def main():
     env = Environment()
-    testbed = build_testbed(env, functional=False)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper,
-    )
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    gateway = Gateway(env, testbed.cluster)
-    controller = FunctionController(env, testbed.cluster, gateway, router)
-    registry.migrator = controller.migrate
+    system = build_system(env)
+    testbed, registry = system.testbed, system.registry
+    gateway, controller = system.gateway, system.controller
 
     log = []
     testbed.cluster.watch(lambda event: log.append(

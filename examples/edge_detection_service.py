@@ -12,33 +12,22 @@ Compare with a Native deployment, which fits only one function per board.
 Run:  python examples/edge_detection_service.py
 """
 
-from repro.experiments import rates_for, run_scenario
+from repro.experiments import run_scenario
 from repro.experiments.config import LoadTiming
-from repro.serverless import SobelApp
+from repro.system import SystemConfig
 
 
 def main():
     timing = LoadTiming(warmup=2.0, duration=10.0)
 
     print("=== BlastFunction: 5 Sobel functions sharing 3 FPGAs ===")
-    bf = run_scenario(
-        use_case="sobel", configuration="medium", runtime="blastfunction",
-        app_factory=lambda: SobelApp(),
-        accelerator="sobel",
-        rates=rates_for("sobel", "medium", "blastfunction"),
-        timing=timing,
-    )
+    bf = run_scenario("sobel", "medium", timing=timing)
     _report(bf)
 
     print()
     print("=== Native: 3 Sobel functions, one FPGA each ===")
-    native = run_scenario(
-        use_case="sobel", configuration="medium", runtime="native",
-        app_factory=lambda: SobelApp(),
-        accelerator="sobel",
-        rates=rates_for("sobel", "medium", "native"),
-        timing=timing,
-    )
+    native = run_scenario("sobel", "medium", timing=timing,
+                          config=SystemConfig(runtime="native"))
     _report(native)
 
     print()

@@ -11,40 +11,20 @@ the fresh capacity.
 Run:  python examples/elastic_f1_autoscaling.py
 """
 
-from repro.cluster import (
-    AutoscalerPolicy,
-    DeviceQuery,
-    NodeAutoscaler,
-    build_testbed,
-)
-from repro.core.registry import AcceleratorsRegistry
-from repro.core.remote_lib import ManagerAddress, PlatformRouter
+from repro.cluster import AutoscalerPolicy, DeviceQuery, NodeAutoscaler
 from repro.loadgen import run_load
-from repro.serverless import (
-    FunctionController,
-    FunctionSpec,
-    Gateway,
-    SobelApp,
-)
+from repro.serverless import FunctionSpec, SobelApp
 from repro.sim import AllOf, Environment
+from repro.system import build_system
 
 
 def main():
     env = Environment()
-    testbed = build_testbed(env, functional=False, scrape_interval=1.0)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper, metrics_window=10.0,
-    )
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    gateway = Gateway(env, testbed.cluster)
-    controller = FunctionController(env, testbed.cluster, gateway, router)
-    registry.migrator = controller.migrate
+    system = build_system(env)
+    testbed, registry = system.testbed, system.registry
+    gateway, controller = system.gateway, system.controller
     autoscaler = NodeAutoscaler(
-        env, testbed, registry, router,
+        env, testbed, registry, system.router,
         policy=AutoscalerPolicy(
             scale_out_threshold=0.45, scale_in_threshold=-1.0,
             interval=2.0, cooldown=15.0, boot_delay=20.0, max_nodes=5,

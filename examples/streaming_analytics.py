@@ -19,20 +19,13 @@ Run:  python examples/streaming_analytics.py
 
 import numpy as np
 
-from repro.cluster import DeviceQuery, build_testbed
-from repro.core.registry import AcceleratorsRegistry
-from repro.core.remote_lib import ManagerAddress, PlatformRouter
-from repro.fpga import extended_library
+from repro.cluster import DeviceQuery
 from repro.kernels import fir_reference, histogram_reference
 from repro.loadgen import run_load
 from repro.ocl import Context
-from repro.serverless import (
-    FunctionApp,
-    FunctionController,
-    FunctionSpec,
-    Gateway,
-)
+from repro.serverless import FunctionApp, FunctionSpec
 from repro.sim import AllOf, Environment
+from repro.system import SystemConfig, build_system
 
 N_SAMPLES = 1 << 16
 TAPS = 32
@@ -100,19 +93,11 @@ class HistogramApp(FunctionApp):
 
 def main():
     env = Environment()
-    library = extended_library()
-    testbed = build_testbed(env, library=library, functional=True)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper,
-    )
-    router = PlatformRouter(env, testbed.network, library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    gateway = Gateway(env, testbed.cluster)
-    controller = FunctionController(env, testbed.cluster, gateway, router)
-    registry.migrator = controller.migrate
+    # Every system carries the extended library, FIR and histogram
+    # included.
+    system = build_system(env, SystemConfig(functional=True))
+    gateway, controller = system.gateway, system.controller
+    registry = system.registry
 
     def scenario():
         yield from gateway.deploy(FunctionSpec(

@@ -12,18 +12,11 @@ Open: chrome://tracing  (load /tmp/blastfunction_trace.json)
 """
 
 from repro.analysis import render_breakdown, request_breakdown
-from repro.cluster import DeviceQuery, build_testbed
-from repro.core.registry import AcceleratorsRegistry
-from repro.core.remote_lib import ManagerAddress, PlatformRouter
+from repro.cluster import DeviceQuery
 from repro.loadgen import run_load
-from repro.serverless import (
-    FunctionController,
-    FunctionSpec,
-    Gateway,
-    MMApp,
-    SobelApp,
-)
+from repro.serverless import FunctionSpec, MMApp, SobelApp
 from repro.sim import AllOf, Environment
+from repro.system import build_system
 from repro.trace import Tracer, attach_gateway, attach_testbed, write_chrome_trace
 
 TRACE_PATH = "/tmp/blastfunction_trace.json"
@@ -31,18 +24,9 @@ TRACE_PATH = "/tmp/blastfunction_trace.json"
 
 def main():
     env = Environment()
-    testbed = build_testbed(env, functional=False)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper,
-    )
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    gateway = Gateway(env, testbed.cluster)
-    controller = FunctionController(env, testbed.cluster, gateway, router)
-    registry.migrator = controller.migrate
+    system = build_system(env)
+    testbed, gateway = system.testbed, system.gateway
+    controller = system.controller
 
     tracer = Tracer(env)
     attach_testbed(tracer, testbed)

@@ -32,16 +32,17 @@ class Testbed:
     managers: Dict[str, DeviceManager] = field(default_factory=dict)
     scraper: Optional[Scraper] = None
 
-    #: Kept so late-added nodes (autoscaling) match the fleet's mode.
+    #: Kept so late-added nodes (autoscaling) match the fleet's modes.
     functional: bool = False
+    batching: bool = True
 
-    def add_node(self, spec: NodeSpec,
-                 batching: bool = True) -> DeviceManager:
-        """Provision a new node with a board and Device Manager at runtime.
+    def add_node(self, spec: NodeSpec) -> DeviceManager:
+        """Provision a node with a board and Device Manager.
 
-        Used by the F1-style node autoscaler (the paper's future work):
-        the caller is responsible for registering the returned manager
-        with the Accelerators Registry and the platform routers.
+        Builds every node of the testbed, and later ones for the F1-style
+        node autoscaler (the paper's future work): the caller is then
+        responsible for registering the returned manager with the
+        Accelerators Registry and the platform routers.
         """
         host = self.network.host(spec.name, spec.host)
         board = FPGABoard(
@@ -50,7 +51,7 @@ class Testbed:
         )
         manager = DeviceManager(
             self.env, f"dm-{spec.name}", board, self.library, self.network,
-            host, batching=batching,
+            host, batching=self.batching,
         )
         self.managers[manager.name] = manager
         self.cluster.add_node(ClusterNode(spec, host, board))
@@ -90,27 +91,10 @@ def build_testbed(
 
     network = Network(env)
     cluster = Cluster(env)
-    testbed = Testbed(env, network, library, cluster, functional=functional)
-    scraper = Scraper(env, interval=scrape_interval) if with_scraper else None
-    testbed.scraper = scraper
-
+    testbed = Testbed(env, network, library, cluster, functional=functional,
+                      batching=batching)
+    if with_scraper:
+        testbed.scraper = Scraper(env, interval=scrape_interval)
     for spec in node_specs:
-        host = network.host(spec.name, spec.host)
-        board = FPGABoard(
-            env,
-            name=f"fpga-{spec.name}",
-            spec=spec.board,
-            pcie=spec.pcie,
-            functional=functional,
-        )
-        manager = DeviceManager(
-            env, f"dm-{spec.name}", board, library, network, host,
-            batching=batching,
-        )
-        testbed.managers[manager.name] = manager
-        cluster.add_node(ClusterNode(spec, host, board))
-        if scraper is not None:
-            scraper.add_target(manager.name, manager.metrics,
-                               node=spec.name, device=board.name)
-
+        testbed.add_node(spec)
     return testbed

@@ -16,7 +16,6 @@ from .gatherer import MetricsGatherer
 from .health import REGISTRY_HOST, HealthMonitor
 from .registry import (
     MANAGER_ENV,
-    REGISTRY_ENV,
     AcceleratorsRegistry,
     RegistryUnavailableError,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "HealthMonitor",
     "InstanceRecord",
     "MANAGER_ENV",
-    "REGISTRY_ENV",
     "REGISTRY_HOST",
     "RegistryStore",
     "RegistryUnavailableError",

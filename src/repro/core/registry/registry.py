@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import os
 import time as _time
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -42,7 +41,6 @@ from .allocation import (
     AllocationError,
     DeviceView,
     MetricFilter,
-    allocate,
 )
 from .gatherer import MetricsGatherer
 from .index import DeviceIndex
@@ -55,23 +53,6 @@ MANAGER_ENV = "BF_MANAGER"
 
 #: Migration callback: (instance_name, function_name) -> process generator.
 Migrator = Callable[[str, str], object]
-
-#: Override the allocator implementation ("indexed" | "oracle" | "both")
-#: without touching call sites; "both" runs both and asserts equal
-#: decisions on every allocation (slow, for debugging).
-ALLOCATOR_ENV = "REPRO_ALLOCATOR"
-
-#: Override the reconfiguration-migration mode ("restart" | "live") without
-#: touching call sites.  "restart" is the paper's create-before-delete path;
-#: "live" checkpoints in-flight state and moves it (docs/live_migration.md).
-MIGRATION_ENV = "REPRO_MIGRATION"
-
-#: Override the Registry durability mode without touching call sites:
-#: "volatile" (the seed behavior — state dies with the process),
-#: "durable" (WAL + snapshots in a :class:`RegistryStore`; crash/restart
-#: recovers by replay), "replicated" (durable + a warm standby tailing the
-#: WAL is expected to drive takeover).  See docs/failure_model.md.
-REGISTRY_ENV = "REPRO_REGISTRY"
 
 
 class RegistryUnavailableError(DeviceManagerError):
@@ -93,7 +74,18 @@ def _query_triple(query: DeviceQuery) -> List[str]:
 
 
 class AcceleratorsRegistry:
-    """Central controller wiring cluster, devices, functions and metrics."""
+    """Central controller wiring cluster, devices, functions and metrics.
+
+    ``migration`` picks how displaced instances move: "restart" is the
+    paper's create-before-delete path, "live" checkpoints in-flight state
+    and moves it (docs/live_migration.md).  ``durability`` is "volatile"
+    (state dies with the process), "durable" (WAL + snapshots in a
+    :class:`RegistryStore`; crash/restart recovers by replay) or
+    "replicated" (durable, with a warm standby expected to drive
+    takeover; docs/failure_model.md).  ``allocator`` accepts only
+    "indexed": Algorithm 1 always runs on the incremental index, and the
+    brute-force :func:`~.allocation.allocate` is the tests' oracle.
+    """
 
     def __init__(
         self,
@@ -136,17 +128,12 @@ class AcceleratorsRegistry:
         #: Heartbeat/lease monitor, armed by :meth:`enable_health`.
         self.health = None
 
-        allocator = os.environ.get(ALLOCATOR_ENV, "") or allocator
-        if allocator not in ("indexed", "oracle", "both"):
+        if allocator != "indexed":
             raise ValueError(f"unknown allocator {allocator!r}")
-        self.allocator = allocator
-
-        migration = os.environ.get(MIGRATION_ENV, "") or migration
         if migration not in ("restart", "live"):
             raise ValueError(f"unknown migration mode {migration!r}")
         self.migration_mode = migration
 
-        durability = os.environ.get(REGISTRY_ENV, "") or durability
         if durability not in ("volatile", "durable", "replicated"):
             raise ValueError(f"unknown registry durability {durability!r}")
         self.durability = durability
@@ -209,17 +196,14 @@ class AcceleratorsRegistry:
         self._m_epoch.set(self.epoch)
         if scraper is not None:
             scraper.add_target("registry", self.metrics)
-        #: Incremental Algorithm 1 index; None in pure-oracle mode.
-        self.index: Optional[DeviceIndex] = (
-            DeviceIndex(self.metrics_order, self.metrics_filters)
-            if allocator != "oracle" else None
-        )
+        #: Incremental Algorithm 1 index.
+        self.index = DeviceIndex(self.metrics_order, self.metrics_filters)
         #: Utilization falloff tracking: (valid_until, device) heap plus
         #: the authoritative valid_until per device (heap entries that
         #: disagree are stale and skipped).
         self._falloff: list = []
         self._valid_until: Dict[str, float] = {}
-        if self.index is not None and scraper is not None:
+        if scraper is not None:
             scraper.add_listener(self._on_scrape)
 
         for manager in managers:
@@ -270,9 +254,8 @@ class AcceleratorsRegistry:
             self.gatherer.scraper.remove_target(manager_name)
         if self.health is not None:
             self.health.unwatch_manager(manager_name)
-        if self.index is not None:
-            self.index.remove(manager_name)
-            self._valid_until.pop(manager_name, None)
+        self.index.remove(manager_name)
+        self._valid_until.pop(manager_name, None)
         return True
 
     # -- public API ----------------------------------------------------------
@@ -324,7 +307,7 @@ class AcceleratorsRegistry:
     # -- index maintenance -------------------------------------------------
     def _index_refresh(self, record: Optional[DeviceRecord]) -> None:
         """Rebuild one device's indexed view after any relevant change."""
-        if self.index is None or record is None:
+        if record is None:
             return
         if not record.alive:
             self.index.remove(record.name)
@@ -367,24 +350,10 @@ class AcceleratorsRegistry:
     # -- admission (allocation) -------------------------------------------------
     def _allocate(self, query: DeviceQuery,
                   node_hint: str) -> AllocationDecision:
-        """Run Algorithm 1 through the configured implementation."""
+        """Run Algorithm 1 on the incremental index."""
         start = _time.perf_counter()
-        if self.index is not None:
-            self._refresh_stale(self.env.now)
-            decision = self.index.allocate(query, node_hint)
-            if self.allocator == "both":
-                oracle = allocate(query, node_hint, self.device_views(),
-                                  self.metrics_order, self.metrics_filters)
-                assert (
-                    decision.device.name == oracle.device.name
-                    and decision.node == oracle.node
-                    and decision.needs_reconfiguration
-                    == oracle.needs_reconfiguration
-                    and decision.redistribution == oracle.redistribution
-                ), f"allocator divergence: {decision} != {oracle}"
-        else:
-            decision = allocate(query, node_hint, self.device_views(),
-                                self.metrics_order, self.metrics_filters)
+        self._refresh_stale(self.env.now)
+        decision = self.index.allocate(query, node_hint)
         self.alloc_wall += _time.perf_counter() - start
         self.allocations += 1
         return decision
@@ -462,7 +431,7 @@ class AcceleratorsRegistry:
         self._index_refresh(self.devices.find(target_name))
 
     # -- failure detection and recovery ---------------------------------------
-    def enable_health(self, network=None, policy=None, wheel=None):
+    def enable_health(self, network, policy=None, wheel=None):
         """Arm the heartbeat/lease protocol between managers and Registry.
 
         Returns the :class:`~repro.core.registry.health.HealthMonitor`.
@@ -474,11 +443,6 @@ class AcceleratorsRegistry:
 
         if self.health is not None:
             return self.health
-        if network is None:
-            records = self.devices.all()
-            if not records:
-                raise ValueError("no managers registered: pass network=")
-            network = records[0].manager.network
         self._health_config = (network, policy, wheel)
         self.health = HealthMonitor(self.env, self, network, policy,
                                     wheel=wheel)
@@ -819,9 +783,7 @@ class AcceleratorsRegistry:
         self._snapshot_proc = None
         self.devices = DevicesService()
         self.functions = FunctionsService()
-        if self.index is not None:
-            self.index = DeviceIndex(self.metrics_order,
-                                     self.metrics_filters)
+        self.index = DeviceIndex(self.metrics_order, self.metrics_filters)
         self._falloff = []
         self._valid_until = {}
 

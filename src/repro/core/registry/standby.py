@@ -1,7 +1,7 @@
 """Warm-standby Registry replica: WAL tailing and leader-lease takeover.
 
-``REPRO_REGISTRY=replicated`` keeps a second copy of the durable store on
-another host.  A :class:`WarmStandby` process periodically pulls the
+A replicated Registry keeps a second copy of the durable store on another
+host.  A :class:`WarmStandby` process periodically pulls the
 leader's WAL delta over the simulated network (paying real transfer time
 for the shipped bytes, so replication lag is a function of load and link
 speed) and, when the leader stops being seen for longer than its lease,

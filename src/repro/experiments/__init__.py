@@ -36,9 +36,6 @@ from .tables import (
     render_table3,
     render_table4,
     run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
     run_use_case,
 )
 
@@ -72,8 +69,5 @@ __all__ = [
     "run_scenario",
     "run_sobel_sweep",
     "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_table4",
     "run_use_case",
 ]

@@ -5,14 +5,18 @@ Usage::
     python -m repro.experiments fig4a
     python -m repro.experiments table2 --json table2.json
     REPRO_QUICK=1 python -m repro.experiments all
+    REPRO_QUICK=1 python -m repro.experiments chaos --write-golden
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
+from .config import quick_mode
 from .export import scenarios_to_records, sweep_to_records, write_json
 from .fig4 import run_mm_sweep, run_rw_sweep, run_sobel_sweep
 from .report import render_bars, render_table
@@ -23,6 +27,12 @@ from .tables import (
     run_table1,
     run_use_case,
 )
+
+ROOT = Path(__file__).resolve().parents[3]
+
+#: Experiments whose quick-mode digest tier-1 pins in
+#: ``tests/experiments/data/golden_<name>.json``.
+GOLDEN_EXPERIMENTS = ("chaos", "migration", "registry_chaos")
 
 
 def _render_sweep(points, title: str) -> str:
@@ -71,68 +81,50 @@ def _calibration():
     return run_calibration()
 
 
-def _chaos():
-    import json
+def _digest_table(digest: dict, title: str, arms: bool = False) -> str:
+    """A golden digest as a Metric/Value table (``arms``: one sub-digest
+    per arm, whose metrics are prefixed with the arm's name)."""
+    cells = digest.items() if arms else [("", digest)]
+    rows = [
+        [f"{arm}.{key}" if arm else key, json.dumps(value)]
+        for arm, cell in cells for key, value in cell.items()
+    ]
+    return render_table(["Metric", "Value"], rows, title=title)
 
+
+def _chaos():
     from .chaos import run_chaos
 
-    result = run_chaos()
-    digest = result.to_golden()
-    rows = [[key, json.dumps(value)] for key, value in digest.items()]
-    text = render_table(
-        ["Metric", "Value"], rows,
-        title="Chaos: Table-II load under 1% message loss + DM crash",
-    )
-    return text, [digest]
+    digest = run_chaos().to_golden()
+    return _digest_table(
+        digest, "Chaos: Table-II load under 1% message loss + DM crash",
+    ), [digest]
 
 
 def _migration():
-    import json
-    from pathlib import Path
-
     from .migration import render_migration, run_migration, write_bench_json
 
     result = run_migration()
-    write_bench_json(
-        result, Path(__file__).resolve().parents[3] / "BENCH_migration.json"
-    )
+    write_bench_json(result, ROOT / "BENCH_migration.json")
     digest = result.to_golden()
-    rows = [
-        [f"{mode}.{key}", json.dumps(value)]
-        for mode, cell in digest.items() for key, value in cell.items()
-    ]
-    text = render_migration(result) + "\n\n" + render_table(
-        ["Metric", "Value"], rows, title="Migration digest",
-    )
-    return text, [digest]
+    return render_migration(result) + "\n\n" + _digest_table(
+        digest, "Migration digest", arms=True), [digest]
 
 
 def _registry_chaos():
-    import json
-
     from .registry_chaos import render_registry_chaos, run_registry_chaos
 
     result = run_registry_chaos()
     digest = result.to_golden()
-    rows = [
-        [f"{mode}.{key}", json.dumps(value)]
-        for mode, cell in digest.items() for key, value in cell.items()
-    ]
-    text = render_registry_chaos(result) + "\n\n" + render_table(
-        ["Metric", "Value"], rows, title="Registry-chaos digest",
-    )
-    return text, [digest]
+    return render_registry_chaos(result) + "\n\n" + _digest_table(
+        digest, "Registry-chaos digest", arms=True), [digest]
 
 
 def _scale():
-    from pathlib import Path
-
     from .scale import render_scale, run_scale_sweep, write_bench_json
 
     cells = run_scale_sweep()
-    write_bench_json(
-        cells, Path(__file__).resolve().parents[3] / "BENCH_scale.json"
-    )
+    write_bench_json(cells, ROOT / "BENCH_scale.json")
     return render_scale(cells), [cell.to_record() for cell in cells]
 
 
@@ -190,7 +182,17 @@ def main(argv: Optional[List[str]] = None) -> int:
              "(each cell is seed-deterministic, so results are identical "
              "to --jobs 1; output order is too)",
     )
+    parser.add_argument(
+        "--write-golden", action="store_true",
+        help="rewrite the experiment's golden digest under "
+             "tests/experiments/data (quick mode only; "
+             f"one of {', '.join(GOLDEN_EXPERIMENTS)})",
+    )
     args = parser.parse_args(argv)
+    if args.write_golden and (args.experiment not in GOLDEN_EXPERIMENTS
+                              or not quick_mode()):
+        parser.error("--write-golden needs REPRO_QUICK=1 and one of "
+                     + ", ".join(GOLDEN_EXPERIMENTS))
 
     if args.experiment == "all":
         names = [n for n in sorted(EXPERIMENTS) if n not in EXCLUDED_FROM_ALL]
@@ -215,6 +217,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.json:
         write_json(all_records, args.json)
         print(f"JSON results written to {args.json}")
+    if args.write_golden:
+        (digest,) = all_records[args.experiment]
+        path = (ROOT / "tests" / "experiments" / "data"
+                / f"golden_{args.experiment}.json")
+        path.write_text(json.dumps(digest, indent=2, sort_keys=True) + "\n")
+        print(f"golden rewritten: {path}")
     return 0
 
 

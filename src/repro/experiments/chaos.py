@@ -19,9 +19,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..cluster import DeviceQuery, build_testbed
-from ..core.registry import AcceleratorsRegistry
-from ..core.remote_lib import ManagerAddress, PlatformRouter
 from ..faults import (
     FaultScript,
     GatewayPolicy,
@@ -29,11 +26,11 @@ from ..faults import (
     NetworkFaultPlane,
     RetryPolicy,
 )
-from ..loadgen import LoadStats, percentile, run_load
-from ..serverless import FunctionController, FunctionSpec, Gateway
+from ..loadgen import LoadStats, percentile
 from ..serverless.apps import SobelApp
-from ..sim import AllOf, Environment, Interrupt, run_guarded
-from .config import TABLE1_RATES, LoadTiming, load_timing
+from ..sim import Environment
+from ..system import Load, SystemConfig, build_system
+from .config import LoadTiming, load_timing, rates_for
 
 
 @dataclass
@@ -139,47 +136,21 @@ def run_chaos(spec: Optional[ChaosSpec] = None) -> ChaosResult:
     """Run the Table-II load under failures; returns the chaos report."""
     spec = spec or ChaosSpec()
     timing = spec.timing or load_timing()
-    rates = list(TABLE1_RATES[spec.use_case][spec.configuration])
+    rates = rates_for(spec.use_case, spec.configuration, "blastfunction")
     env = Environment()
-    testbed = build_testbed(env, functional=False, scrape_interval=1.0,
-                            batching=True)
-    for manager in testbed.managers.values():
-        # Without this a dropped write payload wedges a worker (and the
-        # whole board behind it) forever: the op waits for data that will
-        # never arrive.  The timeout resolves it to a structured failure.
-        manager.data_timeout = spec.retry.deadline
-    gateway = Gateway(env, testbed.cluster, policy=spec.gateway)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper,
-    )
-    router = PlatformRouter(env, testbed.network, testbed.library,
-                            recovery=spec.retry)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    controller = FunctionController(env, testbed.cluster, gateway, router,
-                                    self_heal=True)
-    registry.migrator = controller.migrate
-    health = registry.enable_health(network=testbed.network,
-                                    policy=spec.health)
+    system = build_system(env, SystemConfig(
+        gateway=spec.gateway, retry=spec.retry, health=spec.health,
+        self_heal=True,
+    ))
+    testbed, registry, controller = (
+        system.testbed, system.registry, system.controller)
+    gateway, health = system.gateway, registry.health
 
     names = [
         f"{spec.use_case}-{index}" for index in range(1, len(rates) + 1)
     ]
-
-    def deploy_all():
-        for name in names:
-            yield from gateway.deploy(FunctionSpec(
-                name=name,
-                app_factory=SobelApp,
-                device_query=DeviceQuery(vendor="Intel", accelerator="sobel"),
-                runtime="blastfunction",
-            ))
-        for name in names:
-            yield from controller.wait_ready(name)
-
-    env.run(until=env.process(deploy_all()))
+    system.deploy([system.function_spec(name, SobelApp, "sobel")
+                   for name in names])
 
     # Deployment ran fault-free (the paper's steady state); the chaos
     # window opens now.
@@ -204,12 +175,6 @@ def run_chaos(spec: Optional[ChaosSpec] = None) -> ChaosResult:
 
     def recovery_monitor():
         """Process: crash → victims re-placed and full ready capacity."""
-        try:
-            yield from _watch_recovery()
-        except Interrupt:
-            return
-
-    def _watch_recovery():
         yield env.timeout(crash_at - env.now)
         try:
             victims = set(
@@ -233,32 +198,17 @@ def run_chaos(spec: Optional[ChaosSpec] = None) -> ChaosResult:
                 return
             yield env.timeout(0.1)
 
-    load_processes = [
-        env.process(run_load(
-            env, gateway, name, rate=rate, duration=timing.duration,
-            warmup=timing.warmup, connections=1,
-        ))
-        for name, rate in zip(names, rates)
-    ]
-    monitor = env.process(recovery_monitor())
-
-    def main():
-        results = yield AllOf(env, load_processes)
-        return [results[p] for p in load_processes]
-
-    stats_list = run_guarded(
-        env, until=env.process(main()),
-        deadline=timing.warmup + timing.duration + 120.0,
-        what=f"chaos load ({spec.use_case}/{spec.configuration})",
-    )
-
     # Let in-flight retries, deadlines and migrations resolve, then stop
     # the perpetual health processes so nothing is left unaccounted.
-    env.run(until=env.now + spec.retry.op_deadline + 3.0)
-    if monitor.is_alive:
-        monitor.interrupt("chaos run over")
-    health.stop()
-    env.run(until=env.now + 1.0)
+    stats_list = system.drive(
+        [Load(name, rate, warmup=timing.warmup, duration=timing.duration)
+         for name, rate in zip(names, rates)],
+        extra=[recovery_monitor()],
+        deadline=timing.warmup + timing.duration + 120.0,
+        settle=spec.retry.op_deadline + 3.0,
+        what=f"chaos load ({spec.use_case}/{spec.configuration})",
+    )
+    system.stop()
 
     for stats in stats_list:
         result.stats.append(stats)
@@ -282,7 +232,7 @@ def run_chaos(spec: Optional[ChaosSpec] = None) -> ChaosResult:
     result.heals = controller.heals
     result.device_failures = registry.device_failures
     result.recoveries_detected = len(health.recoveries_detected)
-    result.rpc_retries = sum(c.retries for c in router.connections)
+    result.rpc_retries = sum(c.retries for c in system.router.connections)
     for function in gateway.functions.values():
         result.gateway_retries += function.retries
         result.shed += function.shed
@@ -291,9 +241,7 @@ def run_chaos(spec: Optional[ChaosSpec] = None) -> ChaosResult:
     result.rejected_messages = sum(
         m.rejected_messages for m in testbed.managers.values()
     )
-    result.hung_events = sum(
-        len(c._machines) for c in router.connections
-    )
+    result.hung_events = system.hung_events
     result.plane_counters = dict(plane.counters)
     result.script_log = list(script.executed)
 

@@ -12,17 +12,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..cluster import DeviceQuery, build_testbed
-from ..core.registry import AcceleratorsRegistry
-from ..core.remote_lib import ManagerAddress, PlatformRouter
-from ..loadgen import LoadStats, run_load
-from ..serverless import FunctionController, FunctionSpec, Gateway
-from ..sim import AllOf, Environment
-from .config import LoadTiming, load_timing
+from ..loadgen import LoadStats
+from ..serverless import AlexNetApp, MMApp, SobelApp
+from ..sim import Environment
+from ..system import Load, SystemConfig, build_system
+from .config import (
+    MM_N,
+    SOBEL_HEIGHT,
+    SOBEL_WIDTH,
+    LoadTiming,
+    load_timing,
+    rates_for,
+)
 
 #: Node pinning for the Native scenario (one function per board, function 1
 #: on the master node A, as in Table II).
 NATIVE_NODES = ["A", "B", "C"]
+
+APP_FACTORIES = {
+    "sobel": lambda: SobelApp(width=SOBEL_WIDTH, height=SOBEL_HEIGHT),
+    "mm": lambda: MMApp(n=MM_N),
+    "alexnet": lambda: AlexNetApp(),
+}
+
+ACCELERATORS = {
+    "sobel": "sobel",
+    "mm": "mm",
+    "alexnet": "pipecnn_alexnet",
+}
 
 
 @dataclass
@@ -81,78 +98,36 @@ class ScenarioResult:
 def run_scenario(
     use_case: str,
     configuration: str,
-    runtime: str,
-    app_factory: Callable[[], object],
-    accelerator: str,
-    rates: List[float],
     timing: Optional[LoadTiming] = None,
-    env: Optional[Environment] = None,
-    metrics_order: tuple = ("connected_functions", "utilization"),
-    use_shm: bool = True,
-    batching: bool = True,
-    functional: bool = False,
+    config: SystemConfig = SystemConfig(),
     network_setup: Optional[Callable[[object], None]] = None,
 ) -> ScenarioResult:
     """Run one load-test scenario end to end and return the report.
 
-    ``metrics_order``, ``use_shm`` and ``batching`` expose the ablation
-    knobs (Algorithm 1's metric priority, the shared-memory transport, and
-    the Device Manager's multi-operation task batching).  ``functional``
-    is the buffer-mode knob: the default timing-only mode carries no real
-    bytes through the data plane (the zero-copy fast path); functional
-    mode materializes buffer contents so kernels compute real results.
-    Simulated timings and copy accounting are identical in both modes.
-    ``network_setup`` runs once against the testbed's network before any
-    deployment — the hook the fault-overhead benchmark uses to attach an
-    inert :class:`~repro.faults.NetworkFaultPlane`.
+    Deploys one function per Table I rate of ``use_case`` at
+    ``configuration`` (Native uses only the first three, one per board)
+    on the system ``config`` describes.  ``network_setup`` runs once
+    against the testbed's network before any deployment — the hook the
+    fault-overhead benchmark uses to attach an inert
+    :class:`~repro.faults.NetworkFaultPlane`.
     """
     timing = timing or load_timing()
-    env = env or Environment()
-    testbed = build_testbed(env, functional=functional, scrape_interval=1.0,
-                            batching=batching)
+    runtime = config.runtime
+    rates = rates_for(use_case, configuration, runtime)
+    env = Environment()
+    system = build_system(env, config)
+    testbed = system.testbed
     if network_setup is not None:
         network_setup(testbed.network)
-    gateway = Gateway(env, testbed.cluster)
-
-    if runtime == "blastfunction":
-        registry = AcceleratorsRegistry(
-            env, testbed.cluster, list(testbed.managers.values()),
-            scraper=testbed.scraper,
-            metrics_order=metrics_order,
-            use_shm=use_shm,
-        )
-        router = PlatformRouter(env, testbed.network, testbed.library)
-        router.add_managers(
-            [ManagerAddress.of(m) for m in testbed.managers.values()]
-        )
-        controller = FunctionController(env, testbed.cluster, gateway, router)
-        registry.migrator = controller.migrate
-    elif runtime == "native":
-        controller = FunctionController(env, testbed.cluster, gateway,
-                                        router=None)
-    else:
-        raise ValueError(f"unknown runtime {runtime!r}")
 
     names = [f"{use_case}-{index}" for index in range(1, len(rates) + 1)]
-
-    def deploy_all():
-        for index, name in enumerate(names):
-            spec = FunctionSpec(
-                name=name,
-                app_factory=app_factory,
-                device_query=DeviceQuery(
-                    vendor="Intel", accelerator=accelerator
-                ),
-                runtime=runtime,
-                node_name=(
-                    NATIVE_NODES[index] if runtime == "native" else ""
-                ),
-            )
-            yield from gateway.deploy(spec)
-        for name in names:
-            yield from controller.wait_ready(name)
-
-    env.run(until=env.process(deploy_all()))
+    system.deploy([
+        system.function_spec(
+            name, APP_FACTORIES[use_case], ACCELERATORS[use_case],
+            node_name=NATIVE_NODES[index] if runtime == "native" else "",
+        )
+        for index, name in enumerate(names)
+    ])
 
     # Identify each function's device + metric identity.
     placements: Dict[str, tuple] = {}
@@ -168,7 +143,6 @@ def run_scenario(
 
     # Busy-time accounting over exactly the measurement window.
     busy_before: Dict[str, float] = {}
-    busy_after: Dict[str, float] = {}
 
     def busy_of(name: str) -> float:
         node_name, manager, pod_name = placements[name]
@@ -178,35 +152,22 @@ def run_scenario(
         board = testbed.cluster.node(node_name).board
         return board.busy_seconds
 
-    def snapshot(target: Dict[str, float]):
+    def snapshot():
         yield env.timeout(timing.warmup)
         for name in names:
-            target[name] = busy_of(name)
+            busy_before[name] = busy_of(name)
 
-    load_processes = [
-        env.process(run_load(
-            env, gateway, name, rate=rate, duration=timing.duration,
-            warmup=timing.warmup, connections=1,
-        ))
-        for name, rate in zip(names, rates)
-    ]
-    env.process(snapshot(busy_before))
-
-    def main():
-        results = yield AllOf(env, load_processes)
-        for name in names:
-            busy_after[name] = busy_of(name)
-        return [results[p] for p in load_processes]
-
-    stats_list = env.run(until=env.process(main()))
+    stats_list = system.drive(
+        [Load(name, rate, warmup=timing.warmup, duration=timing.duration)
+         for name, rate in zip(names, rates)],
+        extra=[snapshot()],
+    )
 
     result = ScenarioResult(use_case, configuration, runtime)
     for name, rate, stats in zip(names, rates, stats_list):
         node_name, manager, _pod = placements[name]
         device = manager.name if manager else f"fpga-{node_name}"
-        utilization = (
-            (busy_after[name] - busy_before[name]) / timing.duration
-        )
+        utilization = (busy_of(name) - busy_before[name]) / timing.duration
         result.functions.append(FunctionResult(
             function=name,
             node=node_name,

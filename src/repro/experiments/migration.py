@@ -21,33 +21,20 @@ Both arms run the identical deterministic workload; the report compares
 dropped requests, the latency tail the *clients* observe (folding request
 timeouts in), per-board drain/reconfiguration downtime and the migration
 counters.  ``python -m repro.experiments migration`` writes
-``BENCH_migration.json`` at the repo root; ``scripts/migration_smoke.py``
-gates CI against the committed golden digest.
+``BENCH_migration.json`` at the repo root; tier-1 pins the quick-mode
+digest in ``tests/experiments/data/golden_migration.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
-from ..cluster import DeviceQuery, build_testbed
-from ..core.registry import AcceleratorsRegistry
-from ..core.remote_lib import ManagerAddress, PlatformRouter
 from ..faults import GatewayPolicy
-from ..fpga.bitstream import extended_library
-from ..fpga.hwspec import GiB, HOST_I7_6700, PCIE_GEN3_X8, NodeSpec
-from ..live import LiveMigrator, controller_connection_resolver
-from ..loadgen import LoadStats, percentile, run_load
-from ..serverless import (
-    FIRApp,
-    FunctionController,
-    FunctionSpec,
-    Gateway,
-    HistogramApp,
-    MMApp,
-    SobelApp,
-)
-from ..sim import AllOf, Environment, run_guarded
+from ..loadgen import LoadStats, percentile
+from ..serverless import FIRApp, HistogramApp, MMApp, SobelApp
+from ..sim import Environment
+from ..system import Load, System, SystemConfig, build_system
 from .config import LoadTiming, quick_mode
 from .report import render_table
 
@@ -74,8 +61,9 @@ STORM_WAVES: Tuple[StormWave, ...] = (
 
 
 @dataclass
-class MigrationSpec:
-    """One reproducible storm scenario (run once per migration mode)."""
+class StormSpec:
+    """A reconfiguration storm: Sobel tenants under load on a small fleet
+    while storm waves deploy accelerators loaded nowhere."""
 
     boards: int = 4
     #: Full-HD Sobel tenants (one lands on each board at deploy time).
@@ -85,17 +73,29 @@ class MigrationSpec:
     #: Storm load starts this long after the window opens — past the last
     #: wave's ~2.5 s reprogram, so both arms measure steady storm traffic.
     storm_load_offset: float = 7.5
-    #: In-window deadline for one request (timeouts are the drops).
-    request_timeout: float = 2.0
     waves: Tuple[StormWave, ...] = STORM_WAVES
     timing: Optional[LoadTiming] = None
+    #: Default measurement windows: (quick mode, full length).
+    windows: ClassVar[Tuple[LoadTiming, LoadTiming]] = (
+        LoadTiming(warmup=1.0, duration=12.0),
+        LoadTiming(warmup=2.0, duration=24.0),
+    )
 
     def load_timing(self) -> LoadTiming:
         if self.timing is not None:
             return self.timing
-        if quick_mode():
-            return LoadTiming(warmup=1.0, duration=12.0)
-        return LoadTiming(warmup=2.0, duration=24.0)
+        quick, full = self.windows
+        return quick if quick_mode() else full
+
+
+@dataclass
+class MigrationSpec(StormSpec):
+    """One reproducible storm scenario (run once per migration mode)."""
+
+    #: In-window deadline for one request (timeouts are the drops).
+    request_timeout: float = 2.0
+    #: Registry durability of both arms.
+    durability: str = "volatile"
 
 
 @dataclass
@@ -166,20 +166,6 @@ class MigrationResult:
         }
 
 
-def _node_specs(boards: int) -> List[NodeSpec]:
-    """A homogeneous fleet (node 0 doubles as the master)."""
-    return [
-        NodeSpec(
-            name=f"n{index:04d}",
-            host=HOST_I7_6700,
-            pcie=PCIE_GEN3_X8,
-            memory_bytes=32 * GiB,
-            is_master=(index == 0),
-        )
-        for index in range(boards)
-    ]
-
-
 def run_migration_mode(mode: str,
                        spec: Optional[MigrationSpec] = None
                        ) -> MigrationModeResult:
@@ -187,105 +173,29 @@ def run_migration_mode(mode: str,
     spec = spec or MigrationSpec()
     timing = spec.load_timing()
     env = Environment()
-    testbed = build_testbed(
-        env, node_specs=_node_specs(spec.boards),
-        library=extended_library(), functional=False, scrape_interval=1.0,
-    )
-    gateway = Gateway(env, testbed.cluster, policy=GatewayPolicy(
-        retry_budget=0,
-        breaker_threshold=10 ** 9,  # never trips: every drop stays visible
-        shed_when_unavailable=False,
-        request_timeout=spec.request_timeout,
+    system = build_system(env, SystemConfig(
+        boards=spec.boards, migration=mode, durability=spec.durability,
+        gateway=GatewayPolicy(
+            retry_budget=0,
+            breaker_threshold=10 ** 9,  # never trips: drops stay visible
+            shed_when_unavailable=False,
+            request_timeout=spec.request_timeout,
+        ),
     ))
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper, migration=mode,
-    )
-    # The experiment compares both modes in one process; don't let an
-    # inherited REPRO_MIGRATION override either arm.
-    registry.migration_mode = mode
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    controller = FunctionController(env, testbed.cluster, gateway, router,
-                                    self_heal=False)
-    registry.migrator = controller.migrate
-    migrator = None
-    if mode == "live":
-        migrator = LiveMigrator(
-            env, registry, dict(testbed.managers),
-            controller_connection_resolver(controller),
-            network=testbed.network,
-        )
-        registry.live_migrator = migrator
+    registry, managers = system.registry, system.testbed.managers
 
+    # Sequential: each admission sees the previous one's placement, so
+    # the tenants spread one per board.
     tenants = [f"sobel-{index}" for index in range(spec.tenants)]
-
-    def deploy_tenants():
-        # Sequential: each admission sees the previous one's placement,
-        # so the tenants spread one per board.
-        for name in tenants:
-            yield from gateway.deploy(FunctionSpec(
-                name=name,
-                app_factory=SobelApp,
-                device_query=DeviceQuery(vendor="Intel", accelerator="sobel"),
-                runtime="blastfunction",
-            ))
-            yield from controller.wait_ready(name)
-
-    env.run(until=env.process(deploy_tenants()))
-
-    measure_start = env.now + timing.warmup
-    hard_end = measure_start + timing.duration
-
-    def storm_deployer():
-        for wave in spec.waves:
-            yield env.timeout(measure_start + wave.offset - env.now)
-            yield from gateway.deploy(FunctionSpec(
-                name=wave.name,
-                app_factory=wave.app_factory,
-                device_query=DeviceQuery(vendor="Intel",
-                                         accelerator=wave.accelerator),
-                runtime="blastfunction",
-            ))
-
-    def storm_load(wave: StormWave):
-        yield env.timeout(measure_start + spec.storm_load_offset - env.now)
-        stats = yield from run_load(
-            env, gateway, wave.name, rate=spec.storm_rate,
-            duration=hard_end - env.now, warmup=0.0, connections=1,
-        )
-        return stats
-
-    tenant_processes = [
-        env.process(run_load(
-            env, gateway, name, rate=spec.tenant_rate,
-            duration=timing.duration, warmup=timing.warmup, connections=1,
-        ))
-        for name in tenants
-    ]
-    storm_processes = [
-        env.process(storm_load(wave)) for wave in spec.waves
-    ]
-    deployer = env.process(storm_deployer())
-
-    def main():
-        results = yield AllOf(
-            env, tenant_processes + storm_processes + [deployer]
-        )
-        return (
-            [results[p] for p in tenant_processes],
-            [results[p] for p in storm_processes],
-        )
-
-    tenant_stats, storm_stats = run_guarded(
-        env, until=env.process(main()),
+    system.deploy([system.function_spec(name, SobelApp, "sobel")
+                   for name in tenants], order="sequential")
+    every = system.drive(
+        *storm_plan(system, spec, tenants, timing),
         deadline=timing.warmup + timing.duration + 120.0,
+        settle=3.0,  # in-flight tasks, deferred builds and migrations
         what=f"migration storm ({mode})",
     )
-    # Let in-flight tasks, deferred builds and migrations settle.
-    env.run(until=env.now + 3.0)
+    tenant_stats, storm_stats = every[:len(tenants)], every[len(tenants):]
 
     result = MigrationModeResult(mode=mode)
     for stats in tenant_stats + storm_stats:
@@ -306,25 +216,50 @@ def run_migration_mode(mode: str,
     )
     result.migrations = registry.migrations
     result.live_migrations = registry.live_migrations
-    result.live_fallbacks = migrator.fallbacks if migrator else 0
+    if system.live_migrator is not None:
+        result.live_fallbacks = system.live_migrator.fallbacks
     for wave in spec.waves:
-        instances = controller.live_instances(wave.name)
+        instances = system.controller.live_instances(wave.name)
         if instances and all(
             inst.startup_error is not None for inst in instances
         ):
             result.storm_deploys_failed += 1
-    result.drain_seconds = sum(
-        m.drain_seconds for m in testbed.managers.values()
-    )
+    result.drain_seconds = sum(m.drain_seconds for m in managers.values())
     result.reconfiguration_seconds = sum(
-        m.reconfiguration_seconds for m in testbed.managers.values()
+        m.reconfiguration_seconds for m in managers.values()
     )
     result.rejected_messages = sum(
-        m.rejected_messages for m in testbed.managers.values()
+        m.rejected_messages for m in managers.values()
     )
-    result.rebinds = sum(c.rebinds for c in router.connections)
-    result.hung_events = sum(len(c._machines) for c in router.connections)
+    result.rebinds = sum(c.rebinds for c in system.router.connections)
+    result.hung_events = system.hung_events
     return result
+
+
+def storm_plan(system: System, spec: StormSpec, tenants: List[str],
+               timing: LoadTiming) -> Tuple[List[Load], list]:
+    """The loads and the wave deployer of a reconfiguration storm.
+
+    Every tenant is loaded over the whole window; each wave deploys
+    ``wave.offset`` seconds into the window, and every wave's load runs
+    from ``spec.storm_load_offset`` to the window's end.
+    """
+    env = system.env
+    measure_start = env.now + timing.warmup
+    hard_end = measure_start + timing.duration
+
+    def deployer():
+        for wave in spec.waves:
+            yield env.timeout(measure_start + wave.offset - env.now)
+            yield from system.gateway.deploy(system.function_spec(
+                wave.name, wave.app_factory, wave.accelerator))
+
+    loads = [Load(name, spec.tenant_rate, warmup=timing.warmup,
+                  duration=timing.duration) for name in tenants]
+    loads += [Load(wave.name, spec.storm_rate,
+                   start=measure_start + spec.storm_load_offset,
+                   until=hard_end) for wave in spec.waves]
+    return loads, [deployer()]
 
 
 def run_migration(spec: Optional[MigrationSpec] = None) -> MigrationResult:

@@ -25,61 +25,23 @@ is DES-clock driven, so each arm is bit-reproducible from its spec.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
-from ..cluster import DeviceQuery, build_testbed
-from ..core.registry import (
-    AcceleratorsRegistry,
-    RegistryStore,
-    StandbyPolicy,
-    WarmStandby,
-)
-from ..core.remote_lib import ManagerAddress, PlatformRouter
 from ..faults import FaultScript, GatewayPolicy, HealthPolicy, RegistryCrash
-from ..fpga.bitstream import extended_library
-from ..fpga.hwspec import GiB, HOST_I7_6700, PCIE_GEN3_X8, NodeSpec
-from ..loadgen import LoadStats, percentile, run_load
-from ..serverless import (
-    FIRApp,
-    FunctionController,
-    FunctionSpec,
-    Gateway,
-    MMApp,
-    SobelApp,
-)
-from ..sim import AllOf, Environment, run_guarded
-from .config import LoadTiming, quick_mode
+from ..loadgen import LoadStats, percentile
+from ..serverless import SobelApp
+from ..sim import Environment
+from ..system import SystemConfig, build_system
+from .config import LoadTiming
+from .migration import STORM_WAVES, StormSpec, StormWave, storm_plan
 from .report import render_table
 
 
-@dataclass(frozen=True)
-class StormWave:
-    """One storm deployment forcing a reconfiguration mid-run."""
-
-    name: str
-    accelerator: str
-    app_factory: type
-    #: Deploy time, seconds after the measurement window opens.
-    offset: float
-
-
-#: MM lands before the crash, FIR arrives *during* the blackout — its
-#: admission must be refused with the structured retryable error and
-#: succeed on a later retry, not crash the run.
-STORM_WAVES: Tuple[StormWave, ...] = (
-    StormWave("mm-storm", "mm", MMApp, 1.0),
-    StormWave("fir-storm", "fir", FIRApp, 2.5),
-)
-
-
 @dataclass
-class RegistryChaosSpec:
+class RegistryChaosSpec(StormSpec):
     """One reproducible registry-crash scenario (run once per arm)."""
 
-    boards: int = 4
-    tenants: int = 4
     tenant_rate: float = 12.0
-    storm_rate: float = 5.0
     #: Registry crash time, seconds after the window opens (mid-storm:
     #: after MM's admission, before FIR's).
     crash_offset: float = 2.0
@@ -89,11 +51,10 @@ class RegistryChaosSpec:
     probe_offset: float = 3.0
     #: Storm load starts here (past the last reprogram of either arm).
     storm_load_offset: float = 7.0
-    request_timeout: float = 2.0
-    #: Chosen so the last pre-crash snapshot predates the storm — the
-    #: storm's admissions are recovered from the WAL, not the snapshot.
-    snapshot_interval: float = 3.0
-    waves: Tuple[StormWave, ...] = STORM_WAVES
+    #: MM lands before the crash, FIR arrives *during* the blackout — its
+    #: admission must be refused with the structured retryable error and
+    #: succeed on a later retry, not crash the run.
+    waves: Tuple[StormWave, ...] = STORM_WAVES[:2]
     health: HealthPolicy = field(default_factory=lambda: HealthPolicy(
         heartbeat_interval=0.25, lease_timeout=1.0))
     #: Deploy/heal/invoke retry budget sized to outlast the blackout.
@@ -101,16 +62,10 @@ class RegistryChaosSpec:
         retry_budget=12, retry_backoff=0.2, backoff_factor=1.5,
         breaker_threshold=10 ** 9, shed_when_unavailable=False,
         request_timeout=2.0))
-    standby: StandbyPolicy = field(default_factory=lambda: StandbyPolicy(
-        sync_interval=0.2, lease_timeout=0.6))
-    timing: Optional[LoadTiming] = None
-
-    def load_timing(self) -> LoadTiming:
-        if self.timing is not None:
-            return self.timing
-        if quick_mode():
-            return LoadTiming(warmup=1.0, duration=10.0)
-        return LoadTiming(warmup=2.0, duration=20.0)
+    windows: ClassVar[Tuple[LoadTiming, LoadTiming]] = (
+        LoadTiming(warmup=1.0, duration=10.0),
+        LoadTiming(warmup=2.0, duration=20.0),
+    )
 
 
 @dataclass
@@ -205,19 +160,6 @@ class RegistryChaosResult:
         }
 
 
-def _node_specs(boards: int) -> List[NodeSpec]:
-    return [
-        NodeSpec(
-            name=f"n{index:04d}",
-            host=HOST_I7_6700,
-            pcie=PCIE_GEN3_X8,
-            memory_bytes=32 * GiB,
-            is_master=(index == 0),
-        )
-        for index in range(boards)
-    ]
-
-
 def check_invariants(registry, cluster) -> Tuple[int, int]:
     """Count double allocations and lost instances (must both be 0).
 
@@ -267,50 +209,18 @@ def run_registry_chaos_mode(mode: str,
     spec = spec or RegistryChaosSpec()
     timing = spec.load_timing()
     env = Environment()
-    testbed = build_testbed(
-        env, node_specs=_node_specs(spec.boards),
-        library=extended_library(), functional=False, scrape_interval=1.0,
-    )
-    gateway = Gateway(env, testbed.cluster, policy=spec.gateway)
-    # The store is passed explicitly so the experiment compares both arms
-    # in one process — an inherited REPRO_REGISTRY cannot override either.
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper, store=RegistryStore(),
-        snapshot_interval=spec.snapshot_interval,
-    )
-    registry.durability = mode
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    controller = FunctionController(env, testbed.cluster, gateway, router,
-                                    self_heal=True)
-    registry.migrator = controller.migrate
-    registry.enable_health(network=testbed.network, policy=spec.health)
-    standby = None
-    if mode == "replicated":
-        standby = WarmStandby(env, registry, testbed.network,
-                              dict(testbed.managers), spec.standby)
+    system = build_system(env, SystemConfig(
+        boards=spec.boards, durability=mode, gateway=spec.gateway,
+        health=spec.health, self_heal=True,
+    ))
+    registry, managers, standby = (
+        system.registry, system.testbed.managers, system.standby)
 
     tenants = [f"sobel-{index}" for index in range(spec.tenants)]
+    system.deploy([system.function_spec(name, SobelApp, "sobel")
+                   for name in tenants], order="sequential")
 
-    def deploy_tenants():
-        for name in tenants:
-            yield from gateway.deploy(FunctionSpec(
-                name=name,
-                app_factory=SobelApp,
-                device_query=DeviceQuery(vendor="Intel", accelerator="sobel"),
-                runtime="blastfunction",
-            ))
-            yield from controller.wait_ready(name)
-
-    env.run(until=env.process(deploy_tenants()))
-
-    measure_start = env.now + timing.warmup
-    hard_end = measure_start + timing.duration
-    crash_at = measure_start + spec.crash_offset
-
+    crash_at = env.now + timing.warmup + spec.crash_offset
     injector = RegistryCrash(registry)
     script = FaultScript(env)
     if mode == "durable":
@@ -319,59 +229,20 @@ def run_registry_chaos_mode(mode: str,
     else:
         # The warm standby detects the expired leader lease on its own.
         script.crash_registry(injector, at=crash_at)
-    probe_target = testbed.managers[sorted(testbed.managers)[0]]
+    probe_target = managers[sorted(managers)[0]]
     script.at(crash_at + spec.probe_offset, "zombie probe",
               lambda: injector.zombie_probe(probe_target))
     script.arm()
 
-    def storm_deployer():
-        for wave in spec.waves:
-            yield env.timeout(measure_start + wave.offset - env.now)
-            yield from gateway.deploy(FunctionSpec(
-                name=wave.name,
-                app_factory=wave.app_factory,
-                device_query=DeviceQuery(vendor="Intel",
-                                         accelerator=wave.accelerator),
-                runtime="blastfunction",
-            ))
-
-    def storm_load(wave: StormWave):
-        yield env.timeout(measure_start + spec.storm_load_offset - env.now)
-        stats = yield from run_load(
-            env, gateway, wave.name, rate=spec.storm_rate,
-            duration=hard_end - env.now, warmup=0.0, connections=1,
-        )
-        return stats
-
-    tenant_processes = [
-        env.process(run_load(
-            env, gateway, name, rate=spec.tenant_rate,
-            duration=timing.duration, warmup=timing.warmup, connections=1,
-        ))
-        for name in tenants
-    ]
-    storm_processes = [env.process(storm_load(w)) for w in spec.waves]
-    deployer = env.process(storm_deployer())
-
-    def main():
-        results = yield AllOf(
-            env, tenant_processes + storm_processes + [deployer]
-        )
-        return [results[p] for p in tenant_processes + storm_processes]
-
-    stats_list = run_guarded(
-        env, until=env.process(main()),
-        deadline=timing.warmup + timing.duration + 120.0,
-        what=f"registry chaos ({mode})",
-    )
     # Let in-flight retries, heals and evacuations settle, then stop the
     # perpetual processes so nothing is left unaccounted.
-    env.run(until=env.now + 3.0)
-    if standby is not None:
-        standby.stop()
-    if registry.health is not None:
-        registry.health.stop()
-    env.run(until=env.now + 1.0)
+    stats_list = system.drive(
+        *storm_plan(system, spec, tenants, timing),
+        deadline=timing.warmup + timing.duration + 120.0,
+        settle=3.0,
+        what=f"registry chaos ({mode})",
+    )
+    system.stop()
 
     result = RegistryChaosModeResult(mode=mode, crash_at=crash_at)
     for stats in stats_list:
@@ -392,15 +263,15 @@ def run_registry_chaos_mode(mode: str,
     result.denied_admissions = registry.denied_admissions
     result.missed_watch_events = registry.missed_watch_events
     result.deploy_retries = sum(
-        f.deploy_retries for f in gateway.functions.values()
+        f.deploy_retries for f in system.gateway.functions.values()
     )
-    result.heal_retries = controller.heal_retries
-    result.heals = controller.heals
+    result.heal_retries = system.controller.heal_retries
+    result.heals = system.controller.heals
     result.wal_appends = registry.store.appends
     result.snapshots_taken = registry.store.snapshots_taken
     result.reconciliation = dict(registry.reconciliation)
     result.fenced_commands = sum(
-        m.fenced_commands for m in testbed.managers.values()
+        m.fenced_commands for m in managers.values()
     )
     result.zombie_fenced = injector.zombie_fenced
     result.zombie_accepted = injector.zombie_accepted
@@ -410,9 +281,9 @@ def run_registry_chaos_mode(mode: str,
         result.standby_bytes = standby.bytes_tailed
         result.lag_records_at_takeover = standby.lag_records_at_takeover
     result.double_allocations, result.lost_instances = check_invariants(
-        registry, testbed.cluster
+        registry, system.testbed.cluster
     )
-    result.hung_events = sum(len(c._machines) for c in router.connections)
+    result.hung_events = system.hung_events
     return result
 
 

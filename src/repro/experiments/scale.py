@@ -28,19 +28,16 @@ import time as _time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..cluster import DeviceQuery, build_testbed
+from ..cluster import DeviceQuery
 from ..core.registry import AcceleratorsRegistry
 from ..core.registry.allocation import allocate
-from ..core.remote_lib import ManagerAddress, PlatformRouter
 from ..faults import HealthPolicy
-from ..fpga.hwspec import GiB, HOST_I7_6700, PCIE_GEN3_X8, NodeSpec
-from ..loadgen import percentile, run_load
-from ..metrics import Scraper
-from ..serverless import FunctionController, FunctionSpec, Gateway
-from ..sim import AllOf, Environment, TimerWheel
+from ..loadgen import percentile
+from ..sim import Environment
+from ..system import Load, SystemConfig, build_system
 from .config import TABLE1_RATES, LoadTiming, quick_mode
+from .loadtest import ACCELERATORS, APP_FACTORIES
 from .report import render_table
-from .tables import ACCELERATORS, APP_FACTORIES
 
 #: The paper's deployment density: 5 functions on 3 boards.
 FUNCTIONS_PER_BOARD = 5.0 / 3.0
@@ -108,20 +105,6 @@ class ScaleCell:
         }
 
 
-def _node_specs(boards: int) -> List[NodeSpec]:
-    """A homogeneous worker fleet (node 0 doubles as the master)."""
-    return [
-        NodeSpec(
-            name=f"n{index:04d}",
-            host=HOST_I7_6700,
-            pcie=PCIE_GEN3_X8,
-            memory_bytes=32 * GiB,
-            is_master=(index == 0),
-        )
-        for index in range(boards)
-    ]
-
-
 def _workload_plan(functions: int) -> List[Tuple[str, str, float]]:
     """``(name, use_case, rate)`` per function: Sobel/MM interleaved,
     Table I "low" rates cycled within each use case."""
@@ -146,7 +129,6 @@ def _bench_allocators(registry: AcceleratorsRegistry,
     brute-force path's per-allocation cost.
     """
     query = DeviceQuery(vendor="Intel", accelerator="sobel")
-    assert registry.index is not None
     registry._refresh_stale(registry.env.now)
 
     start = _time.perf_counter()
@@ -169,78 +151,30 @@ def run_scale_cell(boards: int,
     timing = timing or SCALE_TIMING
     cell_start = _time.perf_counter()
     env = Environment()
-    testbed = build_testbed(env, node_specs=_node_specs(boards),
-                            with_scraper=False)
-
-    # Fleet mode: one timer wheel carries the scraper (1 s) and the
-    # coalesced heartbeat/lease protocol (0.5 s tick).
-    wheel = TimerWheel(env, tick=0.5)
-    scraper = Scraper(env, interval=1.0, retention=60.0, wheel=wheel)
-    testbed.scraper = scraper
-    for manager in testbed.managers.values():
-        scraper.add_target(manager.name, manager.metrics,
-                           node=manager.node.name, device=manager.board.name)
-
-    gateway = Gateway(env, testbed.cluster)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=scraper,
-    )
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    controller = FunctionController(env, testbed.cluster, gateway, router)
-    registry.migrator = controller.migrate
-    registry.enable_health(
-        network=testbed.network,
-        policy=HealthPolicy(heartbeat_interval=0.5, lease_timeout=2.0,
+    system = build_system(env, SystemConfig(
+        boards=boards,
+        health=HealthPolicy(heartbeat_interval=0.5, lease_timeout=2.0,
                             coalesce=True),
-        wheel=wheel,
-    )
+    ))
+    registry, scraper = system.registry, system.testbed.scraper
 
     functions = max(1, round(boards * FUNCTIONS_PER_BOARD))
     plan = _workload_plan(functions)
 
-    def deploy_one(name: str, use_case: str):
-        yield from gateway.deploy(FunctionSpec(
-            name=name,
-            app_factory=APP_FACTORIES[use_case],
-            device_query=DeviceQuery(
-                vendor="Intel", accelerator=ACCELERATORS[use_case]
-            ),
-            runtime="blastfunction",
-        ))
-
     deploy_start = _time.perf_counter()
-    deploys = [
-        env.process(deploy_one(name, use_case))
+    system.deploy([
+        system.function_spec(name, APP_FACTORIES[use_case],
+                             ACCELERATORS[use_case])
         for name, use_case, _rate in plan
-    ]
-
-    def wait_all():
-        yield AllOf(env, deploys)
-        for name, _use_case, _rate in plan:
-            yield from controller.wait_ready(name)
-
-    env.run(until=env.process(wait_all()))
+    ], order="concurrent")
     deploy_wall = _time.perf_counter() - deploy_start
 
     eid_before = env._eid
     load_start = _time.perf_counter()
-    load_processes = [
-        env.process(run_load(
-            env, gateway, name, rate=rate, duration=timing.duration,
-            warmup=timing.warmup, connections=1,
-        ))
+    stats_list = system.drive([
+        Load(name, rate, warmup=timing.warmup, duration=timing.duration)
         for name, _use_case, rate in plan
-    ]
-
-    def main():
-        results = yield AllOf(env, load_processes)
-        return [results[p] for p in load_processes]
-
-    stats_list = env.run(until=env.process(main()))
+    ])
     load_wall = _time.perf_counter() - load_start
     sim_events = env._eid - eid_before
 
@@ -302,7 +236,8 @@ def render_scale(cells: List[ScaleCell]) -> str:
 
 
 def write_bench_json(cells: List[ScaleCell], path) -> None:
-    """Persist the sweep as ``BENCH_scale.json`` (the CI smoke baseline)."""
+    """Persist the sweep as ``BENCH_scale.json``, a record of its wall
+    times."""
     import json
     import platform
 

@@ -4,32 +4,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..serverless import AlexNetApp, MMApp, SobelApp
+from ..system import SystemConfig
 from .config import (
-    MM_N,
-    SOBEL_HEIGHT,
-    SOBEL_WIDTH,
     TABLE1_RATES,
     TABLE2_PAPER,
     TABLE3_PAPER,
     TABLE4_PAPER,
     load_timing,
-    rates_for,
 )
 from .loadtest import ScenarioResult, run_scenario
 from .report import render_table
-
-APP_FACTORIES = {
-    "sobel": lambda: SobelApp(width=SOBEL_WIDTH, height=SOBEL_HEIGHT),
-    "mm": lambda: MMApp(n=MM_N),
-    "alexnet": lambda: AlexNetApp(),
-}
-
-ACCELERATORS = {
-    "sobel": "sobel",
-    "mm": "mm",
-    "alexnet": "pipecnn_alexnet",
-}
 
 
 def run_table1() -> str:
@@ -58,15 +42,9 @@ def run_use_case(use_case: str,
     results: Dict[tuple, ScenarioResult] = {}
     for runtime in runtimes:
         for configuration in configurations:
-            rates = rates_for(use_case, configuration, runtime)
             results[(runtime, configuration)] = run_scenario(
-                use_case=use_case,
-                configuration=configuration,
-                runtime=runtime,
-                app_factory=APP_FACTORIES[use_case],
-                accelerator=ACCELERATORS[use_case],
-                rates=rates,
-                timing=load_timing(),
+                use_case, configuration, timing=load_timing(),
+                config=SystemConfig(runtime=runtime),
             )
     return results
 
@@ -135,15 +113,3 @@ def render_table4(results: Dict[tuple, ScenarioResult]) -> str:
         results, TABLE4_PAPER,
         "Table IV: PipeCNN AlexNet aggregates (measured vs paper)",
     )
-
-
-def run_table2() -> str:
-    return render_table2(run_use_case("sobel"))
-
-
-def run_table3() -> str:
-    return render_table3(run_use_case("mm"))
-
-
-def run_table4() -> str:
-    return render_table4(run_use_case("alexnet"))

@@ -30,6 +30,7 @@ from .hwspec import (
     PCIeSpec,
     PCIE_GEN2_X8,
     PCIE_GEN3_X8,
+    fleet_nodes,
     paper_testbed,
 )
 from .pcie import PCIeLink
@@ -43,6 +44,7 @@ __all__ = [
     "DeviceBuffer",
     "ETHERNET_1G",
     "extended_library",
+    "fleet_nodes",
     "FPGABoard",
     "GiB",
     "HOST_I7_6700",

@@ -163,3 +163,18 @@ def paper_testbed() -> list[NodeSpec]:
         NodeSpec(name="C", host=HOST_I7_6700, pcie=PCIE_GEN3_X8,
                  memory_bytes=32 * GiB),
     ]
+
+
+def fleet_nodes(boards: int) -> list[NodeSpec]:
+    """A homogeneous fleet of i7-6700 worker nodes behind PCIe gen3, one
+    board each; node 0 doubles as the master."""
+    return [
+        NodeSpec(
+            name=f"n{index:04d}",
+            host=HOST_I7_6700,
+            pcie=PCIE_GEN3_X8,
+            memory_bytes=32 * GiB,
+            is_master=(index == 0),
+        )
+        for index in range(boards)
+    ]

@@ -73,31 +73,16 @@ class TestBreakdown:
 class TestEndToEndBreakdown:
     def test_full_stack_breakdown_sums_sanely(self):
         """Trace a real load run; stages must sum to ≤ latency."""
-        from repro.cluster import DeviceQuery, build_testbed
-        from repro.core.registry import AcceleratorsRegistry
-        from repro.core.remote_lib import ManagerAddress, PlatformRouter
+        from repro.cluster import DeviceQuery
         from repro.loadgen import run_load
-        from repro.serverless import (
-            FunctionController,
-            FunctionSpec,
-            Gateway,
-            SobelApp,
-        )
+        from repro.serverless import FunctionSpec, SobelApp
+        from repro.system import build_system
         from repro.trace import attach_gateway, attach_testbed
 
         env = Environment()
-        testbed = build_testbed(env, functional=False)
-        registry = AcceleratorsRegistry(
-            env, testbed.cluster, list(testbed.managers.values()),
-            scraper=testbed.scraper,
-        )
-        router = PlatformRouter(env, testbed.network, testbed.library)
-        router.add_managers(
-            [ManagerAddress.of(m) for m in testbed.managers.values()]
-        )
-        gateway = Gateway(env, testbed.cluster)
-        controller = FunctionController(env, testbed.cluster, gateway,
-                                        router)
+        system = build_system(env)
+        testbed, gateway = system.testbed, system.gateway
+        controller = system.controller
         tracer = Tracer(env)
         attach_testbed(tracer, testbed)
         attach_gateway(tracer, gateway)

@@ -2,38 +2,17 @@
 
 import pytest
 
-from repro.cluster import (
-    AutoscalerPolicy,
-    DeviceQuery,
-    NodeAutoscaler,
-    build_testbed,
-)
-from repro.core.registry import AcceleratorsRegistry
-from repro.core.remote_lib import ManagerAddress, PlatformRouter
+from repro.cluster import AutoscalerPolicy, DeviceQuery, NodeAutoscaler
 from repro.loadgen import run_load
-from repro.serverless import (
-    FunctionController,
-    FunctionSpec,
-    Gateway,
-    SobelApp,
-)
+from repro.serverless import FunctionSpec, SobelApp
 from repro.sim import Environment
+from repro.system import SystemConfig, build_system
 
 
 def make_stack(env):
-    testbed = build_testbed(env, functional=False, scrape_interval=1.0)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper, metrics_window=10.0,
-    )
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    gateway = Gateway(env, testbed.cluster)
-    controller = FunctionController(env, testbed.cluster, gateway, router)
-    registry.migrator = controller.migrate
-    return testbed, registry, router, gateway, controller
+    system = build_system(env)
+    return (system.testbed, system.registry, system.router, system.gateway,
+            system.controller)
 
 
 class TestScaleOut:
@@ -113,6 +92,18 @@ class TestScaleOut:
         env.run(until=env.process(flow()))
         assert autoscaler.scale_outs >= 1
         assert any(name.startswith("F1-") for name in testbed.cluster.nodes)
+
+
+    def test_added_node_keeps_the_fleets_batching_mode(self):
+        env = Environment()
+        system = build_system(env, SystemConfig(batching=False))
+        autoscaler = NodeAutoscaler(
+            env, system.testbed, system.registry, system.router,
+            policy=AutoscalerPolicy(boot_delay=1.0),
+        )
+        manager = env.run(until=env.process(autoscaler.scale_out()))
+        assert all(not m.batching for m in system.testbed.managers.values())
+        assert manager.batching is False
 
 
 class TestScaleIn:

@@ -242,14 +242,29 @@ class TestIndexMaintenance:
 
 
 class TestEndToEndEquivalence:
-    def test_scenario_under_both_mode(self, monkeypatch):
-        """A real mixed-accelerator deployment with REPRO_ALLOCATOR=both
-        asserts index==oracle on every live allocation."""
-        monkeypatch.setenv("REPRO_ALLOCATOR", "both")
+    def test_every_live_admission_matches_the_oracle(self, monkeypatch):
+        """A real mixed-accelerator deployment: every admission's indexed
+        decision equals the brute-force allocate over the same state."""
+        from repro.core.registry import AcceleratorsRegistry
         from repro.experiments.config import LoadTiming
         from repro.experiments.scale import run_scale_cell
 
+        indexed_allocate = AcceleratorsRegistry._allocate
+        checked = []
+
+        def compare(registry, query, node_hint):
+            decision = indexed_allocate(registry, query, node_hint)
+            oracle = allocate(query, node_hint, registry.device_views(),
+                              registry.metrics_order,
+                              registry.metrics_filters)
+            assert decisions_equal(decision, oracle), (decision, oracle)
+            checked.append(query.accelerator)
+            return decision
+
+        monkeypatch.setattr(AcceleratorsRegistry, "_allocate", compare)
         cell = run_scale_cell(3, timing=LoadTiming(0.25, 0.75))
         assert cell.allocations == cell.functions == 5
+        assert sorted(set(checked)) == ["mm", "sobel"]
+        assert len(checked) == cell.allocations
         assert cell.migrations == 0
         assert cell.requests > 0

@@ -42,11 +42,6 @@ from repro.faults.policies import GatewayPolicy
 from repro.sim import Environment
 
 
-@pytest.fixture(autouse=True)
-def _no_registry_env(monkeypatch):
-    monkeypatch.delenv("REPRO_REGISTRY", raising=False)
-
-
 def build(env, durability="durable", snapshot_interval=None,
           with_scraper=True):
     testbed = build_testbed(env, functional=False,
@@ -88,13 +83,6 @@ class TestDurabilityModes:
         assert not registry.alive
         with pytest.raises(RuntimeError, match="no durable store"):
             registry.restart()
-
-    def test_env_var_overrides_constructor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REGISTRY", "durable")
-        env = Environment()
-        _, registry = build(env, durability="volatile")
-        assert registry.durability == "durable"
-        assert registry.store is not None
 
     def test_unknown_mode_rejected(self):
         env = Environment()
@@ -406,10 +394,7 @@ class TestMutationFences:
     def test_crash_during_live_migration(self, monkeypatch, delay):
         """A live move that finishes while the Registry is down patches
         the pod alone; reconciliation re-points the services from it."""
-        for name in ("REPRO_MIGRATION", "REPRO_ALLOCATOR"):
-            monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("REPRO_QUICK", "1")
-        monkeypatch.setenv("REPRO_REGISTRY", "durable")
         registries = []
         migrate = LiveMigrator.migrate
 
@@ -429,7 +414,8 @@ class TestMutationFences:
             return migrate(migrator, source_name, moves)
 
         monkeypatch.setattr(LiveMigrator, "migrate", crash_on_first_move)
-        result = run_migration_mode("live", MigrationSpec())
+        result = run_migration_mode("live",
+                                    MigrationSpec(durability="durable"))
         registry = registries[0]
         assert registry.crashes == registry.recoveries == 1
         assert result.live_migrations == 4

@@ -2,33 +2,22 @@
 
 import pytest
 
-from repro.experiments import rates_for, run_scenario
+from repro.experiments import run_scenario
 from repro.experiments.config import LoadTiming
-from repro.serverless import SobelApp
+from repro.system import SystemConfig
 
 FAST = LoadTiming(warmup=1.0, duration=5.0)
 
 
 @pytest.fixture(scope="module")
 def bf_low():
-    return run_scenario(
-        use_case="sobel", configuration="low", runtime="blastfunction",
-        app_factory=lambda: SobelApp(),
-        accelerator="sobel",
-        rates=rates_for("sobel", "low", "blastfunction"),
-        timing=FAST,
-    )
+    return run_scenario("sobel", "low", timing=FAST)
 
 
 @pytest.fixture(scope="module")
 def native_low():
-    return run_scenario(
-        use_case="sobel", configuration="low", runtime="native",
-        app_factory=lambda: SobelApp(),
-        accelerator="sobel",
-        rates=rates_for("sobel", "low", "native"),
-        timing=FAST,
-    )
+    return run_scenario("sobel", "low", timing=FAST,
+                        config=SystemConfig(runtime="native"))
 
 
 class TestBlastFunctionScenario:
@@ -86,9 +75,6 @@ class TestCrossScenario:
         assert bf_low.total_processed > native_low.total_processed
 
     def test_unknown_runtime_rejected(self):
-        with pytest.raises(ValueError):
-            run_scenario(
-                use_case="sobel", configuration="low", runtime="gpu",
-                app_factory=lambda: SobelApp(),
-                accelerator="sobel", rates=[1.0], timing=FAST,
-            )
+        with pytest.raises(ValueError, match="runtime"):
+            run_scenario("sobel", "low", timing=FAST,
+                         config=SystemConfig(runtime="gpu"))

@@ -33,7 +33,6 @@ def monkeypatch_module():
 @pytest.fixture(scope="module")
 def migration_result(monkeypatch_module):
     monkeypatch_module.setenv("REPRO_QUICK", "1")
-    monkeypatch_module.delenv("REPRO_MIGRATION", raising=False)
     return run_migration()
 
 

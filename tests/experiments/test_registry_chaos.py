@@ -18,6 +18,7 @@ from repro.experiments.registry_chaos import (
     run_registry_chaos,
     run_registry_chaos_mode,
 )
+from repro.system import STANDBY_POLICY
 
 GOLDEN = Path(__file__).parent / "data" / "golden_registry_chaos.json"
 
@@ -31,7 +32,6 @@ def monkeypatch_module():
 @pytest.fixture(scope="module")
 def chaos_result(monkeypatch_module):
     monkeypatch_module.setenv("REPRO_QUICK", "1")
-    monkeypatch_module.delenv("REPRO_REGISTRY", raising=False)
     return run_registry_chaos()
 
 
@@ -67,8 +67,9 @@ class TestGoldenRegistryChaos:
             <= spec.restart_after + 0.5
         # Replicated: the standby notices the expired lease within one
         # sync tick past the timeout, then replays its WAL copy.
+        standby = STANDBY_POLICY
         assert replicated.blackout_seconds \
-            <= spec.standby.lease_timeout + spec.standby.sync_interval + 0.5
+            <= standby.lease_timeout + standby.sync_interval + 0.5
         assert replicated.blackout_seconds < durable.blackout_seconds
 
     def test_stale_epoch_commands_are_fenced(self, chaos_result):
@@ -108,7 +109,6 @@ class TestGoldenRegistryChaos:
 def test_same_seed_same_digest(monkeypatch_module):
     """Bit-reproducibility: two identical seeded runs, identical digests."""
     monkeypatch_module.setenv("REPRO_QUICK", "1")
-    monkeypatch_module.delenv("REPRO_REGISTRY", raising=False)
     spec = RegistryChaosSpec(timing=LoadTiming(warmup=0.5, duration=8.0))
     first = run_registry_chaos_mode("durable", spec).to_golden()
     second = run_registry_chaos_mode("durable", spec).to_golden()

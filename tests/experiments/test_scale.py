@@ -1,7 +1,7 @@
 """Scale-sweep experiment: cell mechanics on a paper-sized cluster.
 
-The sweep's big cells live in ``python -m repro.experiments scale`` and
-the CI smoke; here a 3-board cell with a sub-second window checks that a
+The sweep's big cells live in ``python -m repro.experiments scale``;
+here a 3-board cell with a sub-second window checks that a
 cell deploys the right workload, measures what it claims to measure, and
 serializes a usable baseline.
 """

@@ -179,31 +179,15 @@ class TestRemoteRuntime:
 
 class TestServerlessResilience:
     def test_function_keeps_serving_under_faults(self):
-        from repro.cluster import DeviceQuery, build_testbed
-        from repro.core.registry import AcceleratorsRegistry
-        from repro.core.remote_lib import ManagerAddress, PlatformRouter
+        from repro.cluster import DeviceQuery
         from repro.loadgen import run_load
-        from repro.serverless import (
-            FunctionController,
-            FunctionSpec,
-            Gateway,
-            SobelApp,
-        )
+        from repro.serverless import FunctionSpec, SobelApp
+        from repro.system import build_system
 
         env = Environment()
-        testbed = build_testbed(env, functional=False)
-        registry = AcceleratorsRegistry(
-            env, testbed.cluster, list(testbed.managers.values()),
-            scraper=testbed.scraper,
-        )
-        router = PlatformRouter(env, testbed.network, testbed.library)
-        router.add_managers(
-            [ManagerAddress.of(m) for m in testbed.managers.values()]
-        )
-        gateway = Gateway(env, testbed.cluster)
-        controller = FunctionController(env, testbed.cluster, gateway,
-                                        router)
-        for node in testbed.cluster.nodes.values():
+        system = build_system(env)
+        gateway, controller = system.gateway, system.controller
+        for node in system.testbed.cluster.nodes.values():
             node.board.fault_injector = every_nth(5)
 
         def flow():

@@ -2,34 +2,17 @@
 
 import pytest
 
-from repro.cluster import DeviceQuery, build_testbed
-from repro.core.registry import AcceleratorsRegistry
-from repro.core.remote_lib import ManagerAddress, PlatformRouter
-from repro.serverless import (
-    AlexNetApp,
-    FunctionController,
-    FunctionSpec,
-    Gateway,
-    MMApp,
-    SobelApp,
-)
+from repro.cluster import DeviceQuery
+from repro.serverless import AlexNetApp, FunctionSpec, MMApp, SobelApp
 from repro.sim import Environment
+from repro.system import build_system
 
 
 def deploy_and_invoke(app_factory, accelerator, invocations=1):
     env = Environment()
-    testbed = build_testbed(env, functional=False)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper,
-    )
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    gateway = Gateway(env, testbed.cluster)
-    controller = FunctionController(env, testbed.cluster, gateway, router)
-    registry.migrator = controller.migrate
+    system = build_system(env)
+    testbed, gateway = system.testbed, system.gateway
+    controller = system.controller
 
     def flow():
         yield from gateway.deploy(FunctionSpec(

@@ -2,35 +2,21 @@
 
 import pytest
 
-from repro.cluster import DeviceQuery, build_testbed
-from repro.core.registry import AcceleratorsRegistry
+from repro.cluster import DeviceQuery
 from repro.core.registry.allocation import AllocationError
-from repro.core.remote_lib import ManagerAddress, PlatformRouter
 from repro.serverless import (
     FunctionApp,
-    FunctionController,
     FunctionSpec,
-    Gateway,
     InvocationError,
     SobelApp,
 )
 from repro.sim import Environment
+from repro.system import build_system
 
 
 def make_stack(env):
-    testbed = build_testbed(env, functional=False)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper,
-    )
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    gateway = Gateway(env, testbed.cluster)
-    controller = FunctionController(env, testbed.cluster, gateway, router)
-    registry.migrator = controller.migrate
-    return testbed, registry, gateway, controller
+    system = build_system(env)
+    return system.testbed, system.registry, system.gateway, system.controller
 
 
 class CrashyApp(FunctionApp):

@@ -2,44 +2,28 @@
 
 import pytest
 
-from repro.cluster import DeviceQuery, build_testbed
-from repro.core.registry import AcceleratorsRegistry
-from repro.core.remote_lib import ManagerAddress, PlatformRouter
+from repro.cluster import DeviceQuery
 from repro.serverless import (
-    FunctionController,
     FunctionSpec,
-    Gateway,
     InstanceStartupError,
     MMApp,
     SobelApp,
 )
 from repro.sim import Environment
+from repro.system import SystemConfig, build_system
 
 
-def make_stack(env, with_router=True):
-    testbed = build_testbed(env, functional=False)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper,
-    )
-    router = None
-    if with_router:
-        router = PlatformRouter(env, testbed.network, testbed.library)
-        router.add_managers(
-            [ManagerAddress.of(m) for m in testbed.managers.values()]
-        )
-    gateway = Gateway(env, testbed.cluster)
-    controller = FunctionController(env, testbed.cluster, gateway, router)
-    if router is not None:
-        registry.migrator = controller.migrate
-    return testbed, registry, gateway, controller
+def make_stack(env, runtime="blastfunction"):
+    system = build_system(env, SystemConfig(runtime=runtime))
+    return system.testbed, system.registry, system.gateway, system.controller
 
 
 class TestInstanceStartup:
     def test_blastfunction_without_router_fails_cleanly(self):
         env = Environment()
+        # A native system has no router for a BlastFunction function.
         testbed, registry, gateway, controller = make_stack(
-            env, with_router=False
+            env, runtime="native"
         )
 
         def flow():

@@ -2,19 +2,17 @@
 
 import pytest
 
-from repro.cluster import DeviceQuery, build_testbed
-from repro.core.registry import AcceleratorsRegistry
-from repro.core.remote_lib import ManagerAddress, PlatformRouter
+from repro.cluster import DeviceQuery
 from repro.faults import GatewayPolicy
 from repro.serverless import (
     CircuitBreaker,
-    FunctionController,
     Gateway,
     InvocationError,
     SobelApp,
 )
 from repro.serverless.gateway import DeployedFunction, FunctionSpec
 from repro.sim import Environment, run_guarded
+from repro.system import SystemConfig, build_system
 
 
 class TestCircuitBreaker:
@@ -199,20 +197,9 @@ class TestResilientInvoke:
 # ---------------------------------------------------------------------------
 
 def _full_stack(env, policy=None, self_heal=True):
-    testbed = build_testbed(env, functional=False, scrape_interval=1.0)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper,
-    )
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    gateway = Gateway(env, testbed.cluster, policy=policy)
-    controller = FunctionController(env, testbed.cluster, gateway, router,
-                                    self_heal=self_heal)
-    registry.migrator = controller.migrate
-    return testbed, registry, gateway, controller
+    system = build_system(env, SystemConfig(gateway=policy,
+                                            self_heal=self_heal))
+    return system.testbed, system.registry, system.gateway, system.controller
 
 
 def _deploy_sobel(env, gateway, controller, name="sobel-1"):

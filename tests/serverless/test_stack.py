@@ -8,35 +8,18 @@ import math
 
 import pytest
 
-from repro.cluster import DeviceQuery, build_testbed
-from repro.core.registry import MANAGER_ENV, AcceleratorsRegistry
-from repro.core.remote_lib import ManagerAddress, PlatformRouter
+from repro.cluster import DeviceQuery
+from repro.core.registry import MANAGER_ENV
 from repro.loadgen import LoadStats, percentile, run_load
-from repro.serverless import (
-    FunctionController,
-    FunctionSpec,
-    Gateway,
-    MMApp,
-    SobelApp,
-)
+from repro.serverless import FunctionSpec, MMApp, SobelApp
 from repro.sim import Environment
+from repro.system import SystemConfig, build_system
 
 
 def make_stack(env, functional=False):
     """Testbed + registry + gateway + controller, ready for deployments."""
-    testbed = build_testbed(env, functional=functional, scrape_interval=1.0)
-    registry = AcceleratorsRegistry(
-        env, testbed.cluster, list(testbed.managers.values()),
-        scraper=testbed.scraper,
-    )
-    router = PlatformRouter(env, testbed.network, testbed.library)
-    router.add_managers(
-        [ManagerAddress.of(m) for m in testbed.managers.values()]
-    )
-    gateway = Gateway(env, testbed.cluster)
-    controller = FunctionController(env, testbed.cluster, gateway, router)
-    registry.migrator = controller.migrate
-    return testbed, registry, gateway, controller
+    system = build_system(env, SystemConfig(functional=functional))
+    return system.testbed, system.registry, system.gateway, system.controller
 
 
 def run(env, generator):
@@ -114,10 +97,9 @@ class TestDeployment:
 
     def test_native_function_pinned_to_node(self):
         env = Environment()
-        testbed = build_testbed(env, functional=False)
-        gateway = Gateway(env, testbed.cluster)
-        controller = FunctionController(env, testbed.cluster, gateway,
-                                        router=None)
+        system = build_system(env, SystemConfig(runtime="native"))
+        testbed, gateway = system.testbed, system.gateway
+        controller = system.controller
 
         def flow(env):
             spec = FunctionSpec(

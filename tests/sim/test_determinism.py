@@ -104,19 +104,12 @@ class TestStackDeterminism:
 
 class TestLoadScenarioDeterminism:
     def test_scenario_results_repeat_exactly(self):
-        from repro.experiments import rates_for, run_scenario
+        from repro.experiments import run_scenario
         from repro.experiments.config import LoadTiming
-        from repro.serverless import SobelApp
 
         def once():
             result = run_scenario(
-                use_case="sobel", configuration="low",
-                runtime="blastfunction",
-                app_factory=lambda: SobelApp(),
-                accelerator="sobel",
-                rates=rates_for("sobel", "low", "blastfunction"),
-                timing=LoadTiming(warmup=1.0, duration=4.0),
-            )
+                "sobel", "low", timing=LoadTiming(warmup=1.0, duration=4.0))
             return [
                 (fn.function, fn.node, fn.utilization, fn.latency,
                  fn.processed)

@@ -157,28 +157,12 @@ class TestAdapters:
         assert len(tracer.by_category("op:read")) == 1
 
     def test_attach_gateway_traces_requests(self, env):
-        from repro.cluster import DeviceQuery, build_testbed
-        from repro.core.registry import AcceleratorsRegistry
-        from repro.core.remote_lib import ManagerAddress, PlatformRouter
-        from repro.serverless import (
-            FunctionController,
-            FunctionSpec,
-            Gateway,
-            SobelApp,
-        )
+        from repro.cluster import DeviceQuery
+        from repro.serverless import FunctionSpec, SobelApp
+        from repro.system import build_system
 
-        testbed = build_testbed(env, functional=False)
-        registry = AcceleratorsRegistry(
-            env, testbed.cluster, list(testbed.managers.values()),
-            scraper=testbed.scraper,
-        )
-        router = PlatformRouter(env, testbed.network, testbed.library)
-        router.add_managers(
-            [ManagerAddress.of(m) for m in testbed.managers.values()]
-        )
-        gateway = Gateway(env, testbed.cluster)
-        controller = FunctionController(env, testbed.cluster, gateway,
-                                        router)
+        system = build_system(env)
+        gateway, controller = system.gateway, system.controller
         tracer = Tracer(env)
         attach_gateway(tracer, gateway)
 
