@@ -51,7 +51,6 @@ from ...rpc import (
     Transport,
     reply,
     reply_error,
-    send_to_client,
 )
 from ...sim import AnyOf, Environment, Event, Interrupt
 from . import protocol
@@ -405,7 +404,7 @@ class DeviceManager:
         self._m_drain_seconds.set(self.drain_seconds)
         backlog, self._drain_backlog = self._drain_backlog, []
         for task in backlog:
-            self.scheduler.push(task, self._estimate_task(task))
+            self._push(task)
         self._m_queue_depth.set(len(self.scheduler))
         resume_event, self._drain_resume = self._drain_resume, None
         if resume_event is not None and not resume_event.triggered:
@@ -876,8 +875,14 @@ class DeviceManager:
             # grab a task mid-drain).  Requeued by resume().
             self._drain_backlog.append(task)
             return
-        self.scheduler.push(task, self._estimate_task(task))
+        self._push(task)
         self._m_queue_depth.set(len(self.scheduler))
+
+    def _push(self, task: Task) -> None:
+        """Queue a task; only a policy that reads estimates gets one."""
+        scheduler = self.scheduler
+        scheduler.push(task, self._estimate_task(task)
+                       if scheduler.uses_estimates else 0.0)
 
     def _estimate_task(self, task: Task) -> float:
         """Estimated device time of a task (for SJF/WFQ scheduling).
@@ -920,7 +925,10 @@ class DeviceManager:
                     # resumes this manager.
                     yield self._drain_resume
                     continue
-                task: Task = yield self.scheduler.pop()
+                # Wait on the scheduler only when no task is queued.
+                task = self.scheduler.pop_nowait()
+                if task is None:
+                    task = yield self.scheduler.pop()
                 self._m_queue_depth.set(len(self.scheduler))
                 self._busy_workers += 1
                 task.started_at = self.env.now
@@ -1028,20 +1036,16 @@ class DeviceManager:
         for listener in self.op_listeners:
             listener(operation)
         if operation.type is OpType.READ:
-            # COMPLETE step carries the data: pay the data-plane transfer
-            # back to the client, then notify.  The worker proceeds to the
-            # next operation before the client observes OP_COMPLETE, so the
+            # COMPLETE step carries the data: OP_COMPLETE arrives after the
+            # data-plane transfer back to the client.  The worker proceeds
+            # to the next operation before the client observes it, so the
             # live device view must be snapshotted *now* — the remote read
             # path's single real copy (timing-only zero-page views pass
             # through uncopied).
-            data = materialize(result)
-            session.transport.data_to_client_then(
-                operation.nbytes,
-                lambda: self._notify(session, Message(
-                    method=protocol.OP_COMPLETE, tag=operation.tag,
-                    payload={"data": data}, sender=self.name,
-                )),
-            )
+            self._notify(session, Message(
+                method=protocol.OP_COMPLETE, tag=operation.tag,
+                payload={"data": materialize(result)}, sender=self.name,
+            ), operation.nbytes)
         else:
             self._notify(session, Message(
                 method=protocol.OP_COMPLETE, tag=operation.tag,
@@ -1049,9 +1053,11 @@ class DeviceManager:
             ))
         return True
 
-    def _notify(self, session: ClientSession, message: Message) -> None:
-        """Asynchronously push a notification to the client."""
-        send_to_client(session.transport, session.completion_queue, message)
+    def _notify(self, session: ClientSession, message: Message,
+                nbytes: Optional[int] = None) -> None:
+        """Asynchronously push a notification (and its payload)."""
+        session.transport.deliver_to_client(session.completion_queue,
+                                            message, nbytes)
 
     def _execute(self, session: ClientSession, operation: Operation):
         """Process: perform one operation on the board."""

@@ -32,6 +32,9 @@ class TaskScheduler(abc.ABC):
     """Order in which queued tasks reach the FPGA."""
 
     name = "abstract"
+    #: False when :meth:`push` ignores its ``estimate``: the Device
+    #: Manager then computes none.
+    uses_estimates = True
 
     def __init__(self, env: Environment):
         self.env = env
@@ -40,9 +43,15 @@ class TaskScheduler(abc.ABC):
     def push(self, task: Task, estimate: float) -> None:
         """Enqueue a task with its estimated device time (seconds)."""
 
-    @abc.abstractmethod
     def pop(self):
         """Simulation event yielding the next task to execute."""
+        return self._queue.get()
+
+    def pop_nowait(self) -> Optional[Task]:
+        """The next task, taken without an event; ``None`` if none waits."""
+        if not self._queue.items:
+            return None
+        return self._taken(self._queue.take_nowait())
 
     @abc.abstractmethod
     def __len__(self) -> int:
@@ -79,6 +88,10 @@ class TaskScheduler(abc.ABC):
         """The task held by one backlog entry (FIFO stores tasks bare)."""
         return entry
 
+    def _taken(self, entry) -> Task:
+        """The task of an entry just taken off the backlog."""
+        return self._entry_task(entry)
+
     def _order_entries(self, entries: list) -> list:
         """Service order of a set of entries (FIFO: arrival order)."""
         return entries
@@ -91,6 +104,7 @@ class FIFOScheduler(TaskScheduler):
     """The paper's policy: strict arrival order."""
 
     name = "fifo"
+    uses_estimates = False
 
     def __init__(self, env: Environment):
         super().__init__(env)
@@ -99,20 +113,27 @@ class FIFOScheduler(TaskScheduler):
     def push(self, task: Task, estimate: float) -> None:
         self._queue.put_nowait(task)
 
-    def pop(self):
-        return self._queue.get()
-
     def __len__(self) -> int:
         return len(self._queue.items)
 
 
 class _HeapBacklogMixin:
-    """Shared ``take_client`` plumbing for PriorityStore-backed policies.
+    """Shared ``pop`` and ``take_client`` plumbing for PriorityStore-backed
+    policies.
 
     The backlog is a heap of :class:`PriorityItem`; removing arbitrary
     entries invalidates the heap, so the mixin re-heapifies and returns
     the taken entries in priority (service) order.
     """
+
+    def pop(self):
+        # The get's entry becomes its task before any waiter resumes.
+        get = self._queue.get()
+        get.callbacks.append(self._unwrap)
+        return get
+
+    def _unwrap(self, get) -> None:
+        get._value = self._taken(get._value)
 
     def _entry_task(self, entry) -> Task:
         return entry.item
@@ -146,10 +167,6 @@ class PriorityScheduler(_HeapBacklogMixin, TaskScheduler):
         priority = self._priorities.get(task.client, self.default_priority)
         self._queue.put_nowait(PriorityItem(priority, task))
 
-    def pop(self):
-        event = self._queue.get()
-        return _unwrap(self.env, event)
-
     def __len__(self) -> int:
         return len(self._queue.items)
 
@@ -165,9 +182,6 @@ class SJFScheduler(_HeapBacklogMixin, TaskScheduler):
 
     def push(self, task: Task, estimate: float) -> None:
         self._queue.put_nowait(PriorityItem(estimate, task))
-
-    def pop(self):
-        return _unwrap(self.env, self._queue.get())
 
     def __len__(self) -> int:
         return len(self._queue.items)
@@ -204,28 +218,12 @@ class WFQScheduler(_HeapBacklogMixin, TaskScheduler):
         self._virtual_finish[task.client] = finish_tag
         self._queue.put_nowait(PriorityItem(start_tag, task))
 
-    def pop(self):
-        event = self._queue.get()
-
-        def advance(env):
-            item = yield event
-            self._virtual_now = max(self._virtual_now, item.priority)
-            return item.item
-
-        return self.env.process(advance(self.env))
+    def _taken(self, entry) -> Task:
+        self._virtual_now = max(self._virtual_now, entry.priority)
+        return entry.item
 
     def __len__(self) -> int:
         return len(self._queue.items)
-
-
-def _unwrap(env: Environment, event):
-    """Adapt a PriorityStore get (yielding PriorityItem) to yield the task."""
-
-    def runner(env):
-        item = yield event
-        return item.item
-
-    return env.process(runner(env))
 
 
 _SCHEDULERS = {

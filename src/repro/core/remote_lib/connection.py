@@ -349,13 +349,11 @@ class Connection:
                         except Exception as exc:  # noqa: BLE001
                             self._fail_machine(item.message.tag, str(exc))
                             continue
-                    if item.data_nbytes > 0:
-                        yield from self.transport.data_to_server(
-                            item.data_nbytes)
-                        # Bulk payloads ride the data plane; a slim control
-                        # message still announces them.
+                    # Bulk payloads ride the data plane; a slim control
+                    # message still announces them.
                     yield from self.transport.deliver_to_server(
-                        self.manager_endpoint, item.message)
+                        self.manager_endpoint, item.message,
+                        item.data_nbytes or None)
                 finally:
                     self._sender_busy = False
         except Interrupt:

@@ -16,10 +16,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Sequence, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fpga ↔ kernels)
-    from ..fpga.ddr import DeviceBuffer
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 
 class ArgKind(enum.Enum):
@@ -72,8 +69,6 @@ class AcceleratorKernel(abc.ABC):
         Returns a name→value mapping.  Buffer arguments must be
         :class:`DeviceBuffer`, scalars must be numbers.
         """
-        from ..fpga.ddr import DeviceBuffer  # deferred: breaks import cycle
-
         if len(values) != len(self.args):
             raise KernelArgumentError(
                 f"{self.name} expects {len(self.args)} args, got {len(values)}"
@@ -115,3 +110,7 @@ def buffer_arg(name: str, direction: Direction = Direction.IN) -> KernelArgSpec:
 def scalar_arg(name: str) -> KernelArgSpec:
     """Shorthand for a scalar argument."""
     return KernelArgSpec(name, ArgKind.SCALAR)
+
+
+# Last: repro.fpga imports AcceleratorKernel back (fpga ↔ kernels cycle).
+from ..fpga.ddr import DeviceBuffer  # noqa: E402

@@ -65,15 +65,13 @@ class Network:
         return src.name == dst.name
 
     def local_arrival(self, src: NetworkHost, nbytes: int,
-                      after: float) -> Event:
-        """Event at which ``nbytes`` sent over the local stack ``after``
-        seconds from now have arrived: ``(now + after) + transfer``, the
-        time a delay Timeout followed by :meth:`transfer` would end on.
+                      sent: float) -> Event:
+        """Event at which ``nbytes`` put on the local stack at time
+        ``sent`` have arrived: ``sent + transfer``, the time delay Timeouts
+        ending at ``sent`` followed by :meth:`transfer` would end on.
         """
-        env = self.env
         src.bytes_sent += nbytes
-        return env.timeout_at(
-            (env.now + after) + self.local.transfer_time(nbytes))
+        return self.env.timeout_at(sent + self.local.transfer_time(nbytes))
 
     def transfer(self, src: NetworkHost, dst: NetworkHost, nbytes: int):
         """Process: move ``nbytes`` from ``src`` to ``dst``.

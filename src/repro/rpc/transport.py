@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from ..sim import Environment, Event
 from .network import Network, NetworkHost
@@ -71,27 +71,35 @@ class Transport(abc.ABC):
             src.host.speed_factor, dst.host.speed_factor
         )
 
-    def _control_arrival(self, src: NetworkHost,
-                         dst: NetworkHost) -> Optional[Event]:
-        """The arrival event of a fault-free, same-node control message.
-
-        One event at ``(now + overhead) + transfer``: the float the
-        handling-overhead and local-transfer Timeouts would end on.
-        ``None`` when the message needs the full path: a fault plane is
-        installed, or the message crosses nodes and queues on the NIC.
+    def _control_arrival(self, src: NetworkHost, dst: NetworkHost,
+                         nbytes: Optional[int] = None) -> Optional[Event]:
+        """One arrival event for a fault-free, same-node control message
+        and the ``nbytes`` payload it carries, if any, at
+        ``((now + copy) + overhead) + transfer``: the float their Timeouts
+        would end on.  The copies are recorded on arrival.  ``None`` when
+        the message needs the full path: a fault plane is installed, or it
+        crosses nodes and queues on the NIC.
         """
         network = self.network
         if network.faults is not None or not network.is_local(src, dst):
             return None
-        return network.local_arrival(
-            src, CONTROL_MESSAGE_BYTES, self._control_overhead(src, dst))
+        sent = self.env.now if nbytes is None else self._landing(nbytes)
+        arrival = network.local_arrival(
+            src, CONTROL_MESSAGE_BYTES,
+            sent + self._control_overhead(src, dst))
+        if nbytes is not None:
+            arrival.callbacks.append(lambda _: self._landed(src, nbytes))
+        return arrival
 
-    def send_control(self, src: NetworkHost, dst: NetworkHost):
-        """Process: one-way control message (gRPC in both transports)."""
-        arrival = self._control_arrival(src, dst)
+    def send_control(self, src: NetworkHost, dst: NetworkHost, nbytes=None):
+        """Process: one-way control message (gRPC in both transports),
+        after the ``nbytes`` bulk payload it announces, if any."""
+        arrival = self._control_arrival(src, dst, nbytes)
         if arrival is not None:
             yield arrival
             return
+        if nbytes is not None:
+            yield from self.send_data(src, dst, nbytes)
         yield self.env.timeout(self._control_overhead(src, dst))
         yield from self.network.transfer(src, dst, CONTROL_MESSAGE_BYTES)
 
@@ -102,35 +110,40 @@ class Transport(abc.ABC):
         yield from self.send_control(self.server, self.client)
 
     # -- control plane with delivery (fault-injection point) ----------------
-    def deliver_to_server(self, endpoint, message):
-        """Process: send one control message and deliver it client→server.
+    def deliver_to_server(self, endpoint, message, nbytes=None):
+        """Process: send one control message, after the ``nbytes`` payload
+        it announces, if any, and deliver it client→server.
 
         This is where the network fault plane bites: with
         ``network.faults`` installed the message may be dropped, delayed
         or duplicated.
         """
-        yield from self._deliver(self.client, self.server, endpoint, message)
+        yield from self._deliver(self.client, self.server, endpoint, message,
+                                 nbytes)
 
-    def deliver_to_client(self, endpoint, message) -> Event:
-        """Send one control message server→client; returns its arrival.
+    def deliver_to_client(self, endpoint, message, nbytes=None) -> Event:
+        """Send one control message server→client, after the ``nbytes``
+        payload it carries, if any; returns its arrival.
 
         Fire-and-forget: a fault-free, same-node message is one scheduled
         callback delivering into ``endpoint``.  The fault-plane and
         cross-node paths run as a process, which is the returned event.
         """
-        arrival = self._control_arrival(self.server, self.client)
+        arrival = self._control_arrival(self.server, self.client, nbytes)
         if arrival is None:
-            return self.env.process(
-                self._deliver(self.server, self.client, endpoint, message))
+            return self.env.process(self._deliver(
+                self.server, self.client, endpoint, message, nbytes))
         arrival.callbacks.append(lambda _: endpoint.deliver(message))
         return arrival
 
-    def _deliver(self, src, dst, endpoint, message):
+    def _deliver(self, src, dst, endpoint, message, nbytes=None):
         faults = self.network.faults
         if faults is None:
-            yield from self.send_control(src, dst)
+            yield from self.send_control(src, dst, nbytes)
             endpoint.deliver(message)
             return
+        if nbytes is not None:
+            yield from self.send_data(src, dst, nbytes)
         # The sender always pays the send cost — it cannot know the fabric
         # ate the message.
         verdict = faults.message_action(src.name, dst.name)
@@ -154,15 +167,13 @@ class Transport(abc.ABC):
     def data_to_client(self, nbytes: int):
         yield from self.send_data(self.server, self.client, nbytes)
 
-    def data_to_client_then(self, nbytes: int,
-                            then: Callable[[], None]) -> None:
-        """Move a bulk payload to the client in the background, then call
-        ``then()`` the instant it has landed (a read result's data)."""
-        def run():
-            yield from self.data_to_client(nbytes)
-            then()
+    @abc.abstractmethod
+    def _landing(self, nbytes: int) -> float:
+        """When a same-node payload sent now lands, as send_data would."""
 
-        self.env.process(run())
+    @abc.abstractmethod
+    def _landed(self, src: NetworkHost, nbytes: int) -> None:
+        """Account a landed payload, as send_data does."""
 
     def _slow_memcpy_bandwidth(self) -> float:
         return min(
@@ -192,15 +203,26 @@ class GrpcTransport(Transport):
     #: copy of the overall BlastFunction path the paper counts.
     data_copies = 2
 
-    def send_data(self, src: NetworkHost, dst: NetworkHost, nbytes: int):
+    def _encode_time(self, nbytes: int) -> float:
         if nbytes < 0:
             raise ValueError("negative payload size")
         copy_time = self.data_copies * nbytes / self._slow_memcpy_bandwidth()
         proto_time = nbytes / self._slow_protobuf_bandwidth()
-        yield self.env.timeout(copy_time + proto_time)
+        return copy_time + proto_time
+
+    def send_data(self, src: NetworkHost, dst: NetworkHost, nbytes: int):
+        yield self.env.timeout(self._encode_time(nbytes))
         self.stats.record(self.data_copies, nbytes)
         yield from self.network.transfer(src, dst, nbytes)
         self.stats.record(1, nbytes)  # wire traversal (local stack copy)
+
+    def _landing(self, nbytes: int) -> float:
+        return ((self.env.now + self._encode_time(nbytes))
+                + self.network.local.transfer_time(nbytes))
+
+    def _landed(self, src: NetworkHost, nbytes: int) -> None:
+        src.bytes_sent += nbytes
+        self.stats.record(self.data_copies + 1, nbytes)
 
 
 class ShmTransport(Transport):
@@ -228,16 +250,13 @@ class ShmTransport(Transport):
 
     def send_data(self, src: NetworkHost, dst: NetworkHost, nbytes: int):
         yield self.env.timeout(self._copy_time(nbytes))
+        self._landed(src, nbytes)
+
+    def _landing(self, nbytes: int) -> float:
+        return self.env.now + self._copy_time(nbytes)
+
+    def _landed(self, src: NetworkHost, nbytes: int) -> None:
         self.stats.record(self.data_copies, nbytes)
-
-    def data_to_client_then(self, nbytes: int,
-                            then: Callable[[], None]) -> None:
-        """One scheduled callback: the memcpy's Timeout, then ``then()``."""
-        def landed(_event) -> None:
-            self.stats.record(self.data_copies, nbytes)
-            then()
-
-        self.env.timeout(self._copy_time(nbytes)).callbacks.append(landed)
 
 
 def make_transport(

@@ -219,6 +219,11 @@ class Store:
         """Take the oldest item; the event triggers once one is available."""
         return StoreGet(self)
 
+    def take_nowait(self) -> Any:
+        """Take the next item now, scheduling no event; the store must
+        hold one (so no get waits)."""
+        return self.items.pop(0)
+
     def _insert(self, item: Any) -> None:
         self.items.append(item)
 
@@ -231,7 +236,7 @@ class Store:
 
     def _do_get(self, event: StoreGet) -> bool:
         if self.items:
-            event.succeed(self.items.pop(0))
+            event.succeed(self.take_nowait())
             return True
         return False
 
@@ -305,11 +310,8 @@ class PriorityStore(Store):
     def _insert(self, item: Any) -> None:
         heapq.heappush(self.items, item)
 
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(heapq.heappop(self.items))
-            return True
-        return False
+    def take_nowait(self) -> Any:
+        return heapq.heappop(self.items)
 
 
 class Container:

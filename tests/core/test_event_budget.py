@@ -8,15 +8,23 @@ hop is documented in docs/simulation.md ("Performance notes").
 import pytest
 
 from repro.cluster import build_testbed
-from repro.core.device_manager import DeviceManager, protocol
+from repro.core.device_manager import (
+    DeviceManager,
+    Operation,
+    OpType,
+    Task,
+    protocol,
+)
 from repro.core.remote_lib import remote_platform
 from repro.fpga import FPGABoard, standard_library
 from repro.ocl.objects import CLEvent
 from repro.ocl.types import CommandType, ExecutionStatus
 from repro.rpc import (
+    GrpcTransport,
     Message,
     Network,
     RpcEndpoint,
+    ShmTransport,
     make_transport,
     send_to_client,
     unary_call,
@@ -27,8 +35,9 @@ from repro.sim.events import NORMAL
 
 #: DES events of one full-HD remote Sobel request (write, kernel,
 #: blocking read over shared memory) on an idle board.  The write's and
-#: the kernel's CLEvent completions cost nothing: nobody waits on them.
-SOBEL_REQUEST_EVENTS = 24
+#: the kernel's CLEvent completions cost nothing: nobody waits on them,
+#: and each payload rides in the event of the message that carries it.
+SOBEL_REQUEST_EVENTS = 22
 
 
 class CountingEnvironment(Environment):
@@ -86,6 +95,43 @@ def test_local_control_message_is_one_event():
     assert spent == [1]
 
 
+def payload_cost(transport_class, to_server):
+    """Events one payload-carrying message costs over a same-node
+    transport, with the message it delivers and the copies recorded."""
+    env = CountingEnvironment()
+    network = Network(env)
+    host = network.host("A")
+    transport = transport_class(env, network, host, host)
+    received = []
+    endpoint = RpcEndpoint(env, "endpoint", handler=received.append)
+    message = Message(method="Payload", tag=7)
+
+    def sender():
+        yield from transport.deliver_to_server(endpoint, message, 4096)
+
+    if to_server:
+        env.process(sender())
+        env.run()
+        spent = env.scheduled - 1  # the sender process's start
+    else:
+        transport.deliver_to_client(endpoint, message, 4096)
+        env.run()
+        spent = env.scheduled
+    assert received == [message]
+    return spent, transport.stats.copies
+
+
+def test_shared_memory_read_result_is_one_event():
+    # The read's data and its OP_COMPLETE: the memcpy and the message.
+    assert payload_cost(ShmTransport, to_server=False) == (1, 1)
+
+
+def test_local_grpc_payload_is_one_event():
+    # Protobuf and two copies, the local-stack wire copy, then the message.
+    assert payload_cost(GrpcTransport, to_server=True) == (1, 3)
+    assert payload_cost(GrpcTransport, to_server=False) == (1, 3)
+
+
 def test_notification_is_one_event():
     env = CountingEnvironment()
     transport = local_transport(env)
@@ -123,19 +169,20 @@ def connected_manager(env):
 
 
 def streamed_costs(messages):
-    """Events each streamed message costs, sent in order to one manager
-    under one tag."""
+    """Events each streamed ``(method, payload[, nbytes])`` message costs,
+    sent in order to one manager under one tag; ``nbytes`` is the size of
+    the bulk payload the message carries on the data plane."""
     env = CountingEnvironment()
     manager, transport = connected_manager(env)
     spent = []
 
     def client():
-        for method, payload in messages:
+        for method, payload, *nbytes in messages:
             before = env.scheduled
             yield from transport.deliver_to_server(
                 manager.endpoint,
                 Message(method=method, payload=payload, sender="client",
-                        tag=1))
+                        tag=1), *nbytes)
             spent.append(env.scheduled - before)
 
     env.run(until=env.process(client()))
@@ -149,6 +196,30 @@ def test_streamed_message_into_an_idle_manager_is_its_arrival_only():
 
 def test_streamed_enqueue_is_its_arrival_and_its_notification():
     assert streamed_costs([(protocol.ENQUEUE_MARKER, {"queue": 0})])[1] == [2]
+
+
+def submitted_cost(count):
+    """Events from submitting ``count`` one-marker tasks to an idle
+    manager until it is quiet again."""
+    env = CountingEnvironment()
+    manager, _transport = connected_manager(env)
+    before = env.scheduled
+    for tag in range(count):
+        task = Task("client", 0)
+        task.append(Operation(type=OpType.MARKER, client="client",
+                              queue_id=0, tag=tag))
+        manager._submit(task)
+    env.run()
+    return env.scheduled - before
+
+
+def test_queued_task_is_taken_without_an_event():
+    # The first task wakes the waiting worker (its get's success), then
+    # costs its operation's OP_OVERHEAD Timeout and notification.  The
+    # second is queued when the worker comes back: taking it is free.
+    one = submitted_cost(1)
+    assert one == 3
+    assert submitted_cost(2) - one == 2
 
 
 def test_uncontended_grant_schedules_nothing():
@@ -197,6 +268,18 @@ def test_write_payload_before_the_worker_waits_is_its_arrival_only():
     assert spent == [2, 1]
     operation = manager.accumulator.flush("client", 0).operations[0]
     assert operation.data_ready.processed and operation.data == bytes(16)
+
+
+def test_payload_carrying_message_into_an_idle_manager_is_one_event():
+    # The BUFFER step: the payload's memcpy rides in the WriteData
+    # message's arrival event.
+    manager, spent = streamed_costs([
+        (protocol.ENQUEUE_WRITE, {"queue": 0, "nbytes": 16, "buffer_id": 1}),
+        (protocol.WRITE_DATA, {"data": bytes(16)}, 16),
+    ])
+    assert spent == [2, 1]
+    assert manager.accumulator.flush("client", 0).operations[0].data_ready \
+        .processed
 
 
 def cl_event(env):

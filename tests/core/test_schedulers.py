@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.device_manager import (
+    DeviceManager,
     FIFOScheduler,
     Operation,
     OpType,
@@ -12,6 +13,10 @@ from repro.core.device_manager import (
     WFQScheduler,
     make_scheduler,
 )
+from repro.core.remote_lib import remote_platform
+from repro.fpga import FPGABoard, standard_library
+from repro.rpc import Network
+from repro.serverless import SobelApp
 from repro.sim import Environment
 
 
@@ -208,3 +213,77 @@ class TestTakeClient:
             scheduler.push(make_task("present"), estimate=1.0)
             assert scheduler.take_client("absent") == []
             assert len(scheduler) == 1
+
+
+class TestPopNowait:
+    @pytest.mark.parametrize("policy", ["fifo", "priority", "sjf", "wfq"])
+    def test_takes_in_service_order_without_an_event(self, policy):
+        env = Environment()
+        scheduler = make_scheduler(policy, env)
+        assert scheduler.pop_nowait() is None
+        for client, estimate in (("long", 5.0), ("short", 0.1)):
+            scheduler.push(make_task(client), estimate)
+        eid = env._eid
+        first = scheduler.pop_nowait().client
+        assert env._eid == eid  # nothing scheduled
+        assert [first, *drain(env, scheduler, 1)] == (
+            ["short", "long"] if policy == "sjf" else ["long", "short"])
+
+    def test_wfq_advances_its_virtual_clock(self):
+        scheduler = WFQScheduler(Environment())
+        scheduler.push(make_task("a"), estimate=4.0)
+        scheduler.push(make_task("a"), estimate=4.0)
+        scheduler.pop_nowait()
+        scheduler.pop_nowait()
+        assert scheduler._virtual_now == 4.0
+
+
+def served_estimates(policy, monkeypatch):
+    """Estimates a Device Manager computes, and those its scheduler
+    receives, over one remote Sobel request."""
+    computed, received = [], []
+    estimate = DeviceManager._estimate_task
+
+    def recording(manager, task):
+        computed.append(estimate(manager, task))
+        return computed[-1]
+
+    monkeypatch.setattr(DeviceManager, "_estimate_task", recording)
+    env = Environment()
+    network = Network(env)
+    node = network.host("B")
+    manager = DeviceManager(env, "dm-B", FPGABoard(env, functional=False),
+                            standard_library(), network, node,
+                            scheduler=policy)
+    push = manager.scheduler.push
+
+    def recording_push(task, estimate):
+        received.append(estimate)
+        push(task, estimate)
+
+    manager.scheduler.push = recording_push
+    app = SobelApp()
+
+    def flow():
+        platform = yield from remote_platform(
+            env, "fn-1", node, manager, network, standard_library())
+        yield from app.setup(env, platform, None)
+        yield from app.handle(None)
+
+    env.run(until=env.process(flow()))
+    return computed, received
+
+
+class TestEstimates:
+    def test_a_fifo_manager_never_estimates(self, monkeypatch):
+        computed, received = served_estimates("fifo", monkeypatch)
+        assert computed == []
+        assert received and set(received) == {0.0}
+
+    @pytest.mark.parametrize("policy", ["priority", "sjf", "wfq"])
+    def test_other_policies_receive_the_estimate(self, policy, monkeypatch):
+        computed, received = served_estimates(policy, monkeypatch)
+        assert received == computed
+        # The kernel's task is estimated from its latency model, not the
+        # 1 ms fallback for unresolvable arguments.
+        assert any(value > 1e-3 for value in computed)

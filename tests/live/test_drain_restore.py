@@ -28,12 +28,9 @@ class FakeTransport:
         self.env = env
         self.delivered = []
 
-    def deliver_to_client(self, endpoint, message):
+    def deliver_to_client(self, endpoint, message, nbytes=None):
         self.delivered.append(message)
         return self.env.timeout(0)
-
-    def data_to_client_then(self, nbytes, then):
-        self.env.timeout(0).callbacks.append(lambda _: then())
 
 
 def make_pair(functional=True):

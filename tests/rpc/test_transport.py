@@ -1,12 +1,18 @@
 """Tests for the network fabric and the gRPC/shm transports."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fpga import HOST_I7_6700, HOST_XEON_W3530
 from repro.rpc import (
     CopyStats,
     GrpcTransport,
+    Message,
     Network,
+    RpcEndpoint,
     ShmTransport,
     make_transport,
 )
@@ -174,3 +180,69 @@ class TestMakeTransport:
         host = network.host("A")
         transport = make_transport(env, network, host, host, prefer_shm=False)
         assert isinstance(transport, GrpcTransport)
+
+
+def _payload_run(transport_class, speed, sends, folded):
+    """Deliveries ``(time, tag)``, copy totals and bytes on the wire of
+    ``sends`` — ``(start, nbytes, to_server)`` payload messages, each from
+    its own sender — over a same-node transport.  ``folded`` sends each
+    payload with its message; otherwise the data plane moves it first."""
+    env = Environment()
+    network = Network(env)
+    host = network.host("A", replace(HOST_I7_6700, speed_factor=speed))
+    transport = transport_class(env, network, host, host)
+    deliveries = []
+    endpoint = RpcEndpoint(
+        env, "endpoint",
+        handler=lambda message: deliveries.append((env.now, message.tag)))
+
+    def sender(tag, start, nbytes, to_server):
+        yield env.timeout(start)
+        message = Message(method="Payload", tag=tag)
+        if folded and to_server:
+            yield from transport.deliver_to_server(endpoint, message, nbytes)
+        elif folded:
+            transport.deliver_to_client(endpoint, message, nbytes)
+        elif to_server:
+            yield from transport.data_to_server(nbytes)
+            yield from transport.deliver_to_server(endpoint, message)
+        else:
+            yield from transport.data_to_client(nbytes)
+            transport.deliver_to_client(endpoint, message)
+
+    for tag, send in enumerate(sends):
+        env.process(sender(tag, *send))
+    env.run()
+    stats = transport.stats
+    return deliveries, (stats.copies, stats.bytes_copied), host.bytes_sent
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    transport_class=st.sampled_from([ShmTransport, GrpcTransport]),
+    speed=st.floats(min_value=0.25, max_value=4.0),
+    sends=st.lists(st.tuples(
+        st.floats(min_value=0.0, max_value=0.05),
+        st.integers(min_value=0, max_value=1 << 28),
+        st.booleans()), min_size=1, max_size=6),
+)
+def test_folded_payload_matches_the_two_step_path(transport_class, speed,
+                                                  sends):
+    """One event per payload-carrying message lands at the float, in the
+    order and with the copy totals of the copy-then-message chain."""
+    assert (_payload_run(transport_class, speed, sends, folded=True)
+            == _payload_run(transport_class, speed, sends, folded=False))
+
+
+def test_cross_node_payload_keeps_the_nic_path():
+    env = Environment()
+    network = Network(env)
+    a, b = network.host("A"), network.host("B")
+    transport = GrpcTransport(env, network, a, b)
+    endpoint = RpcEndpoint(env, "endpoint", handler=lambda message: None)
+    for _ in range(2):
+        env.process(transport.deliver_to_server(
+            endpoint, Message(method="Payload"), 11_700_000))
+    env.run()
+    # The second payload queued behind the first on A's NIC.
+    assert env.now > 2 * network.remote.transfer_time(11_700_000)
