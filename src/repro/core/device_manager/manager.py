@@ -614,7 +614,7 @@ class DeviceManager:
         if message.reply_to.triggered:
             return  # a duplicated delivery of an already-answered message
         if ok:
-            message.reply_to.succeed(value)
+            message.reply_to.settle(value)
         else:
             message.reply_to.fail(value)
 

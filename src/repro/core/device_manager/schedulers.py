@@ -111,7 +111,7 @@ class FIFOScheduler(TaskScheduler):
         self._queue = Store(env)
 
     def push(self, task: Task, estimate: float) -> None:
-        self._queue.put_nowait(task)
+        self._queue.hand_over(task)
 
     def __len__(self) -> int:
         return len(self._queue.items)
@@ -149,6 +149,7 @@ class PriorityScheduler(_HeapBacklogMixin, TaskScheduler):
     """Strict priority classes per client (lower value = served first)."""
 
     name = "priority"
+    uses_estimates = False
 
     def __init__(self, env: Environment, default_priority: int = 10):
         super().__init__(env)
@@ -165,7 +166,7 @@ class PriorityScheduler(_HeapBacklogMixin, TaskScheduler):
 
     def push(self, task: Task, estimate: float) -> None:
         priority = self._priorities.get(task.client, self.default_priority)
-        self._queue.put_nowait(PriorityItem(priority, task))
+        self._queue.hand_over(PriorityItem(priority, task))
 
     def __len__(self) -> int:
         return len(self._queue.items)
@@ -181,7 +182,7 @@ class SJFScheduler(_HeapBacklogMixin, TaskScheduler):
         self._queue = PriorityStore(env)
 
     def push(self, task: Task, estimate: float) -> None:
-        self._queue.put_nowait(PriorityItem(estimate, task))
+        self._queue.hand_over(PriorityItem(estimate, task))
 
     def __len__(self) -> int:
         return len(self._queue.items)
@@ -216,7 +217,7 @@ class WFQScheduler(_HeapBacklogMixin, TaskScheduler):
                         self._virtual_finish.get(task.client, 0.0))
         finish_tag = start_tag + estimate / weight
         self._virtual_finish[task.client] = finish_tag
-        self._queue.put_nowait(PriorityItem(start_tag, task))
+        self._queue.hand_over(PriorityItem(start_tag, task))
 
     def _taken(self, entry) -> Task:
         self._virtual_now = max(self._virtual_now, entry.priority)

@@ -248,7 +248,7 @@ class Connection:
                 done.fail(exc)
                 done.defused = True
             else:
-                done.succeed(result)
+                done.settle(result)
 
         self.env.process(runner())
         return done
@@ -288,7 +288,7 @@ class Connection:
         """Queue a control message on the ordered outbound stream."""
         message = Message(method=method, payload=payload,
                           sender=self.client_name, tag=tag)
-        self._outbound.put_nowait(_StreamItem(message))
+        self._outbound.hand_over(_StreamItem(message))
 
     def stream_send_op(self, method: str, finalize, tag: Any,
                        gates: list) -> None:
@@ -300,7 +300,7 @@ class Connection:
         """
         message = Message(method=method, payload={},
                           sender=self.client_name, tag=tag)
-        self._outbound.put_nowait(
+        self._outbound.hand_over(
             _StreamItem(message, gates=tuple(gates), finalize=finalize)
         )
 
@@ -316,16 +316,16 @@ class Connection:
         message = Message(method=protocol.WRITE_DATA,
                           payload={"data": data},
                           sender=self.client_name, tag=tag)
-        self._outbound.put_nowait(_StreamItem(message, data_nbytes=nbytes))
+        self._outbound.hand_over(_StreamItem(message, data_nbytes=nbytes))
 
     # -- worker processes -----------------------------------------------------
     def _sender(self):
         """Transmit stream items in order, paying transport costs.
 
-        A queued item is taken without an event; the sender waits on a
-        get only when the stream is empty.  Under a fault plane it always
-        gets: the get's event order sets the order of the fault draws
-        within an instant, which the chaos golden pins.
+        A queued item is taken without an event; on an empty stream the
+        sender waits on a get, which ``hand_over`` settles.  Under a fault
+        plane it always gets: the get's event order sets the order of the
+        fault draws within an instant, which the chaos golden pins.
         """
         outbound = self._outbound
         try:

@@ -100,8 +100,8 @@ class RemoteEventMachine:
         elif self.cl_event.status == int(ExecutionStatus.QUEUED):
             self.cl_event.set_status(ExecutionStatus.SUBMITTED)
             self.cl_event.set_status(ExecutionStatus.RUNNING)
-        self.cl_event.complete(data)
         self.connection.forget(self.tag)
+        self.cl_event.complete(data)  # a waiting host process resumes here
 
     def _on_failed(self, error: str, code: Optional[int] = None) -> None:
         self.state = FsmState.FAILED

@@ -118,11 +118,11 @@ class CLEvent:
         stamp = _STATUS_STAMPS[status]
         if stamp is not None:
             self.profiling[stamp] = self.env.now
-        if status is ExecutionStatus.COMPLETE:
-            # Host code waits on few completions (a blocking read's); the
-            # rest settle without an event.
-            self.completion.settle(self.value)
         self._fire_callbacks()
+        if status is ExecutionStatus.COMPLETE:
+            # Host code waits on few completions (a blocking read's, handed
+            # off to its waiter); the rest settle without an event.
+            self.completion.settle(self.value)
 
     def complete(self, value: Any = None) -> None:
         """Mark the command complete with an optional result value.

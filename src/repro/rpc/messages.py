@@ -187,7 +187,7 @@ def reply(transport: Transport, message: Message, value: Any = None):
     if message.reply_to is None:
         raise ValueError(f"message {message.method!r} expects no reply")
     yield from transport.control_to_client()
-    message.reply_to.succeed(value)
+    message.reply_to.settle(value)
 
 
 def reply_error(transport: Transport, message: Message,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..fpga.hwspec import ETHERNET_1G, HOST_I7_6700, HostSpec, NetworkSpec
-from ..sim import Environment, Event, Resource
+from ..sim import Environment, Resource
 
 #: Local (same-node) virtual network stack: memcpy-class byte movement.
 LOCAL_STACK = NetworkSpec(bandwidth=13.9e9, latency=25e-6)
@@ -26,7 +26,6 @@ class NetworkHost:
         self.name = name
         self.host = host
         self.nic = Resource(env, capacity=1)
-        self.bytes_sent = 0
 
     def __repr__(self) -> str:
         return f"<NetworkHost {self.name}>"
@@ -64,15 +63,6 @@ class Network:
     def is_local(self, src: NetworkHost, dst: NetworkHost) -> bool:
         return src.name == dst.name
 
-    def local_arrival(self, src: NetworkHost, nbytes: int,
-                      sent: float) -> Event:
-        """Event at which ``nbytes`` put on the local stack at time
-        ``sent`` have arrived: ``sent + transfer``, the time delay Timeouts
-        ending at ``sent`` followed by :meth:`transfer` would end on.
-        """
-        src.bytes_sent += nbytes
-        return self.env.timeout_at(sent + self.local.transfer_time(nbytes))
-
     def transfer(self, src: NetworkHost, dst: NetworkHost, nbytes: int):
         """Process: move ``nbytes`` from ``src`` to ``dst``.
 
@@ -88,4 +78,3 @@ class Network:
             with src.nic.request() as grant:
                 yield grant
                 yield self.env.timeout(spec.transfer_time(nbytes))
-        src.bytes_sent += nbytes

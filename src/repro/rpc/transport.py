@@ -64,15 +64,14 @@ class Transport(abc.ABC):
         self.client = client
         self.server = server
         self.stats = stats if stats is not None else CopyStats()
+        # Frozen host and network specs: fixed costs, the same both ways.
+        self._local = network.is_local(client, server)
+        self._control_overhead = CONTROL_HANDLING_OVERHEAD * max(
+            client.host.speed_factor, server.host.speed_factor)
+        self._wire_time = network.local.transfer_time(CONTROL_MESSAGE_BYTES)
 
     # -- control plane -----------------------------------------------------
-    def _control_overhead(self, src: NetworkHost, dst: NetworkHost) -> float:
-        return CONTROL_HANDLING_OVERHEAD * max(
-            src.host.speed_factor, dst.host.speed_factor
-        )
-
-    def _control_arrival(self, src: NetworkHost, dst: NetworkHost,
-                         nbytes: Optional[int] = None) -> Optional[Event]:
+    def _control_arrival(self, nbytes=None) -> Optional[Event]:
         """One arrival event for a fault-free, same-node control message
         and the ``nbytes`` payload it carries, if any, at
         ``((now + copy) + overhead) + transfer``: the float their Timeouts
@@ -80,27 +79,25 @@ class Transport(abc.ABC):
         the message needs the full path: a fault plane is installed, or it
         crosses nodes and queues on the NIC.
         """
-        network = self.network
-        if network.faults is not None or not network.is_local(src, dst):
+        if self.network.faults is not None or not self._local:
             return None
         sent = self.env.now if nbytes is None else self._landing(nbytes)
-        arrival = network.local_arrival(
-            src, CONTROL_MESSAGE_BYTES,
-            sent + self._control_overhead(src, dst))
+        arrival = self.env.timeout_at(
+            (sent + self._control_overhead) + self._wire_time)
         if nbytes is not None:
-            arrival.callbacks.append(lambda _: self._landed(src, nbytes))
+            arrival.callbacks.append(lambda _: self._landed(nbytes))
         return arrival
 
     def send_control(self, src: NetworkHost, dst: NetworkHost, nbytes=None):
         """Process: one-way control message (gRPC in both transports),
         after the ``nbytes`` bulk payload it announces, if any."""
-        arrival = self._control_arrival(src, dst, nbytes)
+        arrival = self._control_arrival(nbytes)
         if arrival is not None:
             yield arrival
             return
         if nbytes is not None:
             yield from self.send_data(src, dst, nbytes)
-        yield self.env.timeout(self._control_overhead(src, dst))
+        yield self.env.timeout(self._control_overhead)
         yield from self.network.transfer(src, dst, CONTROL_MESSAGE_BYTES)
 
     def control_to_server(self):
@@ -114,12 +111,17 @@ class Transport(abc.ABC):
         """Process: send one control message, after the ``nbytes`` payload
         it announces, if any, and deliver it client→server.
 
-        This is where the network fault plane bites: with
+        A fault-free, same-node message is one arrival event.  With
         ``network.faults`` installed the message may be dropped, delayed
         or duplicated.
         """
-        yield from self._deliver(self.client, self.server, endpoint, message,
-                                 nbytes)
+        arrival = self._control_arrival(nbytes)
+        if arrival is None:
+            yield from self._deliver(self.client, self.server, endpoint,
+                                     message, nbytes)
+            return
+        yield arrival
+        endpoint.deliver(message)
 
     def deliver_to_client(self, endpoint, message, nbytes=None) -> Event:
         """Send one control message server→client, after the ``nbytes``
@@ -129,7 +131,7 @@ class Transport(abc.ABC):
         callback delivering into ``endpoint``.  The fault-plane and
         cross-node paths run as a process, which is the returned event.
         """
-        arrival = self._control_arrival(self.server, self.client, nbytes)
+        arrival = self._control_arrival(nbytes)
         if arrival is None:
             return self.env.process(self._deliver(
                 self.server, self.client, endpoint, message, nbytes))
@@ -172,7 +174,7 @@ class Transport(abc.ABC):
         """When a same-node payload sent now lands, as send_data would."""
 
     @abc.abstractmethod
-    def _landed(self, src: NetworkHost, nbytes: int) -> None:
+    def _landed(self, nbytes: int) -> None:
         """Account a landed payload, as send_data does."""
 
     def _slow_memcpy_bandwidth(self) -> float:
@@ -220,8 +222,7 @@ class GrpcTransport(Transport):
         return ((self.env.now + self._encode_time(nbytes))
                 + self.network.local.transfer_time(nbytes))
 
-    def _landed(self, src: NetworkHost, nbytes: int) -> None:
-        src.bytes_sent += nbytes
+    def _landed(self, nbytes: int) -> None:
         self.stats.record(self.data_copies + 1, nbytes)
 
 
@@ -250,12 +251,12 @@ class ShmTransport(Transport):
 
     def send_data(self, src: NetworkHost, dst: NetworkHost, nbytes: int):
         yield self.env.timeout(self._copy_time(nbytes))
-        self._landed(src, nbytes)
+        self._landed(nbytes)
 
     def _landing(self, nbytes: int) -> float:
         return self.env.now + self._copy_time(nbytes)
 
-    def _landed(self, src: NetworkHost, nbytes: int) -> None:
+    def _landed(self, nbytes: int) -> None:
         self.stats.record(self.data_copies, nbytes)
 
 

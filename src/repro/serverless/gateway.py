@@ -218,8 +218,8 @@ class Gateway:
         yield self.env.timeout(GATEWAY_OVERHEAD)
         request = Request(dict(payload or {}), self.env.now,
                           Event(self.env))
-        function.request_queue.put_nowait(request)
         function.invocations += 1
+        function.request_queue.hand_over(request)
         try:
             result = yield request.response
         except InvocationError:
@@ -262,8 +262,8 @@ class Gateway:
                 )
             request = Request(dict(payload or {}), self.env.now,
                               Event(self.env))
-            function.request_queue.put_nowait(request)
             function.invocations += 1
+            function.request_queue.hand_over(request)
             try:
                 result = yield from self._await_response(request)
             except InvocationError as exc:

@@ -108,7 +108,7 @@ class FunctionInstance:
                 else:
                     self.requests_served += 1
                     if not request.response.triggered:
-                        request.response.succeed(result)
+                        request.response.settle(result)
                 self._current = None
         except Interrupt:
             self._fail_inflight()

@@ -10,7 +10,7 @@ events) but is self-contained, dependency-free and tuned for the workloads
 in this repository.
 """
 
-from .core import EmptySchedule, Environment, Process
+from .core import HANDOFF_DEPTH, EmptySchedule, Environment, Process
 from .events import (
     AllOf,
     AnyOf,
@@ -36,6 +36,7 @@ from .resources import (
 )
 
 __all__ = [
+    "HANDOFF_DEPTH",
     "AllOf",
     "AnyOf",
     "Condition",

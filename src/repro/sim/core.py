@@ -24,6 +24,10 @@ from .events import (
 
 ProcessGenerator = Generator[Event, Any, Any]
 
+#: Hand-offs (:meth:`Event.settle`) nested on the host stack at most; a
+#: deeper one is scheduled, so a relay chain of processes cannot recurse.
+HANDOFF_DEPTH = 2
+
 
 class EmptySchedule(SimError):
     """Raised by :meth:`Environment.step` when no events remain."""
@@ -44,7 +48,7 @@ class Environment:
     1.5
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_proc")
+    __slots__ = ("_now", "_queue", "_eid", "_active_proc", "_handoffs")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -55,6 +59,7 @@ class Environment:
         #: bit-identical event ordering.
         self._eid = 0
         self._active_proc: Optional[Process] = None
+        self._handoffs = 0
 
     @property
     def now(self) -> float:
@@ -126,6 +131,18 @@ class Environment:
             self.schedule(event, 0.0, priority)
         finally:
             self._now = now
+
+    def _hand_off(self, event: Event, callback) -> bool:
+        """Resume the lone waiter of ``event`` now, if it is a process."""
+        if (getattr(callback, "__func__", None) is not Process._resume
+                or callback.__self__._target is not event
+                or self._handoffs >= HANDOFF_DEPTH):
+            return False
+        event.callbacks = None
+        self._handoffs += 1
+        callback(event)  # a process's resume raises nothing
+        self._handoffs -= 1
+        return True
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -268,11 +285,12 @@ class Process(Event):
         interrupt_event._ok = False
         interrupt_event._value = Interrupt(cause)
         interrupt_event.defused = True
-        interrupt_event.callbacks = [self._resume]
+        interrupt_event.callbacks = [self._interrupted]
         self.env.schedule(interrupt_event, 0.0, URGENT)
+        self._detach()
 
-        # Detach from the event we were waiting on so a later trigger of that
-        # event does not resume us twice.
+    def _detach(self) -> None:
+        # Leave the awaited event, so its trigger cannot resume us twice.
         if self._target is not None and self._target.callbacks is not None:
             try:
                 self._target.callbacks.remove(self._resume)
@@ -285,9 +303,15 @@ class Process(Event):
                 cancel()
         self._target = None
 
+    def _interrupted(self, event: Event) -> None:
+        # Interrupted beneath its interrupter, it may have a target since.
+        self._detach()
+        self._resume(event)
+
     def _resume(self, event: Event) -> None:
         """Resume the generator with the value (or failure) of ``event``."""
         env = self.env
+        previous = env._active_proc
         env._active_proc = self
         self._target = None
         # Bound methods are resolved once per resume, not once per yield —
@@ -335,4 +359,4 @@ class Process(Event):
                 # Already processed: loop and resume immediately with it.
                 event = next_event
         finally:
-            env._active_proc = None
+            env._active_proc = previous

@@ -45,7 +45,7 @@ class Event:
 
     An event starts *untriggered*, becomes *triggered* once :meth:`succeed`
     or :meth:`fail` schedules it, and *processed* after its callbacks ran
-    (:meth:`settle` processes an event nobody waits for at once).
+    (:meth:`settle` may process it at once).
     Processes wait for an event by yielding it.
     """
 
@@ -99,20 +99,24 @@ class Event:
         return self
 
     def settle(self, value: Any = None) -> "Event":
-        """Succeed, processed at once when nobody waits yet.
+        """Succeed, processed at once when nobody or one process waits.
 
-        With callbacks attached this is :meth:`succeed`.  Without, the
-        event is processed on the spot and schedules nothing, so a waiter
-        that yields it later at the same instant resumes at once rather
-        than after the events already queued for that instant.  Use it
-        only where every waiter attaches before the trigger or checks
-        :attr:`triggered` first.
+        A lone waiting process resumes inside this call (a *hand-off*, at
+        most :data:`~repro.sim.core.HANDOFF_DEPTH` deep), so its caller
+        does its own bookkeeping first; a later waiter resumes at once.
+        Both run ahead of the events queued for this instant.  Otherwise
+        this is :meth:`succeed`.  Every waiter attaches before the trigger
+        or checks :attr:`triggered` first.
         """
-        if self.callbacks or self._ok is not None:
+        if self._ok is not None:
             return self.succeed(value)
         self._ok = True
         self._value = value
-        self.callbacks = None
+        callbacks = self.callbacks
+        if not callbacks:
+            self.callbacks = None
+        elif len(callbacks) > 1 or not self.env._hand_off(self, callbacks[0]):
+            self.env.schedule(self, 0.0, NORMAL)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -277,7 +281,8 @@ class Condition(Event):
             event.defused = True
             self.fail(event._value)
         elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_value())
+            trigger = self.settle if self.callbacks else self.succeed
+            trigger(self._collect_value())
 
     @staticmethod
     def all_events(events: list[Event], count: int) -> bool:

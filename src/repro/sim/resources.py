@@ -202,16 +202,25 @@ class Store:
         is an event with no callbacks, so skipping it reorders nothing.
         Raises :class:`SimError` if the store has no room right now.
         """
+        self._put_now(item, Event.succeed)
+
+    def hand_over(self, item: Any) -> None:
+        """:meth:`put_nowait`, except that a waiting get is settled: a lone
+        process waiting on it takes the item inside this call, ahead of
+        the events already queued for this instant."""
+        self._put_now(item, Event.settle)
+
+    def _put_now(self, item: Any, wake) -> None:
         if self._put_queue or len(self.items) >= self.capacity:
             raise SimError(f"{type(self).__name__} is full")
-        self._hand_over(item)
+        self._hand_over(item, wake)
 
-    def _hand_over(self, item: Any) -> None:
+    def _hand_over(self, item: Any, wake) -> None:
         # A get waits only while the store is empty, so the item goes to
         # the oldest waiting get, exactly as _dispatch would send it.
         getters = self._get_queue
         if getters:
-            getters.pop(0).succeed(item)
+            wake(getters.pop(0), item)
         else:
             self._insert(item)
 
@@ -271,7 +280,7 @@ class FilterStore(Store):
                 return True
         return False
 
-    def _hand_over(self, item: Any) -> None:
+    def _hand_over(self, item: Any, wake) -> None:
         # Gets wait here even while items are stored (their predicate
         # matched none), so the item may not go to the oldest get.
         self._insert(item)

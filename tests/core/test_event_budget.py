@@ -8,15 +8,21 @@ hop is documented in docs/simulation.md ("Performance notes").
 import pytest
 
 from repro.cluster import build_testbed
+from repro.cluster.objects import Pod, PodSpec
 from repro.core.device_manager import (
     DeviceManager,
+    FIFOScheduler,
     Operation,
     OpType,
     Task,
     protocol,
 )
 from repro.core.remote_lib import remote_platform
+from repro.core.remote_lib.connection import Connection
+from repro.faults import NetworkFaultPlane
 from repro.fpga import FPGABoard, standard_library
+from repro.ocl import Context
+from repro.ocl.native import native_platform
 from repro.ocl.objects import CLEvent
 from repro.ocl.types import CommandType, ExecutionStatus
 from repro.rpc import (
@@ -29,7 +35,9 @@ from repro.rpc import (
     send_to_client,
     unary_call,
 )
-from repro.serverless import SobelApp
+from repro.serverless import FunctionApp, FunctionSpec, Gateway, SobelApp
+from repro.serverless.gateway import DeployedFunction
+from repro.serverless.instance import FunctionInstance
 from repro.sim import Environment, Resource, SimError, Store
 from repro.sim.events import NORMAL
 
@@ -37,7 +45,9 @@ from repro.sim.events import NORMAL
 #: blocking read over shared memory) on an idle board.  The write's and
 #: the kernel's CLEvent completions cost nothing: nobody waits on them,
 #: and each payload rides in the event of the message that carries it.
-SOBEL_REQUEST_EVENTS = 22
+#: The stream sender's and the worker's wake-ups, the reply to the unary
+#: call and the blocking read's completion are hand-offs.
+SOBEL_REQUEST_EVENTS = 18
 
 
 class CountingEnvironment(Environment):
@@ -214,12 +224,72 @@ def submitted_cost(count):
 
 
 def test_queued_task_is_taken_without_an_event():
-    # The first task wakes the waiting worker (its get's success), then
-    # costs its operation's OP_OVERHEAD Timeout and notification.  The
-    # second is queued when the worker comes back: taking it is free.
+    # The first task is handed to the waiting worker, then costs its
+    # operation's OP_OVERHEAD Timeout and notification.  The second is
+    # queued when the worker comes back: taking it is free.
     one = submitted_cost(1)
-    assert one == 3
+    assert one == 2
     assert submitted_cost(2) - one == 2
+
+
+def test_task_pushed_to_a_waiting_worker_is_handed_off():
+    env = CountingEnvironment()
+    scheduler = FIFOScheduler(env)
+    taken = []
+
+    def worker():
+        taken.append((yield scheduler.pop()))
+
+    env.process(worker())
+    env.run()
+    before = env.scheduled
+    task = Task("client", 0)
+    scheduler.push(task, 0.0)
+    assert env.scheduled - before == 0
+    assert taken == [task]
+
+
+def test_dm_inbox_under_a_fault_plane_is_one_event():
+    # Serving on arrival would move the fault draws within an instant, so
+    # the message takes the inbox and wakes the serve process by an event.
+    env = CountingEnvironment()
+    manager, _transport = connected_manager(env)
+    manager.network.faults = NetworkFaultPlane(seed=1)
+    before = env.scheduled
+    manager.endpoint.deliver(Message(method=protocol.FLUSH,
+                                     payload={"queue": 0}, sender="client"))
+    assert env.scheduled - before == 1
+    env.run()
+    assert env.scheduled - before == 1
+
+
+def test_native_command_queue_wake_up_is_one_event():
+    # A command reaches the native queue's worker by a scheduled get, so
+    # the command is still QUEUED when enqueue returns.
+    env = CountingEnvironment()
+    platform = native_platform(env, FPGABoard(env), standard_library())
+    queue = Context(platform.get_devices()).create_queue()
+    env.run()
+    before = env.scheduled
+    event = queue.enqueue_marker()
+    assert env.scheduled - before == 1
+    assert event.status == ExecutionStatus.QUEUED
+
+
+def test_stream_item_into_an_idle_sender_is_its_arrival_only():
+    # The idle sender takes the item inside stream_send and sends it at
+    # once: the message's arrival is the only event.
+    env = CountingEnvironment()
+    manager, transport = connected_manager(env)
+    connection = Connection(env, "client", manager.network, transport.client,
+                            manager.endpoint, transport.server)
+    env.run()
+    before = env.scheduled
+    connection.stream_send(protocol.FLUSH, {"queue": 0})
+    assert env.scheduled - before == 1
+    env.run()
+    assert env.scheduled - before == 1
+    assert manager.endpoint.delivered == 2  # CONNECT and the flush
 
 
 def test_uncontended_grant_schedules_nothing():
@@ -297,7 +367,8 @@ def test_unwatched_cl_event_completion_schedules_nothing():
     assert event.completion.processed and event.completion.value == "done"
 
 
-def test_waited_cl_event_completion_is_one_event():
+def test_waited_cl_event_completion_hands_off():
+    # The lone waiting host process resumes inside complete().
     env = CountingEnvironment()
     event = cl_event(env)
     got = []
@@ -309,9 +380,63 @@ def test_waited_cl_event_completion_is_one_event():
     env.run()
     before = env.scheduled
     event.complete("done")
-    assert env.scheduled - before == 1
-    env.run()
+    assert env.scheduled - before == 0
     assert got == ["done"]
+
+
+class EchoApp(FunctionApp):
+    """Answers each request after one simulated millisecond, and records
+    the events scheduled when it starts handling one."""
+
+    host_overhead = 1e-3
+
+    def setup(self, env, platform, node):
+        self.env = env
+        self.handled = []
+        return
+        yield  # pragma: no cover - marks a generator
+
+    def handle(self, request):
+        self.handled.append(self.env.scheduled)
+        yield self.env.timeout(1e-3)
+        return request.payload
+
+
+def invocation_costs():
+    """Events from an invoke's start until an idle native instance starts
+    handling it, and from there until the invoke returns."""
+    env = CountingEnvironment()
+    testbed = build_testbed(env, functional=False, with_scraper=False)
+    gateway = Gateway(env, cluster=None)
+    spec = FunctionSpec(name="echo", app_factory=EchoApp, runtime="native")
+    function = gateway.functions["echo"] = DeployedFunction(env, spec)
+    instance = FunctionInstance(
+        env, function, Pod(PodSpec(name="echo-i1", function="echo")),
+        testbed.cluster.node("A"), router=None)
+    env.run()
+    spent = []
+
+    def client():
+        start = env.scheduled
+        _latency, result = yield from gateway.invoke("echo", {"n": 1})
+        spent.extend([instance.app.handled[0] - start,
+                      env.scheduled - instance.app.handled[0]])
+        assert result == {"n": 1}
+
+    env.process(client())
+    env.run()
+    return spent
+
+
+def test_request_into_an_idle_instance_is_handed_off():
+    # The gateway's and the instance's overhead Timeouts; the waiting
+    # instance takes the request without an event.
+    assert invocation_costs()[0] == 2
+
+
+def test_response_to_a_waiting_gateway_is_handed_off():
+    # The handler's own Timeout; the gateway resumes inside the settle.
+    assert invocation_costs()[1] == 1
 
 
 def test_unjoined_process_end_schedules_nothing():

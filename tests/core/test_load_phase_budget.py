@@ -45,11 +45,11 @@ print(json.dumps(counts))
 
 #: Seed 1.  ``allocations`` and ``partitions`` cover set-up and load.
 PINNED = {
-    "paper-sobel-high": dict(events=128747, requests=5286, allocations=5,
+    "paper-sobel-high": dict(events=103037, requests=5286, allocations=5,
                              partitions=7),
-    "fleet-256": dict(events=125154, requests=3396, allocations=427,
+    "fleet-256": dict(events=88287, requests=3396, allocations=427,
                       partitions=1106),
-    "storm-live-durable": dict(events=117636, requests=3500,
+    "storm-live-durable": dict(events=96148, requests=3500,
                                allocations=21, partitions=39),
 }
 

@@ -280,7 +280,13 @@ class TestEstimates:
         assert computed == []
         assert received and set(received) == {0.0}
 
-    @pytest.mark.parametrize("policy", ["priority", "sjf", "wfq"])
+    def test_a_priority_manager_never_estimates(self, monkeypatch):
+        # Priority classes come from the client, not the task's duration.
+        computed, received = served_estimates("priority", monkeypatch)
+        assert computed == []
+        assert received and set(received) == {0.0}
+
+    @pytest.mark.parametrize("policy", ["sjf", "wfq"])
     def test_other_policies_receive_the_estimate(self, policy, monkeypatch):
         computed, received = served_estimates(policy, monkeypatch)
         assert received == computed

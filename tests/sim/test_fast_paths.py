@@ -2,10 +2,11 @@
 
 An uncontended :class:`Resource` request is granted on the spot and comes
 back already processed, :meth:`Store.put_nowait` hands an item to a
-waiting get without the generic ``_dispatch`` loop, and a settled event or
-a finished process that nobody waits for yet is processed at once.  Each
-must decide exactly what the general path decides; the properties below
-compare each fast path with the general one.
+waiting get without the generic ``_dispatch`` loop, a settled event or a
+finished process that nobody waits for yet is processed at once, and a
+settled event hands off to its lone waiting process.  Each must decide
+exactly what the general path decides; the properties below compare each
+fast path with the general one.
 """
 
 from hypothesis import given, settings
@@ -32,13 +33,13 @@ class QueuedResource(Resource):
 class DispatchStore(Store):
     """A Store whose put_nowait always runs the generic dispatch loop."""
 
-    def _hand_over(self, item):
+    def _hand_over(self, item, wake):
         self._insert(item)
         self._dispatch()
 
 
 class DispatchPriorityStore(PriorityStore):
-    def _hand_over(self, item):
+    def _hand_over(self, item, wake):
         self._insert(item)
         self._dispatch()
 
@@ -325,17 +326,21 @@ def _unwatched_removed(scheduled, unwatched):
 
 
 def _settle_log(event_class, ops):
-    """When each waiter resumed, with what, and every scheduled event."""
+    """A log of every resume (with its time and value) and of the
+    driver's trigger calls; every scheduled event; the triggers that had
+    at most one waiter; and the lone process waiter of each trigger that
+    had one."""
     env = RecordingEnvironment()
     events = [event_class(env) for _ in range(4)]
     names = {id(event): f"e{index}" for index, event in enumerate(events)}
-    resumed = []
-    unwatched = set()
+    log = []
+    at_most_one_waiter = set()
+    lone_waiter = {}
 
     def waiter(number, event):
         # Checks ``triggered`` first, as every settle call site's waiter.
         value = event.value if event.triggered else (yield event)
-        resumed.append((number, env.now, value))
+        log.append((f"w{number}", env.now, value))
 
     def driver():
         for number, op in enumerate(ops):
@@ -343,14 +348,20 @@ def _settle_log(event_class, ops):
                 proc = env.process(waiter(number, events[op[1]]))
                 names[id(proc)] = f"w{number}"
             elif op[0] == "trigger" and not events[op[1]].triggered:
-                if not events[op[1]].callbacks:
-                    unwatched.add(f"e{op[1]}")
-                events[op[1]].settle(number)
+                event = events[op[1]]
+                if len(event.callbacks) <= 1:
+                    at_most_one_waiter.add(names[id(event)])
+                if len(event.callbacks) == 1:
+                    lone_waiter[number] = names[id(event.callbacks[0]
+                                                   .__self__)]
+                log.append(("trigger", number))
+                event.settle(number)
+                log.append(("returned", number))
             elif op[0] == "queue":
                 tick = env.timeout(0.0)
                 names[id(tick)] = f"q{number}"
                 tick.callbacks.append(
-                    lambda _, n=number: resumed.append((f"q{n}", env.now)))
+                    lambda _, n=number: log.append((f"q{n}", env.now)))
             elif op[0] == "time":
                 yield env.timeout(op[1])
 
@@ -358,16 +369,87 @@ def _settle_log(event_class, ops):
     env.run()
     scheduled = [names.get(id(event), type(event).__name__)
                  for event in env.scheduled]
-    return resumed, _unwatched_removed(scheduled, unwatched)
+    return log, scheduled, at_most_one_waiter, lone_waiter
+
+
+def _resumes(log):
+    return sorted((entry for entry in log
+                   if entry[0] not in ("trigger", "returned")), key=repr)
 
 
 @settings(max_examples=300, deadline=None)
 @given(ops=SETTLE_OPS)
-def test_settle_matches_succeed_for_waiters_that_come_first(ops):
-    """Same resumes, in the same order, at the same times, with the same
-    values; the same scheduled events, less the triggers nobody waited
-    for, which settle does not schedule."""
-    assert (_settle_log(Event, ops) == _settle_log(SucceedEvent, ops))
+def test_settle_hands_off_to_a_lone_process_waiter(ops):
+    """Against the always-scheduled succeed path: the same resumes, at
+    the same times, with the same values; a lone process waiter resumes
+    inside the trigger call, so ahead of the ticks queued earlier at that
+    instant; and the same scheduled events, less every trigger that had
+    at most one process waiter."""
+    log, scheduled, handed, lone = _settle_log(Event, ops)
+    base_log, base_scheduled, base_handed, _ = _settle_log(SucceedEvent, ops)
+    assert _resumes(log) == _resumes(base_log)
+    for number, name in lone.items():
+        at = log.index(("trigger", number))
+        assert log[at + 1][0] == name
+        assert log[at + 2] == ("returned", number)
+    assert handed == base_handed
+    assert scheduled == [name for name in base_scheduled
+                         if name not in handed]
+
+
+def _relay(event_class, length):
+    """``length`` processes, each waiting on its event and settling the
+    next one's: the order they ran in, the last value and the time."""
+    env = Environment()
+    events = [event_class(env) for _ in range(length + 1)]
+    order = []
+
+    def relay(index):
+        value = yield events[index]
+        order.append(index)
+        events[index + 1].settle(value + 1)
+
+    for index in range(length):
+        env.process(relay(index))
+    env.run()
+    events[0].settle(0)
+    env.run()
+    return order, events[-1].value, env.now
+
+
+def test_a_long_relay_chain_stays_within_the_hand_off_depth():
+    # Unbounded, each hand-off would nest the next one's stack frames
+    # and overflow the recursion limit.
+    order, value, now = _relay(Event, 1000)
+    assert (order, value, now) == _relay(SucceedEvent, 1000)
+    assert order == list(range(1000)) and value == 1000
+
+
+def test_an_interrupt_from_a_handed_off_process_detaches_the_next_wait():
+    """B, resumed inside A's settle, interrupts A while A is on the stack
+    beneath it: A's next wait must not resume it after the interrupt."""
+    env = Environment()
+    go = Event(env)
+    woke = []
+
+    def interrupter():
+        yield go
+        interrupted.interrupt("stop")
+
+    def victim():
+        yield env.timeout(1.0)
+        go.settle()
+        assert env.active_process is interrupted
+        try:
+            yield env.timeout(5.0)
+        except Interrupt:
+            yield env.timeout(10.0)
+            woke.append(env.now)
+
+    interrupted = env.process(victim())
+    env.process(interrupter())
+    env.run()
+    assert woke == [11.0]
 
 
 def _placeholder(_event):
