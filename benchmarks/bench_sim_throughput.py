@@ -3,9 +3,9 @@
 Unlike the other benchmarks (which check *simulated* results), this one
 measures the simulator itself — the real-time cost of the zero-copy data
 plane and the DES hot path.  It writes ``BENCH_simcore.json`` at the repo
-root: the committed copy is the performance baseline the CI quick-profile
-smoke compares against (a >25 % wall-clock regression on the Table II run
-fails the build; see ``.github/workflows/ci.yml``).
+root, a record of these wall clocks on the machine that last ran it; no
+gate compares against it (wall clocks drift across machines, and the
+tier-1 event-budget tests pin the simulator's work exactly).
 
 ``baseline_*`` figures are the pre-optimization numbers recorded on the
 machine that produced the committed file (bytes-based data plane, un-slotted
@@ -22,7 +22,6 @@ from pathlib import Path
 from repro.experiments.config import load_timing
 from repro.experiments.loadtest import run_scenario
 from repro.experiments.tables import run_use_case
-from repro.faults import NetworkFaultPlane
 from repro.sim import Environment
 from repro.system import SystemConfig
 
@@ -73,60 +72,17 @@ def test_table2_quick_wall(benchmark):
     assert len(results) == 6
 
 
-#: Runs per arm of the hook-overhead measurement.  Single-shot walls on a
+#: Runs per arm of the overhead measurement.  Single-shot walls on a
 #: shared machine are noisy enough to report *negative* overheads; the
 #: median of five in-process runs per arm keeps noise out of the ratio.
 OVERHEAD_RUNS = 5
 
 
-def _scenario_wall(network_setup=None,
-                   config: SystemConfig = SystemConfig()) -> float:
+def _scenario_wall(config: SystemConfig = SystemConfig()) -> float:
     """Wall clock of one quick Table-II "low" scenario."""
     start = time.perf_counter()
-    run_scenario("sobel", "low", timing=load_timing(), config=config,
-                 network_setup=network_setup)
+    run_scenario("sobel", "low", timing=load_timing(), config=config)
     return time.perf_counter() - start
-
-
-def test_disabled_fault_hook_overhead():
-    """The fault-injection hooks must be ~free while disabled.
-
-    Every control delivery passes through the ``network.faults is None``
-    check in ``Transport.deliver_to_*`` and every unary call through the
-    client-side reply-loss branch.  This measures what the hooks cost by
-    comparing two arms on the *same* machine in the *same* process:
-
-    * **disabled** — no fault plane attached (``network.faults is None``),
-      the default of every experiment;
-    * **inert** — a zero-rate :class:`NetworkFaultPlane` attached, so
-      every message takes the full hook path but no fault ever fires.
-
-    Each arm is the median of ``OVERHEAD_RUNS`` identical runs, so
-    scheduler noise cannot report a negative cost the way the old
-    single-run-vs-committed-baseline comparison (recorded on different
-    hardware) once did.
-    """
-
-    def inert_plane(network) -> None:
-        network.faults = NetworkFaultPlane(
-            seed=1, drop_rate=0.0, duplicate_rate=0.0,
-            delay_rate=0.0, delay=0.0,
-        )
-
-    disabled = statistics.median(
-        _scenario_wall(None) for _ in range(OVERHEAD_RUNS)
-    )
-    inert = statistics.median(
-        _scenario_wall(inert_plane) for _ in range(OVERHEAD_RUNS)
-    )
-    overhead_pct = (inert / disabled - 1.0) * 100
-    _results["disabled_hook_overhead_pct"] = round(overhead_pct, 2)
-    _results["hook_disabled_median_s"] = round(disabled, 3)
-    _results["hook_inert_median_s"] = round(inert, 3)
-    assert overhead_pct < 25.0, (
-        f"fault hooks cost {overhead_pct:.1f}% of the Table II scenario "
-        f"wall clock (disabled {disabled:.3f}s vs inert {inert:.3f}s)"
-    )
 
 
 def test_durable_store_overhead():
@@ -137,9 +93,9 @@ def test_durable_store_overhead():
     background process snapshots the full registry image every
     ``snapshot_interval`` simulated seconds.  None of that sits on the
     per-request data path, so the cost over a volatile registry should
-    be bookkeeping noise.  Same methodology as the fault-hook
-    measurement: median of ``OVERHEAD_RUNS`` identical in-process quick
-    Table-II 'low' runs per arm, both arms on the same machine.
+    be bookkeeping noise.  Each arm is the median of ``OVERHEAD_RUNS``
+    identical in-process quick Table-II 'low' runs, both arms on the same
+    machine.
     """
     volatile = statistics.median(
         _scenario_wall() for _ in range(OVERHEAD_RUNS)
@@ -162,16 +118,6 @@ def test_durable_store_overhead():
 def test_write_bench_json():
     """Persist the measurements (runs last: pytest keeps file order)."""
     assert {"des_events_per_sec", "table2_quick_wall_s"} <= set(_results)
-    faults = {
-        "disabled_hook_overhead_pct": _results.get(
-            "disabled_hook_overhead_pct"),
-        "disabled_median_s": _results.get("hook_disabled_median_s"),
-        "inert_median_s": _results.get("hook_inert_median_s"),
-        "method": (
-            f"median of {OVERHEAD_RUNS} in-process quick Table-II 'low' "
-            "runs per arm (no plane vs zero-rate plane)"
-        ),
-    }
     OUTPUT.write_text(json.dumps({
         "python": platform.python_version(),
         "des": {
@@ -186,7 +132,6 @@ def test_write_bench_json():
                 BASELINE_FULL_WALL_S / RECORDED_FULL_WALL_S, 2
             ),
         },
-        "faults": faults,
         "registry": {
             "durable_store_overhead_pct": _results.get(
                 "durable_store_overhead_pct"),

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Any, Dict, Optional
 
 from ..fpga.board import FPGABoard
 from ..fpga.hwspec import NodeSpec
 from ..rpc import NetworkHost
-
-_pod_uids = count(1)
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,6 @@ class Pod:
     """A live pod."""
 
     def __init__(self, spec: PodSpec):
-        self.uid = next(_pod_uids)
         self.spec = spec
         self.phase = PodPhase.PENDING
         self.node: Optional["ClusterNode"] = None

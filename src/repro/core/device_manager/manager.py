@@ -195,7 +195,7 @@ class DeviceManager:
         #: a message is served or queued, and while the manager is down.
         self._idle = False
         self.sessions: Dict[str, ClientSession] = {}
-        self.accumulator = TaskAccumulator()
+        self.accumulator = TaskAccumulator(self.env)
         #: Central task queue policy; the paper's system is FIFO.
         self.scheduler: TaskScheduler = (
             make_scheduler(scheduler, env)
@@ -453,7 +453,7 @@ class DeviceManager:
         self._m_clients.set(0)
         self._pending_writes.clear()
         self._replies.clear()
-        self.accumulator = TaskAccumulator()
+        self.accumulator = TaskAccumulator(self.env)
         self.scheduler.clear()
         self._m_queue_depth.set(0)
         # An in-progress drain dies with the process.
@@ -493,16 +493,14 @@ class DeviceManager:
 
     def _on_message(self, message: Message) -> None:
         """Endpoint handler: serve ``message`` in its arrival callback when
-        the server is idle and no fault plane is installed.
+        the server is idle.
 
         A handler that waits (a unary reply) is finished by the serve
         process; messages arriving meanwhile queue behind it in the inbox.
-        Otherwise the message takes the inbox.  Under a fault plane every
-        message does: serving on arrival moves the fault draws within an
-        instant, and the chaos golden pins them.
+        Otherwise the message takes the inbox.
         """
         inbox = self.endpoint.inbox
-        if not self._idle or self.network.faults is not None:
+        if not self._idle:
             self._idle = False
             inbox.put_nowait(message)
             return
@@ -820,8 +818,7 @@ class DeviceManager:
             task = self.accumulator.flush(session.name, operation.queue_id)
             self._submit(task)
         # FIRST step of the client's event state machine: op is enqueued.
-        self._notify(session, Message(method=protocol.OP_ENQUEUED,
-                                      tag=operation.tag, sender=self.name))
+        self._notify(session, protocol.OP_ENQUEUED, operation.tag)
         return
         yield  # pragma: no cover - marks this handler as a generator
 
@@ -975,13 +972,10 @@ class DeviceManager:
             session = self.sessions.get(operation.client)
             if session is None:
                 continue
-            self._notify(session, Message(
-                method=protocol.OP_FAILED, tag=operation.tag,
-                payload={"error": "task aborted after an earlier operation "
-                                  "failed",
-                         "code": CL_INVALID_OPERATION},
-                sender=self.name,
-            ))
+            self._notify(session, protocol.OP_FAILED, operation.tag, {
+                "error": "task aborted after an earlier operation failed",
+                "code": CL_INVALID_OPERATION,
+            })
 
     def _run_operation(self, operation: Operation):
         """Process: execute one op; returns True on success."""
@@ -999,12 +993,10 @@ class DeviceManager:
                         # The WRITE_DATA payload was lost on the wire: fail
                         # the op instead of wedging this worker forever.
                         self._pending_writes.pop(operation.tag, None)
-                        self._notify(session, Message(
-                            method=protocol.OP_FAILED, tag=operation.tag,
-                            payload={"error": "write payload never arrived",
-                                     "code": CL_INVALID_OPERATION},
-                            sender=self.name,
-                        ))
+                        self._notify(session, protocol.OP_FAILED,
+                                     operation.tag,
+                                     {"error": "write payload never arrived",
+                                      "code": CL_INVALID_OPERATION})
                         return False
         yield self.env.timeout(self.OP_OVERHEAD)
         started = self.env.now
@@ -1014,11 +1006,8 @@ class DeviceManager:
         except Interrupt:
             raise  # manager crash/worker kill, not an operation failure
         except Exception as exc:  # noqa: BLE001 - converted to notification
-            self._notify(session, Message(
-                method=protocol.OP_FAILED, tag=operation.tag,
-                payload={"error": str(exc), "code": _error_code(exc)},
-                sender=self.name,
-            ))
+            self._notify(session, protocol.OP_FAILED, operation.tag,
+                         {"error": str(exc), "code": _error_code(exc)})
             return False
         operation.finished_at = self.env.now
         busy = self.env.now - started
@@ -1042,20 +1031,19 @@ class DeviceManager:
             # live device view must be snapshotted *now* — the remote read
             # path's single real copy (timing-only zero-page views pass
             # through uncopied).
-            self._notify(session, Message(
-                method=protocol.OP_COMPLETE, tag=operation.tag,
-                payload={"data": materialize(result)}, sender=self.name,
-            ), operation.nbytes)
+            self._notify(session, protocol.OP_COMPLETE, operation.tag,
+                         {"data": materialize(result)}, operation.nbytes)
         else:
-            self._notify(session, Message(
-                method=protocol.OP_COMPLETE, tag=operation.tag,
-                sender=self.name,
-            ))
+            self._notify(session, protocol.OP_COMPLETE, operation.tag)
         return True
 
-    def _notify(self, session: ClientSession, message: Message,
+    def _notify(self, session: ClientSession, method: str, tag: Any,
+                payload: Optional[dict] = None,
                 nbytes: Optional[int] = None) -> None:
         """Asynchronously push a notification (and its payload)."""
+        message = Message(method=method, payload=payload or {},
+                          sender=self.name, tag=tag,
+                          id=self.env.new_id("message"))
         session.transport.deliver_to_client(session.completion_queue,
                                             message, nbytes)
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import abc
 import heapq
-from itertools import count
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ...sim import Environment, PriorityItem, PriorityStore, Store
 from .tasks import Task
@@ -51,7 +50,7 @@ class TaskScheduler(abc.ABC):
         """The next task, taken without an event; ``None`` if none waits."""
         if not self._queue.items:
             return None
-        return self._taken(self._queue.take_nowait())
+        return self._queue.take_nowait()
 
     @abc.abstractmethod
     def __len__(self) -> int:
@@ -88,10 +87,6 @@ class TaskScheduler(abc.ABC):
         """The task held by one backlog entry (FIFO stores tasks bare)."""
         return entry
 
-    def _taken(self, entry) -> Task:
-        """The task of an entry just taken off the backlog."""
-        return self._entry_task(entry)
-
     def _order_entries(self, entries: list) -> list:
         """Service order of a set of entries (FIFO: arrival order)."""
         return entries
@@ -117,23 +112,36 @@ class FIFOScheduler(TaskScheduler):
         return len(self._queue.items)
 
 
-class _HeapBacklogMixin:
-    """Shared ``pop`` and ``take_client`` plumbing for PriorityStore-backed
-    policies.
+class _Backlog(PriorityStore):
+    """A heap of :class:`PriorityItem` entries whose gets receive tasks.
 
-    The backlog is a heap of :class:`PriorityItem`; removing arbitrary
-    entries invalidates the heap, so the mixin re-heapifies and returns
-    the taken entries in priority (service) order.
+    ``taken`` unwraps an entry as it is taken, by :meth:`take_nowait` or by
+    the waiting get it is handed to, so a task pushed to a waiting worker
+    is handed off exactly as FIFO's is.
     """
 
-    def pop(self):
-        # The get's entry becomes its task before any waiter resumes.
-        get = self._queue.get()
-        get.callbacks.append(self._unwrap)
-        return get
+    def __init__(self, env: Environment,
+                 taken: Callable[[PriorityItem], Task] = lambda e: e.item):
+        super().__init__(env)
+        self._taken = taken
 
-    def _unwrap(self, get) -> None:
-        get._value = self._taken(get._value)
+    def take_nowait(self) -> Task:
+        return self._taken(super().take_nowait())
+
+    def _hand_over(self, entry: PriorityItem, wake) -> None:
+        if self._get_queue:
+            wake(self._get_queue.pop(0), self._taken(entry))
+        else:
+            self._insert(entry)
+
+
+class _HeapBacklogMixin:
+    """Shared backlog plumbing for the heap-ordered policies.
+
+    The backlog is a :class:`_Backlog`; removing arbitrary entries
+    invalidates the heap, so the mixin re-heapifies and returns the taken
+    entries in priority (service) order.
+    """
 
     def _entry_task(self, entry) -> Task:
         return entry.item
@@ -153,7 +161,7 @@ class PriorityScheduler(_HeapBacklogMixin, TaskScheduler):
 
     def __init__(self, env: Environment, default_priority: int = 10):
         super().__init__(env)
-        self._queue = PriorityStore(env)
+        self._queue = _Backlog(env)
         self._priorities: Dict[str, int] = {}
         self.default_priority = default_priority
 
@@ -179,7 +187,7 @@ class SJFScheduler(_HeapBacklogMixin, TaskScheduler):
 
     def __init__(self, env: Environment):
         super().__init__(env)
-        self._queue = PriorityStore(env)
+        self._queue = _Backlog(env)
 
     def push(self, task: Task, estimate: float) -> None:
         self._queue.hand_over(PriorityItem(estimate, task))
@@ -201,7 +209,7 @@ class WFQScheduler(_HeapBacklogMixin, TaskScheduler):
 
     def __init__(self, env: Environment):
         super().__init__(env)
-        self._queue = PriorityStore(env)
+        self._queue = _Backlog(env, self._taken)
         self._weights: Dict[str, float] = {}
         self._virtual_finish: Dict[str, float] = {}
         self._virtual_now = 0.0

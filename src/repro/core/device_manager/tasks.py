@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Any, List, Optional
 
 from ...sim import Environment, Event
-
-_task_ids = count(1)
 
 
 class OpType(enum.Enum):
@@ -68,7 +65,8 @@ class Task:
 
     client: str
     queue_id: int
-    id: int = field(default_factory=lambda: next(_task_ids))
+    #: Unique within its simulation.
+    id: int
     operations: List[Operation] = field(default_factory=list)
     submitted_at: Optional[float] = None
     started_at: Optional[float] = None
@@ -90,7 +88,8 @@ class Task:
 class TaskAccumulator:
     """Open tasks per (client, queue) awaiting a flush."""
 
-    def __init__(self) -> None:
+    def __init__(self, env: Environment) -> None:
+        self.env = env
         self._open: dict[tuple[str, int], Task] = {}
 
     def add(self, operation: Operation) -> Task:
@@ -98,7 +97,8 @@ class TaskAccumulator:
         key = (operation.client, operation.queue_id)
         task = self._open.get(key)
         if task is None:
-            task = Task(operation.client, operation.queue_id)
+            task = Task(operation.client, operation.queue_id,
+                        self.env.new_id("task"))
             self._open[key] = task
         task.append(operation)
         return task

@@ -154,7 +154,8 @@ class HealthMonitor:
                 if manager.healthy and manager.board.alive:
                     yield from transport.deliver_to_server(
                         self.inbox,
-                        Message(method=HEARTBEAT, sender=manager.name),
+                        Message(method=HEARTBEAT, sender=manager.name,
+                                id=self.env.new_id("message")),
                     )
         except Interrupt:
             return

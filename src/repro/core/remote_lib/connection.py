@@ -124,6 +124,7 @@ class Connection:
                 payload={"error": "connection closed with operation in "
                                   "flight", "code": CL_DEVICE_NOT_AVAILABLE},
                 sender="local", tag=machine.tag,
+                id=self.env.new_id("message"),
             ))
         self._machines.clear()
 
@@ -219,7 +220,7 @@ class Connection:
                 sender=self.client_name,
             )
             return result
-        request_id = new_request_id()
+        request_id = new_request_id(self.env)
         last_error: Optional[Exception] = None
         for attempt in range(policy.max_attempts):
             if attempt:
@@ -229,7 +230,7 @@ class Connection:
                 result = yield from unary_call(
                     self.transport, self.manager_endpoint, method, payload,
                     sender=self.client_name, timeout=policy.deadline,
-                    request_id=request_id,
+                    request_id=request_id, attempt=attempt,
                 )
                 return result
             except RpcTimeout as exc:
@@ -287,7 +288,8 @@ class Connection:
     def stream_send(self, method: str, payload: dict, tag: Any = None) -> None:
         """Queue a control message on the ordered outbound stream."""
         message = Message(method=method, payload=payload,
-                          sender=self.client_name, tag=tag)
+                          sender=self.client_name, tag=tag,
+                          id=self.env.new_id("message"))
         self._outbound.hand_over(_StreamItem(message))
 
     def stream_send_op(self, method: str, finalize, tag: Any,
@@ -299,7 +301,8 @@ class Connection:
         event state machine is failed locally instead of transmitting.
         """
         message = Message(method=method, payload={},
-                          sender=self.client_name, tag=tag)
+                          sender=self.client_name, tag=tag,
+                          id=self.env.new_id("message"))
         self._outbound.hand_over(
             _StreamItem(message, gates=tuple(gates), finalize=finalize)
         )
@@ -315,7 +318,8 @@ class Connection:
         """
         message = Message(method=protocol.WRITE_DATA,
                           payload={"data": data},
-                          sender=self.client_name, tag=tag)
+                          sender=self.client_name, tag=tag,
+                          id=self.env.new_id("message"))
         self._outbound.hand_over(_StreamItem(message, data_nbytes=nbytes))
 
     # -- worker processes -----------------------------------------------------
@@ -323,14 +327,12 @@ class Connection:
         """Transmit stream items in order, paying transport costs.
 
         A queued item is taken without an event; on an empty stream the
-        sender waits on a get, which ``hand_over`` settles.  Under a fault
-        plane it always gets: the get's event order sets the order of the
-        fault draws within an instant, which the chaos golden pins.
+        sender waits on a get, which ``hand_over`` settles.
         """
         outbound = self._outbound
         try:
             while True:
-                if outbound.items and self.network.faults is None:
+                if outbound.items:
                     item: _StreamItem = outbound.items.pop(0)
                 else:
                     item = yield outbound.get()
@@ -378,7 +380,7 @@ class Connection:
             machine.on_notification(Message(
                 method=protocol.OP_FAILED,
                 payload={"error": error, "code": code},
-                sender="local", tag=tag,
+                sender="local", tag=tag, id=self.env.new_id("message"),
             ))
 
     def _on_completion(self, message: Message) -> None:

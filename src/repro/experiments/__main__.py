@@ -28,6 +28,7 @@ from .tables import (
     run_use_case,
 )
 
+#: The repository root; its BENCH_*.json record full-length runs only.
 ROOT = Path(__file__).resolve().parents[3]
 
 #: Experiments whose quick-mode digest tier-1 pins in
@@ -105,7 +106,8 @@ def _migration():
     from .migration import render_migration, run_migration, write_bench_json
 
     result = run_migration()
-    write_bench_json(result, ROOT / "BENCH_migration.json")
+    if not quick_mode():
+        write_bench_json(result, ROOT / "BENCH_migration.json")
     digest = result.to_golden()
     return render_migration(result) + "\n\n" + _digest_table(
         digest, "Migration digest", arms=True), [digest]
@@ -124,7 +126,8 @@ def _scale():
     from .scale import render_scale, run_scale_sweep, write_bench_json
 
     cells = run_scale_sweep()
-    write_bench_json(cells, ROOT / "BENCH_scale.json")
+    if not quick_mode():
+        write_bench_json(cells, ROOT / "BENCH_scale.json")
     return render_scale(cells), [cell.to_record() for cell in cells]
 
 

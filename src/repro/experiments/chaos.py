@@ -9,8 +9,8 @@ budget and circuit breaker — and the run reports what the paper's
 operators would care about: availability, tail latency, and how long the
 system took to detect the failure and re-place the affected functions.
 
-Everything is driven from the DES clock and a seeded fault stream, so a
-whole chaos run is bit-reproducible from its spec.
+Everything is driven from the DES clock and seeded fault verdicts keyed by
+message identity, so a whole chaos run is bit-reproducible from its spec.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class ChaosSpec:
 
     use_case: str = "sobel"
     configuration: str = "medium"
-    #: Seed of the fault plane's random stream.
+    #: Seed of the fault plane's verdicts.
     seed: int = 7
     #: Fraction of control messages the fabric silently eats.
     message_loss: float = 0.01

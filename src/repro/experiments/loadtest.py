@@ -10,7 +10,7 @@ utilization, mean latency and processed-vs-target throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..loadgen import LoadStats
 from ..serverless import AlexNetApp, MMApp, SobelApp
@@ -100,16 +100,12 @@ def run_scenario(
     configuration: str,
     timing: Optional[LoadTiming] = None,
     config: SystemConfig = SystemConfig(),
-    network_setup: Optional[Callable[[object], None]] = None,
 ) -> ScenarioResult:
     """Run one load-test scenario end to end and return the report.
 
     Deploys one function per Table I rate of ``use_case`` at
     ``configuration`` (Native uses only the first three, one per board)
-    on the system ``config`` describes.  ``network_setup`` runs once
-    against the testbed's network before any deployment — the hook the
-    fault-overhead benchmark uses to attach an inert
-    :class:`~repro.faults.NetworkFaultPlane`.
+    on the system ``config`` describes.
     """
     timing = timing or load_timing()
     runtime = config.runtime
@@ -117,8 +113,6 @@ def run_scenario(
     env = Environment()
     system = build_system(env, config)
     testbed = system.testbed
-    if network_setup is not None:
-        network_setup(testbed.network)
 
     names = [f"{use_case}-{index}" for index in range(1, len(rates) + 1)]
     system.deploy([

@@ -1,23 +1,42 @@
 """The network fault plane: message-level fault decisions.
 
 Installed as ``network.faults`` on the RPC :class:`~repro.rpc.network.Network`
-(``None`` by default — the disabled path is a single attribute check and the
-simulation stays bit-identical to a build without fault injection).  When
-installed, every control-message delivery and every unary reply consults
-:meth:`NetworkFaultPlane.message_action`, which returns a verdict — drop,
-delay, duplicate, or pass — drawn from a seeded stream so a whole chaos run
-replays identically from its seed.
+(``None`` by default).  When installed, every control-message delivery and
+every unary reply consults :meth:`NetworkFaultPlane.message_action`, which
+returns a verdict — drop, delay, duplicate, or pass.
 
-Partitions are deterministic: while two hosts are partitioned every message
-between them drops regardless of the random stream (and without consuming
-a draw, so healing a partition replays the rest of the run unchanged).
+A verdict is a pure function of the seed and the message's link, id and
+attempt (counter-based draws, as in Salmon et al., "Parallel Random Numbers:
+As Easy as 1, 2, 3", SC'11), so it depends on neither the order messages
+are sent, delivered or served in nor the draws of other links.  Ids follow
+creation order, though: two messages created at one instant by different
+processes trade fates if that order changes.  While two hosts are
+partitioned every message between them drops, whatever its draw.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, FrozenSet, Set
 
-from .rng import FaultRng
+_MASK = (1 << 64) - 1
+#: SplitMix64's increment (the golden ratio in 64-bit fixed point).
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(value: int) -> int:
+    """SplitMix64's finaliser: a bijective avalanche of a 64-bit word."""
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK
+    return value ^ (value >> 31)
+
+
+def _keyed_draw(*keys: int) -> float:
+    """A uniform float in ``[0, 1)`` that is a pure function of ``keys``."""
+    state = 0
+    for key in keys:
+        state = _mix((state + key + _GAMMA) & _MASK)
+    return (state >> 11) * (1.0 / (1 << 53))
 
 
 class MessageVerdict:
@@ -61,7 +80,7 @@ class NetworkFaultPlane:
             raise ValueError("fault rates must be non-negative")
         if drop_rate + duplicate_rate + delay_rate > 1.0:
             raise ValueError("fault rates must sum to at most 1")
-        self.rng = FaultRng(seed)
+        self.seed = int(seed)
         self.drop_rate = drop_rate
         self.duplicate_rate = duplicate_rate
         self.delay_rate = delay_rate
@@ -103,24 +122,31 @@ class NetworkFaultPlane:
         return frozenset((src, dst)) in self._partitions
 
     # -- per-message decision ----------------------------------------------
-    def message_action(self, src: str, dst: str) -> MessageVerdict:
-        """Decide the fate of one control message from ``src`` to ``dst``."""
+    def message_action(self, src: str, dst: str, message,
+                       reply: bool = False) -> MessageVerdict:
+        """Decide the fate of ``message`` on the ``src`` → ``dst`` link.
+
+        ``message.attempt`` is keyed because a retry reuses its request's
+        id; ``reply`` judges the answer to a unary call instead, whose key
+        would otherwise equal the request's on a same-node link.
+        """
+        counters = self.counters
+        verdict = PASS
         if self.is_partitioned(src, dst):
-            self.counters["partitioned"] += 1
-            self.counters["dropped"] += 1
-            return _DROP
-        if self.drop_rate or self.duplicate_rate or self.delay_rate:
-            draw = self.rng.random()
+            counters["partitioned"] += 1
+            verdict = _DROP
+        elif self.drop_rate or self.duplicate_rate or self.delay_rate:
+            # A stable link key: PYTHONHASHSEED randomises ``hash()``.
+            link = zlib.crc32(f"{src}\0{dst}".encode())
+            draw = _keyed_draw(self.seed, link, message.id, message.attempt,
+                               reply)
             if draw < self.drop_rate:
-                self.counters["dropped"] += 1
-                return _DROP
-            if draw < self.drop_rate + self.duplicate_rate:
-                self.counters["delivered"] += 1
-                self.counters["duplicated"] += 1
-                return MessageVerdict(duplicate=True)
-            if draw < self.drop_rate + self.duplicate_rate + self.delay_rate:
-                self.counters["delivered"] += 1
-                self.counters["delayed"] += 1
-                return MessageVerdict(delay=self.delay)
-        self.counters["delivered"] += 1
-        return PASS
+                verdict = _DROP
+            elif draw < self.drop_rate + self.duplicate_rate:
+                counters["duplicated"] += 1
+                verdict = MessageVerdict(duplicate=True)
+            elif draw < self.drop_rate + self.duplicate_rate + self.delay_rate:
+                counters["delayed"] += 1
+                verdict = MessageVerdict(delay=self.delay)
+        counters["dropped" if verdict.drop else "delivered"] += 1
+        return verdict

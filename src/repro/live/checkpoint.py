@@ -448,7 +448,8 @@ def restore_session(manager: DeviceManager, checkpoint: SessionCheckpoint,
     manager._m_clients.set(len(manager.sessions))
 
     for task_meta in checkpoint.tasks:
-        task = Task(checkpoint.client, task_meta.queue_id)
+        task = Task(checkpoint.client, task_meta.queue_id,
+                    manager.env.new_id("task"))
         for op_meta in task_meta.operations:
             task.append(_rebuild_op(op_meta, checkpoint.client, manager))
         manager._submit(task)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..fpga.ddr import materialize
@@ -48,8 +47,6 @@ from .types import (
     QueueProperties,
 )
 
-_ids = count(1)
-
 #: The profiling counter each execution status stamps, indexed by status
 #: (COMPLETE = 0 ... QUEUED = 3).
 _STATUS_STAMPS = (
@@ -71,7 +68,7 @@ class CLEvent:
     """
 
     def __init__(self, env: Environment, command_type: CommandType):
-        self.id = next(_ids)
+        self.id = env.new_id("ocl")
         self.env = env
         self.command_type = command_type
         self._status = ExecutionStatus.QUEUED
@@ -269,7 +266,7 @@ class Platform:
     """An OpenCL platform (one per runtime: native vendor or BlastFunction)."""
 
     def __init__(self, driver: Driver):
-        self.id = next(_ids)
+        self.id = driver.env.new_id("ocl")
         self.driver = driver
         info = driver.platform_info()
         self.name = info.get("name", "Unknown platform")
@@ -310,7 +307,7 @@ class Device:
     """An OpenCL device (an FPGA accelerator board)."""
 
     def __init__(self, platform: Platform, driver: Driver):
-        self.id = next(_ids)
+        self.id = driver.env.new_id("ocl")
         self.platform = platform
         self.driver = driver
         info = driver.device_info()
@@ -347,10 +344,10 @@ class Context:
         platforms = {device.platform for device in devices}
         check(len(platforms) == 1, CL_INVALID_CONTEXT,
               "devices span multiple platforms")
-        self.id = next(_ids)
         self.devices = list(devices)
         self.driver = devices[0].driver
         self.env = self.driver.env
+        self.id = self.env.new_id("ocl")
         self.buffers: List[MemBuffer] = []
         self.queues: List[CommandQueue] = []
         self.released = False
@@ -412,7 +409,7 @@ class MemBuffer:
         if flags & MemFlags.COPY_HOST_PTR:
             check(hostbuf is not None, CL_INVALID_VALUE,
                   "COPY_HOST_PTR requires host data")
-        self.id = next(_ids)
+        self.id = context.env.new_id("ocl")
         self.context = context
         self.size = size
         self.flags = flags
@@ -447,7 +444,7 @@ class Program:
     """``cl_program``: a bitstream handle; building may reconfigure."""
 
     def __init__(self, context: Context, binary_name: str):
-        self.id = next(_ids)
+        self.id = context.env.new_id("ocl")
         self.context = context
         self.binary_name = binary_name
         self.built = False
@@ -469,7 +466,7 @@ class Kernel:
     """``cl_kernel``: a kernel with positional arguments."""
 
     def __init__(self, program: Program, name: str):
-        self.id = next(_ids)
+        self.id = program.context.env.new_id("ocl")
         self.program = program
         self.name = name
         self.context = program.context
@@ -535,7 +532,7 @@ class CommandQueue:
     ):
         check(device in context.devices, CL_INVALID_VALUE,
               "device not in context")
-        self.id = next(_ids)
+        self.id = context.env.new_id("ocl")
         self.context = context
         self.device = device
         self.properties = properties

@@ -13,13 +13,10 @@ request and returns with its response).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Any, Callable, Dict, Optional
 
 from ..sim import Environment, Event, Store
 from .transport import Transport
-
-_message_ids = count(1)
 
 
 class RpcError(RuntimeError):
@@ -35,13 +32,14 @@ class RpcError(RuntimeError):
         self.code = code
 
 
-def new_request_id() -> int:
+def new_request_id(env: Environment) -> int:
     """Fresh request id for an idempotent unary call.
 
     Retries of the same logical request reuse one id, letting the server
-    dedupe re-executions and replay the cached reply.
+    dedupe re-executions and replay the cached reply.  Request ids come
+    from the message sequence, so they never collide with a message's.
     """
-    return next(_message_ids)
+    return env.new_id("message")
 
 
 @dataclass(slots=True)
@@ -63,7 +61,10 @@ class Message:
     tag: Any = None
     #: For unary calls: the simulation event the reply will trigger.
     reply_to: Optional[Event] = None
-    id: int = field(default_factory=lambda: next(_message_ids))
+    #: ``env.new_id("message")``; a retried unary call reuses its request's.
+    id: int = field(kw_only=True)
+    #: Which try of its request (0 first): keys its fault verdict with ``id``.
+    attempt: int = 0
 
 
 class RpcEndpoint:
@@ -123,6 +124,7 @@ def unary_call(
     sender: str = "",
     timeout: Optional[float] = None,
     request_id: Optional[int] = None,
+    attempt: int = 0,
 ):
     """Process: synchronous request/response against a server endpoint.
 
@@ -133,16 +135,16 @@ def unary_call(
 
     ``request_id`` pins the message id so a retry is recognizably the
     same logical request (the Device Manager dedupes on it and replays
-    its cached reply instead of re-executing).
+    its cached reply instead of re-executing); ``attempt`` numbers the
+    retry, so each try meets the fault plane afresh.
     """
     env = transport.env
     response = env.event()
     message = Message(
         method=method, payload=dict(payload or {}), sender=sender,
-        reply_to=response,
+        reply_to=response, attempt=attempt,
+        id=env.new_id("message") if request_id is None else request_id,
     )
-    if request_id is not None:
-        message.id = request_id
     yield from transport.deliver_to_server(endpoint, message)
     if timeout is None:
         result = yield response
@@ -164,7 +166,8 @@ def unary_call(
         # as a deadline expiry.  Only modeled under a deadline — without
         # one a lost reply would hang the caller forever.
         verdict = faults.message_action(transport.server.name,
-                                        transport.client.name)
+                                        transport.client.name, message,
+                                        reply=True)
         if verdict.drop:
             response.defused = True
             if not deadline.processed:

@@ -44,9 +44,8 @@ class Network:
         self.local = local
         self.remote = remote
         self._hosts: Dict[str, NetworkHost] = {}
-        #: Optional :class:`~repro.faults.NetworkFaultPlane`.  ``None`` (the
-        #: default) keeps every delivery on the exact pre-fault-injection
-        #: code path — goldens stay bit-identical.
+        #: Optional :class:`~repro.faults.NetworkFaultPlane` judging every
+        #: control message; ``None`` (the default) delivers them all.
         self.faults = None
 
     def host(self, name: str, host_spec: HostSpec = HOST_I7_6700) -> NetworkHost:

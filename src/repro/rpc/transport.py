@@ -21,6 +21,7 @@ import abc
 from dataclasses import dataclass
 from typing import Optional
 
+from ..faults.plane import PASS, MessageVerdict
 from ..sim import Environment, Event
 from .network import Network, NetworkHost
 
@@ -43,6 +44,15 @@ class CopyStats:
     def record(self, count: int, nbytes: int) -> None:
         self.copies += count
         self.bytes_copied += count * nbytes
+
+
+def _land(endpoint, message, verdict: MessageVerdict) -> None:
+    """Deliver an arrived ``message`` 0, 1 or 2 times, as its verdict says."""
+    if verdict.drop:
+        return
+    endpoint.deliver(message)
+    if verdict.duplicate:
+        endpoint.deliver(message)
 
 
 class Transport(abc.ABC):
@@ -71,19 +81,19 @@ class Transport(abc.ABC):
         self._wire_time = network.local.transfer_time(CONTROL_MESSAGE_BYTES)
 
     # -- control plane -----------------------------------------------------
-    def _control_arrival(self, nbytes=None) -> Optional[Event]:
-        """One arrival event for a fault-free, same-node control message
-        and the ``nbytes`` payload it carries, if any, at
-        ``((now + copy) + overhead) + transfer``: the float their Timeouts
-        would end on.  The copies are recorded on arrival.  ``None`` when
-        the message needs the full path: a fault plane is installed, or it
-        crosses nodes and queues on the NIC.
+    def _control_arrival(self, nbytes=None, delay=0.0) -> Optional[Event]:
+        """One arrival event for a same-node control message and the
+        ``nbytes`` payload it carries, if any, at
+        ``(((now + copy) + overhead) + transfer) + delay``: the float their
+        Timeouts and a fault ``delay`` would end on.  The copies are
+        recorded on arrival.  ``None`` when the message crosses nodes and
+        queues on the NIC.
         """
-        if self.network.faults is not None or not self._local:
+        if not self._local:
             return None
         sent = self.env.now if nbytes is None else self._landing(nbytes)
         arrival = self.env.timeout_at(
-            (sent + self._control_overhead) + self._wire_time)
+            ((sent + self._control_overhead) + self._wire_time) + delay)
         if nbytes is not None:
             arrival.callbacks.append(lambda _: self._landed(nbytes))
         return arrival
@@ -107,56 +117,54 @@ class Transport(abc.ABC):
         yield from self.send_control(self.server, self.client)
 
     # -- control plane with delivery (fault-injection point) ----------------
+    def _verdict(self, src: NetworkHost, dst: NetworkHost,
+                 message) -> MessageVerdict:
+        """The fault plane's verdict on ``message`` (no plane: ``PASS``)."""
+        faults = self.network.faults
+        if faults is None:
+            return PASS
+        return faults.message_action(src.name, dst.name, message)
+
     def deliver_to_server(self, endpoint, message, nbytes=None):
         """Process: send one control message, after the ``nbytes`` payload
-        it announces, if any, and deliver it client→server.
+        it announces, if any, and deliver it client→server as its fault
+        verdict says.
 
-        A fault-free, same-node message is one arrival event.  With
-        ``network.faults`` installed the message may be dropped, delayed
-        or duplicated.
+        A same-node message is one arrival event; the sender pays the
+        send cost even when the fabric eats the message.
         """
-        arrival = self._control_arrival(nbytes)
+        verdict = self._verdict(self.client, self.server, message)
+        arrival = self._control_arrival(nbytes, verdict.delay)
         if arrival is None:
             yield from self._deliver(self.client, self.server, endpoint,
-                                     message, nbytes)
+                                     message, nbytes, verdict)
             return
         yield arrival
-        endpoint.deliver(message)
+        _land(endpoint, message, verdict)
 
     def deliver_to_client(self, endpoint, message, nbytes=None) -> Event:
         """Send one control message server→client, after the ``nbytes``
         payload it carries, if any; returns its arrival.
 
-        Fire-and-forget: a fault-free, same-node message is one scheduled
-        callback delivering into ``endpoint``.  The fault-plane and
-        cross-node paths run as a process, which is the returned event.
+        Fire-and-forget: a same-node message is one scheduled callback
+        delivering into ``endpoint``.  The cross-node path runs as a
+        process, which is the returned event.
         """
-        arrival = self._control_arrival(nbytes)
+        verdict = self._verdict(self.server, self.client, message)
+        arrival = self._control_arrival(nbytes, verdict.delay)
         if arrival is None:
             return self.env.process(self._deliver(
-                self.server, self.client, endpoint, message, nbytes))
-        arrival.callbacks.append(lambda _: endpoint.deliver(message))
+                self.server, self.client, endpoint, message, nbytes,
+                verdict))
+        arrival.callbacks.append(lambda _: _land(endpoint, message, verdict))
         return arrival
 
-    def _deliver(self, src, dst, endpoint, message, nbytes=None):
-        faults = self.network.faults
-        if faults is None:
-            yield from self.send_control(src, dst, nbytes)
-            endpoint.deliver(message)
-            return
-        if nbytes is not None:
-            yield from self.send_data(src, dst, nbytes)
-        # The sender always pays the send cost — it cannot know the fabric
-        # ate the message.
-        verdict = faults.message_action(src.name, dst.name)
-        yield from self.send_control(src, dst)
-        if verdict.drop:
-            return
+    def _deliver(self, src, dst, endpoint, message, nbytes, verdict):
+        """Process: the cross-node path of one delivery."""
+        yield from self.send_control(src, dst, nbytes)
         if verdict.delay:
             yield self.env.timeout(verdict.delay)
-        endpoint.deliver(message)
-        if verdict.duplicate:
-            endpoint.deliver(message)
+        _land(endpoint, message, verdict)
 
     # -- data plane -----------------------------------------------------------
     @abc.abstractmethod

@@ -33,10 +33,8 @@ class Request:
     payload: Dict[str, Any]
     created: float
     response: Event
-    id: int = field(default_factory=lambda: next(_request_ids))
-
-
-_request_ids = count(1)
+    #: Unique within its simulation.
+    id: int
 
 
 class InvocationError(RuntimeError):
@@ -217,7 +215,7 @@ class Gateway:
             return (yield from self._invoke_resilient(function, payload))
         yield self.env.timeout(GATEWAY_OVERHEAD)
         request = Request(dict(payload or {}), self.env.now,
-                          Event(self.env))
+                          Event(self.env), self.env.new_id("request"))
         function.invocations += 1
         function.request_queue.hand_over(request)
         try:
@@ -261,7 +259,7 @@ class Gateway:
                     * policy.backoff_factor ** (attempt - 1)
                 )
             request = Request(dict(payload or {}), self.env.now,
-                              Event(self.env))
+                              Event(self.env), self.env.new_id("request"))
             function.invocations += 1
             function.request_queue.hand_over(request)
             try:

@@ -48,7 +48,8 @@ class Environment:
     1.5
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_proc", "_handoffs")
+    __slots__ = ("_now", "_queue", "_eid", "_active_proc", "_handoffs",
+                 "_ids")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -60,6 +61,8 @@ class Environment:
         self._eid = 0
         self._active_proc: Optional[Process] = None
         self._handoffs = 0
+        #: Last id handed out per kind (see :meth:`new_id`).
+        self._ids: dict[str, int] = {}
 
     @property
     def now(self) -> float:
@@ -70,6 +73,12 @@ class Environment:
     def active_process(self) -> Optional["Process"]:
         """The process currently being resumed, if any."""
         return self._active_proc
+
+    def new_id(self, kind: str) -> int:
+        """The next id of ``kind`` (1, 2, 3, ...) in this simulation: a
+        run's ids never depend on what the process simulated before it."""
+        value = self._ids[kind] = self._ids.get(kind, 0) + 1
+        return value
 
     # -- event factories --------------------------------------------------
     def event(self) -> Event:

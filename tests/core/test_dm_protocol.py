@@ -57,6 +57,7 @@ def stream(env, manager, transport, method, payload, tag=None,
     def flow():
         yield from transport.control_to_server()
         manager.endpoint.deliver(Message(
+            id=env.new_id("message"),
             method=method, payload=payload, sender=client, tag=tag
         ))
 

@@ -62,7 +62,8 @@ def test_fsm_terminates_complete_or_failed(methods, is_write):
         was_terminal = machine.terminal
         state_before = machine.state
         status_before = cl_event.status
-        machine.on_notification(Message(method=method, sender="dm"))
+        machine.on_notification(Message(method=method, sender="dm",
+                                        id=cl_event.env.new_id("message")))
         if was_terminal:
             # COMPLETE/FAILED are absorbing: stragglers change nothing.
             assert machine.state is state_before

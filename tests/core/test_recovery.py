@@ -161,6 +161,7 @@ def stream(env, manager, transport, method, payload, tag=None,
     def flow():
         yield from transport.control_to_server()
         manager.endpoint.deliver(Message(
+            id=env.new_id("message"),
             method=method, payload=payload, sender=client, tag=tag
         ))
 
@@ -225,7 +226,7 @@ class TestManagerCrash:
         connect(env, manager, transport, completions)
         from repro.rpc import new_request_id
 
-        rid = new_request_id()
+        rid = new_request_id(env)
         first = call(env, manager, transport, protocol.CREATE_BUFFER,
                      {"size": 128}, request_id=rid)
         second = call(env, manager, transport, protocol.CREATE_BUFFER,

@@ -32,6 +32,11 @@ def run(env, generator):
     return env.run(until=env.process(generator))
 
 
+def _note(env, method, **fields):
+    """A notification as the Device Manager would send it."""
+    return Message(method=method, id=env.new_id("message"), **fields)
+
+
 class TestRouter:
     def test_empty_router_raises(self, rig):
         env, network, library, node, *_ = rig
@@ -88,10 +93,10 @@ class TestEventMachineProtocol:
     def test_read_walks_init_first_complete(self):
         env = Environment()
         machine, event, _ = self.make_machine(env)
-        machine.on_notification(Message(method=protocol.OP_ENQUEUED))
+        machine.on_notification(_note(env, protocol.OP_ENQUEUED))
         assert machine.state is FsmState.FIRST
-        machine.on_notification(Message(method=protocol.OP_COMPLETE,
-                                        payload={"data": b"hi"}))
+        machine.on_notification(_note(env, protocol.OP_COMPLETE,
+                                      payload={"data": b"hi"}))
         assert machine.state is FsmState.COMPLETE
         env.run()
         assert event.value == b"hi"
@@ -99,29 +104,29 @@ class TestEventMachineProtocol:
     def test_write_passes_buffer_state_and_sends_data(self):
         env = Environment()
         machine, event, connection = self.make_machine(env, write=True)
-        machine.on_notification(Message(method=protocol.OP_ENQUEUED))
+        machine.on_notification(_note(env, protocol.OP_ENQUEUED))
         assert machine.state is FsmState.BUFFER
         assert connection.writes == [(machine.tag, 1)]
 
     def test_duplicate_enqueued_is_protocol_violation(self):
         env = Environment()
         machine, event, _ = self.make_machine(env)
-        machine.on_notification(Message(method=protocol.OP_ENQUEUED))
-        machine.on_notification(Message(method=protocol.OP_ENQUEUED))
+        machine.on_notification(_note(env, protocol.OP_ENQUEUED))
+        machine.on_notification(_note(env, protocol.OP_ENQUEUED))
         assert machine.state is FsmState.FAILED
         assert event.status < 0
 
     def test_unknown_notification_fails_machine(self):
         env = Environment()
         machine, event, _ = self.make_machine(env)
-        machine.on_notification(Message(method="Bogus"))
+        machine.on_notification(_note(env, "Bogus"))
         assert machine.state is FsmState.FAILED
 
     def test_failure_carries_error_text(self):
         env = Environment()
         machine, event, _ = self.make_machine(env)
-        machine.on_notification(Message(
-            method=protocol.OP_FAILED, payload={"error": "board on fire"}
+        machine.on_notification(_note(
+            env, protocol.OP_FAILED, payload={"error": "board on fire"}
         ))
         env.run()
         with pytest.raises(CLError, match="board on fire"):
@@ -130,8 +135,8 @@ class TestEventMachineProtocol:
     def test_machine_forgotten_after_terminal_state(self):
         env = Environment()
         machine, event, connection = self.make_machine(env)
-        machine.on_notification(Message(method=protocol.OP_ENQUEUED))
-        machine.on_notification(Message(method=protocol.OP_COMPLETE))
+        machine.on_notification(_note(env, protocol.OP_ENQUEUED))
+        machine.on_notification(_note(env, protocol.OP_COMPLETE))
         assert connection.forgotten == [machine.tag]
 
 

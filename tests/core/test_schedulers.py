@@ -21,7 +21,7 @@ from repro.sim import Environment
 
 
 def make_task(client: str, tag=None) -> Task:
-    task = Task(client, 0)
+    task = Task(client, 0, 0)
     task.append(Operation(type=OpType.MARKER, client=client, queue_id=0,
                           tag=tag))
     return task

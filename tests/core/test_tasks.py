@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.device_manager import Operation, OpType, Task, TaskAccumulator
+from repro.sim import Environment
 
 
 def make_op(client="fn-1", queue_id=0, op_type=OpType.KERNEL, tag=None):
@@ -11,7 +12,7 @@ def make_op(client="fn-1", queue_id=0, op_type=OpType.KERNEL, tag=None):
 
 class TestTask:
     def test_append_preserves_order(self):
-        task = Task("fn-1", 0)
+        task = Task("fn-1", 0, 1)
         ops = [make_op(tag=i) for i in range(3)]
         for op in ops:
             task.append(op)
@@ -19,20 +20,26 @@ class TestTask:
         assert len(task) == 3
 
     def test_append_wrong_client_rejected(self):
-        task = Task("fn-1", 0)
+        task = Task("fn-1", 0, 1)
         with pytest.raises(ValueError):
             task.append(make_op(client="fn-2"))
 
     def test_append_wrong_queue_rejected(self):
-        task = Task("fn-1", 0)
+        task = Task("fn-1", 0, 1)
         with pytest.raises(ValueError):
             task.append(make_op(queue_id=1))
 
     def test_task_ids_unique(self):
-        assert Task("a", 0).id != Task("a", 0).id
+        # Tasks take their ids from their simulation: unique within it,
+        # and the same in every run.
+        for _ in range(2):
+            acc = TaskAccumulator(Environment())
+            first = acc.add(make_op(queue_id=0))
+            second = acc.add(make_op(queue_id=1))
+            assert (first.id, second.id) == (1, 2)
 
     def test_empty_flag(self):
-        task = Task("fn-1", 0)
+        task = Task("fn-1", 0, 1)
         assert task.empty
         task.append(make_op())
         assert not task.empty
@@ -40,7 +47,7 @@ class TestTask:
 
 class TestTaskAccumulator:
     def test_ops_accumulate_per_client_queue(self):
-        acc = TaskAccumulator()
+        acc = TaskAccumulator(Environment())
         t1 = acc.add(make_op(client="a", queue_id=0, tag=1))
         t2 = acc.add(make_op(client="a", queue_id=0, tag=2))
         t3 = acc.add(make_op(client="b", queue_id=0, tag=3))
@@ -49,13 +56,13 @@ class TestTaskAccumulator:
         assert len(t1) == 2
 
     def test_separate_queues_separate_tasks(self):
-        acc = TaskAccumulator()
+        acc = TaskAccumulator(Environment())
         t1 = acc.add(make_op(queue_id=0))
         t2 = acc.add(make_op(queue_id=1))
         assert t1 is not t2
 
     def test_flush_closes_task(self):
-        acc = TaskAccumulator()
+        acc = TaskAccumulator(Environment())
         acc.add(make_op(tag=1))
         task = acc.flush("fn-1", 0)
         assert task is not None
@@ -65,11 +72,11 @@ class TestTaskAccumulator:
         assert fresh is not task
 
     def test_flush_empty_returns_none(self):
-        acc = TaskAccumulator()
+        acc = TaskAccumulator(Environment())
         assert acc.flush("fn-1", 0) is None
 
     def test_flush_client_closes_all_queues(self):
-        acc = TaskAccumulator()
+        acc = TaskAccumulator(Environment())
         acc.add(make_op(queue_id=0))
         acc.add(make_op(queue_id=1))
         acc.add(make_op(client="other"))

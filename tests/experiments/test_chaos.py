@@ -93,3 +93,15 @@ def test_same_seed_same_digest(monkeypatch_module):
     first = run_chaos(spec).to_golden()
     second = run_chaos(spec).to_golden()
     assert first == second
+
+
+def test_every_seed_recovers(monkeypatch):
+    """The golden pins one seed; across seeds 1-10 no client event FSM
+    hangs and availability stays at or above 98%."""
+    monkeypatch.setenv("REPRO_QUICK", "1")
+    outcomes = {}
+    for seed in range(1, 11):
+        result = run_chaos(ChaosSpec(seed=seed))
+        outcomes[seed] = (result.hung_events, result.availability)
+    assert all(hung == 0 and availability >= 0.98
+               for hung, availability in outcomes.values()), outcomes

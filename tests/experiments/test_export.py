@@ -92,6 +92,23 @@ class TestCLI:
         assert "Table I" in out
         assert json.loads(path.read_text()) == {"table1": []}
 
+    def test_only_full_runs_rewrite_the_bench_records(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # BENCH_migration.json and BENCH_scale.json record full-length
+        # runs; the documented quick re-pin command must not rewrite them.
+        from repro.experiments import __main__ as cli
+        from repro.experiments import scale
+
+        monkeypatch.setattr(cli, "ROOT", tmp_path)
+        monkeypatch.setattr(scale, "run_scale_sweep", lambda: [])
+        monkeypatch.setenv("REPRO_QUICK", "1")
+        assert cli.main(["migration"]) == 0
+        assert cli.main(["scale"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setenv("REPRO_QUICK", "0")
+        assert cli.main(["scale"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_scale.json"]
+
     def test_unknown_experiment_rejected(self):
         from repro.experiments.__main__ import main
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.experiments import run_scenario
+from repro.experiments import loadtest, run_scenario
 from repro.experiments.config import LoadTiming
-from repro.system import SystemConfig
+from repro.faults import NetworkFaultPlane
+from repro.system import SystemConfig, build_system
 
 FAST = LoadTiming(warmup=1.0, duration=5.0)
 
@@ -78,3 +79,33 @@ class TestCrossScenario:
         with pytest.raises(ValueError, match="runtime"):
             run_scenario("sobel", "low", timing=FAST,
                          config=SystemConfig(runtime="gpu"))
+
+
+def _events_and_latencies(monkeypatch, plane):
+    """Scheduled events and raw latencies of a quick Table-II sobel/high
+    scenario, with ``plane`` installed before any deployment."""
+    envs = []
+
+    def build(env, config):
+        system = build_system(env, config)
+        system.testbed.network.faults = plane
+        envs.append(env)
+        return system
+
+    monkeypatch.setattr(loadtest, "build_system", build)
+    result = run_scenario("sobel", "high",
+                          timing=LoadTiming(warmup=2.0, duration=8.0))
+    (env,) = envs
+    return env._eid, [stats.latencies for stats in result.stats]
+
+
+def test_an_inert_fault_plane_costs_nothing(monkeypatch):
+    """A zero-rate plane is consulted on every message, yet the run
+    schedules exactly the events of a run without one, and every latency
+    is the same float: a faulted run takes the clean run's serving path."""
+    plane = NetworkFaultPlane(seed=1)
+    clean = _events_and_latencies(monkeypatch, None)
+    inert = _events_and_latencies(monkeypatch, plane)
+    assert inert == clean
+    assert clean[0] > 20_000
+    assert plane.counters["delivered"] > 10_000

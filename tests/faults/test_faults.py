@@ -1,41 +1,24 @@
 """Determinism and semantics of the fault-injection plane."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     PASS,
-    FaultRng,
     FaultScript,
     NetworkFaultPlane,
 )
+from repro.rpc import Message
 from repro.sim import Environment
 
 
-class TestFaultRng:
-    def test_same_seed_same_stream(self):
-        a, b = FaultRng(42), FaultRng(42)
-        assert [a.random() for _ in range(100)] == [
-            b.random() for _ in range(100)
-        ]
+def message(id, attempt=0):
+    return Message(method="m", id=id, attempt=attempt)
 
-    def test_different_seeds_diverge(self):
-        a, b = FaultRng(1), FaultRng(2)
-        assert [a.random() for _ in range(10)] != [
-            b.random() for _ in range(10)
-        ]
 
-    def test_unit_interval(self):
-        rng = FaultRng(7)
-        draws = [rng.random() for _ in range(1000)]
-        assert all(0.0 <= d < 1.0 for d in draws)
-
-    def test_fork_is_independent_and_deterministic(self):
-        parent = FaultRng(5)
-        child = parent.fork(3)
-        again = FaultRng(5).fork(3)
-        assert [child.random() for _ in range(10)] == [
-            again.random() for _ in range(10)
-        ]
+def fate(verdict):
+    return (verdict.drop, verdict.delay, verdict.duplicate)
 
 
 class TestNetworkFaultPlane:
@@ -47,30 +30,47 @@ class TestNetworkFaultPlane:
 
     def test_zero_rates_always_pass(self):
         plane = NetworkFaultPlane(seed=1)
-        for _ in range(50):
-            assert plane.message_action("a", "b") is PASS
+        for id in range(1, 51):
+            assert plane.message_action("a", "b", message(id)) is PASS
         assert plane.counters["delivered"] == 50
         assert plane.counters["dropped"] == 0
 
     def test_seeded_verdicts_replay(self):
         def verdicts(plane):
-            return [
-                (v.drop, v.delay, v.duplicate)
-                for v in (plane.message_action("a", "b")
-                          for _ in range(500))
-            ]
+            return [fate(plane.message_action("a", "b", message(id)))
+                    for id in range(1, 501)]
 
         kwargs = dict(seed=9, drop_rate=0.1, duplicate_rate=0.1,
                       delay_rate=0.1)
         assert verdicts(NetworkFaultPlane(**kwargs)) == verdicts(
             NetworkFaultPlane(**kwargs)
         )
+        assert verdicts(NetworkFaultPlane(**kwargs)) != verdicts(
+            NetworkFaultPlane(**dict(kwargs, seed=10)))
+
+    def test_verdict_is_keyed_by_link_attempt_and_direction(self):
+        plane = NetworkFaultPlane(seed=2, drop_rate=0.5)
+
+        def drops(src, dst, attempt=0, reply=False):
+            return [plane.message_action(src, dst, message(id, attempt),
+                                         reply=reply).drop
+                    for id in range(1, 201)]
+
+        base = drops("a", "b")
+        assert 60 < sum(base) < 140
+        # A retry, the reverse link, another link and a reply each draw
+        # afresh (a same-node reply would otherwise share its request's
+        # key).
+        assert drops("a", "b", attempt=1) != base
+        assert drops("b", "a") != base
+        assert drops("a", "c") != base
+        assert drops("a", "a", reply=True) != drops("a", "a")
 
     def test_all_bands_reachable(self):
         plane = NetworkFaultPlane(seed=3, drop_rate=0.2, duplicate_rate=0.2,
                                   delay_rate=0.2, delay=0.5)
-        for _ in range(500):
-            plane.message_action("a", "b")
+        for id in range(1, 501):
+            plane.message_action("a", "b", message(id))
         counters = plane.counters
         assert counters["dropped"] > 0
         assert counters["duplicated"] > 0
@@ -80,46 +80,89 @@ class TestNetworkFaultPlane:
     def test_partition_drops_both_directions(self):
         plane = NetworkFaultPlane(seed=1)
         plane.partition("a", "b")
-        assert plane.message_action("a", "b").drop
-        assert plane.message_action("b", "a").drop
+        assert plane.message_action("a", "b", message(1)).drop
+        assert plane.message_action("b", "a", message(2)).drop
         assert plane.counters["partitioned"] == 2
         plane.heal("a", "b")
-        assert plane.message_action("a", "b") is PASS
+        assert plane.message_action("a", "b", message(3)) is PASS
 
     def test_partition_consumes_no_draws(self):
-        # Healing a partition must replay the rest of the run unchanged:
-        # the partitioned messages take no random draws.
+        # Healing a partition replays the rest of the run unchanged: a
+        # verdict depends on its message alone, not on what dropped before.
         kwargs = dict(seed=11, drop_rate=0.3, duplicate_rate=0.3)
         partitioned = NetworkFaultPlane(**kwargs)
         partitioned.partition("a", "b")
-        for _ in range(25):
-            partitioned.message_action("a", "b")
+        for id in range(1, 26):
+            partitioned.message_action("a", "b", message(id))
         partitioned.heal("a", "b")
         fresh = NetworkFaultPlane(**kwargs)
-        after = [
-            (v.drop, v.duplicate)
-            for v in (partitioned.message_action("a", "b")
-                      for _ in range(100))
-        ]
-        baseline = [
-            (v.drop, v.duplicate)
-            for v in (fresh.message_action("a", "b") for _ in range(100))
-        ]
+        after = [fate(partitioned.message_action("a", "b", message(id)))
+                 for id in range(26, 126)]
+        baseline = [fate(fresh.message_action("a", "b", message(id)))
+                    for id in range(26, 126)]
         assert after == baseline
 
     def test_isolation_cuts_host_off(self):
         plane = NetworkFaultPlane(seed=1)
         plane.isolate("b")
-        assert plane.message_action("a", "b").drop
-        assert plane.message_action("b", "c").drop
-        assert plane.message_action("a", "c") is PASS
+        assert plane.message_action("a", "b", message(1)).drop
+        assert plane.message_action("b", "c", message(2)).drop
+        assert plane.message_action("a", "c", message(3)) is PASS
         plane.rejoin("b")
-        assert plane.message_action("a", "b") is PASS
+        assert plane.message_action("a", "b", message(4)) is PASS
 
     def test_loopback_never_partitions(self):
         plane = NetworkFaultPlane(seed=1)
         plane.isolate("a")
-        assert plane.message_action("a", "a") is PASS
+        assert plane.message_action("a", "a", message(1)) is PASS
+
+
+_LINKS = [("a", "b"), ("b", "a"), ("a", "a"), ("b", "c")]
+#: One judged message: (link index, id, attempt, reply).
+_JUDGED = st.tuples(st.integers(0, len(_LINKS) - 1), st.integers(1, 50),
+                    st.integers(0, 3), st.booleans())
+#: A partition or heal of the a-c link, which no judged message uses.
+_TOPOLOGY = st.tuples(st.sampled_from(["partition", "heal"]), st.just(0),
+                      st.just(0), st.just(False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(judged=st.lists(_JUDGED, min_size=1, max_size=40, unique=True),
+       noise=st.lists(st.one_of(_JUDGED, _TOPOLOGY), max_size=40),
+       data=st.data())
+def test_verdicts_do_not_depend_on_call_order(judged, noise, data):
+    """A message's verdict is the same whatever order messages are judged
+    in, interleaved with any other link's draws and with partitions and
+    heals elsewhere: a draw on one link leaves every other verdict as it
+    was."""
+    kwargs = dict(seed=5, drop_rate=0.2, duplicate_rate=0.2,
+                  delay_rate=0.2, delay=0.25)
+
+    def judge(plane, key):
+        link, id, attempt, reply = key
+        src, dst = _LINKS[link]
+        return fate(plane.message_action(src, dst, message(id, attempt),
+                                         reply=reply))
+
+    alone = NetworkFaultPlane(**kwargs)
+    expected = {key: judge(alone, key) for key in judged}
+
+    order = data.draw(st.permutations(judged))
+    calls = [("judged", key) for key in order] + [
+        ("noise", key) for key in noise]
+    calls = data.draw(st.permutations(calls))
+    mixed = NetworkFaultPlane(**kwargs)
+    seen = {}
+    for kind, key in calls:
+        if kind == "judged":
+            seen[key] = judge(mixed, key)
+        elif key[0] == "partition":
+            mixed.partition("a", "c")
+        elif key[0] == "heal":
+            mixed.heal("a", "c")
+        else:
+            judge(mixed, key)
+    assert seen == expected
 
 
 class _Crashable:

@@ -68,12 +68,12 @@ def populate(env, manager, transport):
 
     # Queued work (diverted to the drain backlog): a marker task, then a
     # write whose payload already arrived, then one still pending.
-    marker = Task("c1", 0)
+    marker = Task("c1", 0, env.new_id("task"))
     marker.append(Operation(type=OpType.MARKER, client="c1", queue_id=0,
                             tag=11))
     manager._submit(marker)
 
-    writes = Task("c1", 0)
+    writes = Task("c1", 0, env.new_id("task"))
     writes.append(Operation(
         type=OpType.WRITE, client="c1", queue_id=0, tag=12,
         buffer_id=big.id, nbytes=16, data=b"y" * 16,
@@ -161,7 +161,7 @@ class TestDrainProtocol:
         drained(env, a)
         session = ClientSession("c1", transport, None)
         a.sessions["c1"] = session
-        task = Task("c1", 0)
+        task = Task("c1", 0, env.new_id("task"))
         task.append(Operation(type=OpType.MARKER, client="c1", queue_id=0,
                               tag=11))
         a._submit(task)
@@ -184,7 +184,7 @@ class TestDrainProtocol:
         buffer = a.board.allocate(32 << 20)
         session.buffers[buffer.id] = buffer
 
-        task = Task("c1", 0)
+        task = Task("c1", 0, env.new_id("task"))
         for tag in (21, 22):
             task.append(Operation(
                 type=OpType.WRITE, client="c1", queue_id=0, tag=tag,

@@ -65,7 +65,8 @@ def test_duplicate_delivers_message_twice(setup):
 
     def sender():
         yield from transport.deliver_to_server(
-            endpoint, Message(method="Notify", sender="c")
+            endpoint,
+            Message(method="Notify", sender="c", id=env.new_id("message")),
         )
 
     env.run(until=env.process(sender()))
@@ -84,7 +85,8 @@ def test_delay_postpones_delivery(setup):
 
     def sender():
         yield from transport.deliver_to_server(
-            endpoint, Message(method="Notify", sender="c")
+            endpoint,
+            Message(method="Notify", sender="c", id=env.new_id("message")),
         )
 
     env.process(server())
@@ -107,7 +109,8 @@ def test_delay_postpones_delivery(setup):
 
     def sender2():
         yield from transport2.deliver_to_server(
-            endpoint2, Message(method="Notify", sender="c")
+            endpoint2,
+            Message(method="Notify", sender="c", id=env2.new_id("message")),
         )
 
     env2.process(server2())
@@ -169,7 +172,7 @@ def test_lost_reply_surfaces_as_deadline_expiry(setup):
 
 def test_request_id_pins_message_id(setup):
     env, network, transport, endpoint = setup
-    rid = new_request_id()
+    rid = new_request_id(env)
 
     def server():
         message = yield endpoint.inbox.get()

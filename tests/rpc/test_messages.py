@@ -37,7 +37,8 @@ def run(env, generator):
 
 def test_one_way_message_delivery(env, setup):
     transport, endpoint = setup
-    message = Message(method="CreateBuffer", payload={"size": 64})
+    message = Message(method="CreateBuffer", payload={"size": 64},
+                      id=env.new_id("message"))
 
     def client(env):
         yield from send_to_server(transport, endpoint, message)
@@ -93,7 +94,7 @@ def test_unary_call_error_raises_on_client(env, setup):
 
 def test_reply_to_one_way_message_rejected(env, setup):
     transport, endpoint = setup
-    message = Message(method="Notify")
+    message = Message(id=env.new_id("message"), method="Notify")
     with pytest.raises(ValueError):
         run(env, reply(transport, message, None))
 
@@ -101,7 +102,8 @@ def test_reply_to_one_way_message_rejected(env, setup):
 def test_tag_travels_with_message(env, setup):
     transport, endpoint = setup
     sentinel = object()
-    message = Message(method="EnqueueRead", tag=sentinel)
+    message = Message(method="EnqueueRead", tag=sentinel,
+                      id=env.new_id("message"))
 
     def client(env):
         yield from send_to_server(transport, endpoint, message)
@@ -121,7 +123,8 @@ def test_server_push_notification(env, setup):
 
     def server(env):
         yield send_to_client(
-            transport, client_endpoint, Message(method="OpComplete", tag=42)
+            transport, client_endpoint,
+            Message(method="OpComplete", tag=42, id=env.new_id("message")),
         )
 
     def client(env):
@@ -133,6 +136,6 @@ def test_server_push_notification(env, setup):
 
 
 def test_messages_have_unique_ids(env):
-    first = Message(method="a")
-    second = Message(method="a")
-    assert first.id != second.id
+    # Unique within a simulation, and the same in every run of it.
+    assert [env.new_id("message") for _ in range(3)] == [1, 2, 3]
+    assert Environment().new_id("message") == 1

@@ -198,7 +198,7 @@ def _payload_run(transport_class, speed, sends, folded):
 
     def sender(tag, start, nbytes, to_server):
         yield env.timeout(start)
-        message = Message(method="Payload", tag=tag)
+        message = Message(id=env.new_id("message"), method="Payload", tag=tag)
         if folded and to_server:
             yield from transport.deliver_to_server(endpoint, message, nbytes)
         elif folded:
@@ -242,7 +242,8 @@ def test_cross_node_payload_keeps_the_nic_path():
     endpoint = RpcEndpoint(env, "endpoint", handler=lambda message: None)
     for _ in range(2):
         env.process(transport.deliver_to_server(
-            endpoint, Message(method="Payload"), 11_700_000))
+            endpoint, Message(method="Payload", id=env.new_id("message")),
+            11_700_000))
     env.run()
     # The second payload queued behind the first on A's NIC.
     assert env.now > 2 * network.remote.transfer_time(11_700_000)
