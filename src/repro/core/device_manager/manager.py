@@ -25,6 +25,7 @@ from ...fpga.board import (
     FPGABoard,
     KernelFault,
     ReconfigurationError,
+    StepSplit,
 )
 from ...fpga.ddr import DeviceBuffer, OutOfMemoryError, materialize
 from ...metrics import MetricsRegistry
@@ -305,6 +306,9 @@ class DeviceManager:
         # slot concurrently); classic boards get the single FIFO worker.
         worker_count = workers if workers is not None else board.slot_count
         self._worker_count = max(1, worker_count)
+        #: One worker on a one-slot board: nothing but the worker and the
+        #: requests that split its step touch the link and the slot.
+        self._solo = self._worker_count == 1 and board.slot_count == 1
         self._worker_procs = [
             env.process(self._worker()) for _ in range(self._worker_count)
         ]
@@ -357,6 +361,7 @@ class DeviceManager:
 
     def stop(self) -> None:
         """Shut the manager down (used in tests and migrations)."""
+        self.board.split()
         self._idle = False
         for process in (self._serve_proc, *self._worker_procs):
             if process.is_alive:
@@ -485,6 +490,7 @@ class DeviceManager:
         """Kill one worker process (its current task dies with it)."""
         process = self._worker_procs[index]
         if process.is_alive:
+            self.board.split()
             process.interrupt("worker killed")
 
     # ------------------------------------------------------------- dispatcher
@@ -639,6 +645,7 @@ class DeviceManager:
 
     def _on_disconnect(self, message: Message):
         session = self._require_session(message)
+        self.board.split()
         for buffer in session.buffers.values():
             if not buffer.freed:
                 self.board.free(buffer)
@@ -688,6 +695,7 @@ class DeviceManager:
     def _on_release_buffer(self, message: Message):
         session = self._require_session(message)
         buffer_id = int(message.payload["buffer_id"])
+        self.board.split()
         buffer = session.buffers.pop(buffer_id, None)
         if buffer is None:
             yield from reply_error(
@@ -998,16 +1006,41 @@ class DeviceManager:
                                      {"error": "write payload never arrived",
                                       "code": CL_INVALID_OPERATION})
                         return False
-        yield self.env.timeout(self.OP_OVERHEAD)
-        started = self.env.now
-        operation.started_at = started
+        if (self._solo and operation.type is not OpType.MARKER
+                and not self.migrating and self.board.idle):
+            # The worker alone uses the board: issue the board step now,
+            # to start once the overhead has passed (one event, not two).
+            try:
+                return (yield from self._perform(session, operation,
+                                                 self.OP_OVERHEAD))
+            except StepSplit:
+                pass  # split before it started: the chain resumes here
+        else:
+            yield self.env.timeout(self.OP_OVERHEAD)
+        return (yield from self._perform(session, operation))
+
+    def _perform(self, session: ClientSession, operation: Operation,
+                 lead: float = 0.0):
+        """Process: run ``operation`` on the board, starting ``lead``
+        seconds from now; returns True on success."""
+        started = self.env.now + lead
+        failure = None
         try:
-            result = yield from self._execute(session, operation)
-        except Interrupt:
+            result = yield from self._execute(session, operation, lead)
+        except (Interrupt, StepSplit):
             raise  # manager crash/worker kill, not an operation failure
         except Exception as exc:  # noqa: BLE001 - converted to notification
+            if self.env.now < started:
+                # Invalid when issued: the chain validates it again at
+                # its start, after whatever lands in between.
+                yield self.env.timeout(lead)
+                raise StepSplit() from None
+            failure = exc
+        operation.started_at = started
+        if failure is not None:
             self._notify(session, protocol.OP_FAILED, operation.tag,
-                         {"error": str(exc), "code": _error_code(exc)})
+                         {"error": str(failure),
+                          "code": _error_code(failure)})
             return False
         operation.finished_at = self.env.now
         busy = self.env.now - started
@@ -1047,20 +1080,23 @@ class DeviceManager:
         session.transport.deliver_to_client(session.completion_queue,
                                             message, nbytes)
 
-    def _execute(self, session: ClientSession, operation: Operation):
-        """Process: perform one operation on the board."""
+    def _execute(self, session: ClientSession, operation: Operation,
+                 lead: float = 0.0):
+        """Process: perform one operation on the board, ``lead`` seconds
+        from now (see :meth:`FPGABoard.dma_write`)."""
         if operation.type is OpType.MARKER:
             return None
         if operation.type is OpType.WRITE:
             buffer = self._buffer(session, operation.buffer_id)
             yield from self.board.dma_write(
-                buffer, operation.nbytes, operation.data, operation.offset
+                buffer, operation.nbytes, operation.data, operation.offset,
+                lead,
             )
             return None
         if operation.type is OpType.READ:
             buffer = self._buffer(session, operation.buffer_id)
             data = yield from self.board.dma_read(
-                buffer, operation.nbytes, operation.offset
+                buffer, operation.nbytes, operation.offset, lead
             )
             return data
         if operation.type is OpType.COPY:
@@ -1068,7 +1104,7 @@ class DeviceManager:
             dst = self._buffer(session, operation.dst_buffer_id)
             yield from self.board.copy_on_device(
                 src, dst, operation.nbytes, operation.offset,
-                operation.dst_offset,
+                operation.dst_offset, lead,
             )
             return None
         if operation.type is OpType.KERNEL:
@@ -1086,7 +1122,7 @@ class DeviceManager:
                     resolved.append(self._buffer(session, value))
                 else:
                     resolved.append(value)
-            yield from self.board.execute(kernel_name, resolved)
+            yield from self.board.execute(kernel_name, resolved, lead)
             return None
         raise DeviceManagerError(f"unsupported operation {operation.type}")
 

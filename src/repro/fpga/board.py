@@ -14,6 +14,12 @@ Every busy interval (DMA or compute) is reported to registered listeners;
 the Device Manager uses this to export the *FPGA time utilization* metric
 ("time spent by the device computing OpenCL calls in a given amount of
 time").
+
+A caller that alone uses the board may issue a DMA, copy or kernel step
+``lead`` seconds before it starts (:class:`BoardStep`): one event where a
+wait followed by the step would cost two.  Whatever could change what
+such a step read or was granted first returns it to that two-step chain
+(:meth:`FPGABoard.split`).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..kernels.base import AcceleratorKernel
-from ..sim import Environment, Resource
+from ..sim import Environment, Event, Request, Resource
 from .bitstream import Bitstream
 from .ddr import (
     DeviceBuffer,
@@ -54,6 +60,45 @@ class ReconfigurationError(BoardError):
     """A (partial) reconfiguration failed, leaving the target unprogrammed."""
 
 
+class StepSplit(Exception):
+    """Thrown into the process of a :class:`BoardStep` split before its
+    start: the process resumes at the start, with nothing done."""
+
+
+class BoardStep(Event):
+    """The one event of a board step issued ahead of its start.
+
+    Issued at ``now`` with its ``grant`` (of the link or a slot, if the
+    step needs one) already held, it ends at ``start + duration``, the
+    float a ``lead`` Timeout followed by the step's Timeout ends on.
+    :meth:`split` turns it back into the first of those two events.
+    """
+
+    __slots__ = ("start", "grant")
+
+    def __init__(self, env: Environment, start: float, duration: float,
+                 grant: Optional[Request]):
+        super().__init__(env)
+        self.start = start
+        self.grant = grant
+        self._ok = True
+        env.schedule_at(self, start + duration)
+
+    def split(self) -> None:
+        """Release the grant and resume the waiter at ``start`` with
+        :class:`StepSplit`, unless the step is already under way: from its
+        start on it holds what the two-step chain would hold."""
+        env = self.env
+        if env.now >= self.start:
+            return
+        if self.grant is not None:
+            self.grant.resource.release(self.grant)
+        self._ok = False
+        self._value = StepSplit()
+        self.defused = True
+        env.retime(self, self.start)
+
+
 class FPGABoard:
     """A single FPGA accelerator board."""
 
@@ -77,6 +122,7 @@ class FPGABoard:
         self.slots: List[Optional[Bitstream]] = [None] * spec.pr_slots
         self._slot_locks = [Resource(env, capacity=1)
                             for _ in range(spec.pr_slots)]
+        self._locks = (self.link.channel, *self._slot_locks)
         self.busy_seconds = 0.0
         self.kernel_runs = 0
         self.reconfigurations = 0
@@ -99,6 +145,8 @@ class FPGABoard:
         #: False while the board is locked up (see :meth:`lock_up`).
         self.alive = True
         self.lockups = 0
+        #: The last step issued with a lead; :meth:`split` reads it.
+        self._lead: Optional[BoardStep] = None
 
     @property
     def slot_count(self) -> int:
@@ -128,14 +176,50 @@ class FPGABoard:
     def programmed(self) -> bool:
         return any(slot is not None for slot in self.slots)
 
+    # -- steps issued ahead of their start -----------------------------------
+    @property
+    def idle(self) -> bool:
+        """True when nothing holds or waits for the link or a slot."""
+        for lock in self._locks:
+            if lock.users or lock.queue:
+                return False
+        return True
+
+    def split(self) -> None:
+        """Return a step issued ahead of its start to the two-step chain.
+
+        Called first by everything that could change what such a step
+        read or was granted when it was issued: reprogramming, lock-up and
+        recovery, and the Device Manager requests that drop buffers or
+        stop its worker (see :meth:`BoardStep.split`).
+        """
+        step, self._lead = self._lead, None
+        if step is not None:
+            step.split()
+
+    def _step(self, grant: Optional[Request], duration: float, lead: float):
+        """The event ending a step of ``duration`` seconds that starts
+        ``lead`` seconds from now, ``grant`` held throughout."""
+        if not lead:
+            return self.env.timeout(duration)
+        step = self._lead = BoardStep(self.env, self.env.now + lead,
+                                      duration, grant)
+        if not duration:
+            # The chain's empty step is a second event at the start,
+            # queued after what is already due then: keep the chain.
+            self.split()
+        return step
+
     # -- health --------------------------------------------------------------
     def lock_up(self) -> None:
         """Wedge the board: every operation fails until :meth:`recover`."""
+        self.split()
         self.alive = False
         self.lockups += 1
 
     def recover(self) -> None:
         """Power-cycle a locked-up board: memory and slots are wiped."""
+        self.split()
         self.memory.release_all()
         self.slots = [None] * self.slot_count
         self.alive = True
@@ -169,6 +253,7 @@ class FPGABoard:
         freed), as a real full-device reprogram does.  The image lands in
         slot 0.
         """
+        self.split()
         self._check_alive()
         grants = [lock.request() for lock in self._slot_locks]
         try:
@@ -198,6 +283,7 @@ class FPGABoard:
         Only the target slot is blocked; other slots keep executing and
         device memory survives, as with real PR flows.
         """
+        self.split()
         if not 0 <= slot < self.slot_count:
             raise BoardError(
                 f"slot {slot} out of range (board has {self.slot_count})"
@@ -235,20 +321,23 @@ class FPGABoard:
         nbytes: int,
         data=None,
         offset: int = 0,
+        lead: float = 0.0,
     ):
         """Process: move ``nbytes`` host→device; returns nothing.
 
         ``data`` (any bytes-like object, memoryview or numpy array) is
         stored into the buffer when the board is functional; timing-only
-        boards never touch the payload.
+        boards never touch the payload.  A nonzero ``lead`` issues the
+        transfer that many seconds before it starts, on an idle board
+        (see :class:`BoardStep`); so do the other steps.
         """
         if nbytes < 0 or offset < 0 or offset + nbytes > buffer.size:
             raise ValueError(
                 f"write of {nbytes}@{offset} outside buffer size {buffer.size}"
             )
         self._check_alive()
-        start = self.env.now
-        yield from self.link.transfer(nbytes)
+        start = self.env.now + lead
+        yield from self._transfer(nbytes, lead)
         if self.functional and data is not None:
             if payload_nbytes(data) > nbytes:
                 data = as_uint8_view(data)[:nbytes]
@@ -257,7 +346,7 @@ class FPGABoard:
 
     def copy_on_device(self, src: DeviceBuffer, dst: DeviceBuffer,
                        nbytes: int, src_offset: int = 0,
-                       dst_offset: int = 0):
+                       dst_offset: int = 0, lead: float = 0.0):
         """Process: device-internal copy (``clEnqueueCopyBuffer``).
 
         Moves data DDR→DDR without crossing PCIe; bandwidth-limited by the
@@ -271,8 +360,8 @@ class FPGABoard:
                 f"(src {src.size}, dst {dst.size})"
             )
         self._check_alive()
-        start = self.env.now
-        yield self.env.timeout(nbytes / self.DDR_COPY_BANDWIDTH)
+        start = self.env.now + lead
+        yield self._step(None, nbytes / self.DDR_COPY_BANDWIDTH, lead)
         if self.functional:
             data = src.read(nbytes, src_offset)
             if src is dst:
@@ -287,7 +376,8 @@ class FPGABoard:
     #: SODIMMs), bytes/second.
     DDR_COPY_BANDWIDTH = 10.0e9
 
-    def dma_read(self, buffer: DeviceBuffer, nbytes: int, offset: int = 0):
+    def dma_read(self, buffer: DeviceBuffer, nbytes: int, offset: int = 0,
+                 lead: float = 0.0):
         """Process: move ``nbytes`` device→host; returns a view.
 
         Zero-copy: the returned ``memoryview`` is a live view of device
@@ -301,15 +391,25 @@ class FPGABoard:
                 f"read of {nbytes}@{offset} outside buffer size {buffer.size}"
             )
         self._check_alive()
-        start = self.env.now
-        yield from self.link.transfer(nbytes)
+        start = self.env.now + lead
+        yield from self._transfer(nbytes, lead)
         self._account(self.env.now - start, "dma")
         if self.functional:
             return buffer.read(nbytes, offset)
         return zero_view(nbytes)
 
+    def _transfer(self, nbytes: int, lead: float):
+        """Process: move ``nbytes`` across the PCIe link (either direction);
+        transfers are serialized through the link's channel."""
+        link = self.link
+        with link.channel.request() as grant:
+            yield grant
+            yield self._step(grant, link.spec.transfer_time(nbytes), lead)
+        link.bytes_transferred += nbytes
+        link.transfer_count += 1
+
     # -- execution ----------------------------------------------------------
-    def execute(self, kernel_name: str, arg_values: list):
+    def execute(self, kernel_name: str, arg_values: list, lead: float = 0.0):
         """Process: run one kernel invocation to completion.
 
         Resolves and validates arguments against the kernel schema, holds
@@ -330,8 +430,8 @@ class FPGABoard:
                     f"kernel {kernel_name!r} was unloaded from slot {slot} "
                     f"of board {self.name} during a reconfiguration"
                 )
-            start = self.env.now
-            yield self.env.timeout(duration)
+            start = self.env.now + lead
+            yield self._step(grant, duration, lead)
             run_index = self.kernel_runs
             self.kernel_runs += 1
             faulted = (

@@ -13,25 +13,16 @@ from .hwspec import PCIeSpec, PCIE_GEN3_X8
 
 
 class PCIeLink:
-    """A host↔board PCIe connection shared by all DMA transfers."""
+    """A host↔board PCIe connection shared by all DMA transfers.
+
+    The board moves data across it (:meth:`FPGABoard.dma_write` and
+    :meth:`~FPGABoard.dma_read`), holding :attr:`channel` for each
+    transfer's :meth:`PCIeSpec.transfer_time`.
+    """
 
     def __init__(self, env: Environment, spec: PCIeSpec = PCIE_GEN3_X8):
         self.env = env
         self.spec = spec
-        self._channel = Resource(env, capacity=1)
+        self.channel = Resource(env, capacity=1)
         self.bytes_transferred = 0
         self.transfer_count = 0
-
-    def transfer(self, nbytes: int):
-        """Process: move ``nbytes`` across the link (either direction)."""
-        if nbytes < 0:
-            raise ValueError("negative transfer size")
-        with self._channel.request() as grant:
-            yield grant
-            yield self.env.timeout(self.spec.transfer_time(nbytes))
-        self.bytes_transferred += nbytes
-        self.transfer_count += 1
-
-    @property
-    def busy(self) -> bool:
-        return self._channel.count > 0

@@ -13,14 +13,15 @@ paying a multi-megabyte HTTP body per call on 1 Gb/s links.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..cluster.apiserver import Cluster
 from ..cluster.objects import DeviceQuery, PodSpec
 from ..faults import GatewayPolicy
-from ..sim import AnyOf, Environment, Event, Store
+from ..sim import Environment, Event, Store
 
 #: Gateway forwarding overhead per request (routing, HTTP hop), seconds.
 GATEWAY_OVERHEAD = 0.6e-3
@@ -149,6 +150,10 @@ class Gateway:
         self.functions: Dict[str, DeployedFunction] = {}
         #: The controller hooks this to start instances on pod creation.
         self.on_deploy: Optional[Callable[[DeployedFunction], None]] = None
+        #: Attempts under ``policy.request_timeout``, oldest first, with
+        #: their deadlines; one timer is armed, for the oldest unanswered.
+        self._deadlines: Deque[Tuple[float, Request]] = deque()
+        self._deadline_timer: Optional[Event] = None
 
     # -- deployment ------------------------------------------------------------
     def deploy(self, spec: FunctionSpec):
@@ -274,19 +279,44 @@ class Gateway:
         raise last_error
 
     def _await_response(self, request: Request):
-        """Process: wait for one attempt's response, with optional timeout."""
+        """Process: wait for one attempt's response, with optional timeout.
+
+        The deadline is an entry in the gateway's FIFO, not an event of
+        its own: the attempt waits on its response alone, and the one
+        armed timer fails it at ``created + request_timeout`` if nobody
+        answered by then.
+        """
         timeout = self.policy.request_timeout
-        if timeout is None:
-            return (yield request.response)
-        deadline = self.env.timeout(timeout)
-        yield AnyOf(self.env, [request.response, deadline])
-        if not request.response.triggered:
-            # Abandon the attempt; if an instance later picks the request
-            # up, its response resolves unobserved (defused).
-            request.response.defused = True
-            raise InvocationError(
-                f"request {request.id} timed out after {timeout}s")
-        if not request.response.ok:
-            request.response.defused = True
-            raise request.response.value
-        return request.response.value
+        if timeout is not None and not request.response.triggered:
+            self._deadlines.append((request.created + timeout, request))
+            if self._deadline_timer is None:
+                self._arm_deadline_timer()
+        return (yield request.response)
+
+    def _arm_deadline_timer(self) -> None:
+        """Arm the timer for the oldest unanswered attempt, if any."""
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][1].response.triggered:
+            deadlines.popleft()
+        if deadlines:
+            timer = self._deadline_timer = self.env.timeout_at(
+                deadlines[0][0])
+            timer.callbacks.append(self._expire)
+
+    def _expire(self, _timer: Event) -> None:
+        """Timer callback: fail every unanswered attempt now due.
+
+        An instance that picks such a request up later finds its response
+        already failed and leaves it alone.
+        """
+        self._deadline_timer = None
+        deadlines = self._deadlines
+        now = self.env.now
+        timeout = self.policy.request_timeout
+        while deadlines and deadlines[0][0] <= now:
+            _deadline, request = deadlines.popleft()
+            if not request.response.triggered:
+                request.response.fail(InvocationError(
+                    f"request {request.id} timed out after {timeout}s"))
+                request.response.defused = True
+        self._arm_deadline_timer()

@@ -9,7 +9,7 @@ times) are expressed in seconds as well.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Generator, Optional
 
 from .events import (
@@ -140,6 +140,25 @@ class Environment:
             self.schedule(event, 0.0, priority)
         finally:
             self._now = now
+
+    def retime(self, event: Event, when: float) -> None:
+        """Move a queued event to the absolute time ``when``.
+
+        The event keeps its priority and its tie-break id, so it takes
+        the place among same-instant events it would have had if it had
+        been scheduled for ``when`` in the first place.  Nothing new is
+        scheduled.  Linear in the queue length: for rare corrections, not
+        for the hot path.
+        """
+        if when < self._now:
+            raise ValueError(f"time {when} is before now ({self._now})")
+        queue = self._queue
+        for index, (_when, priority, eid, queued) in enumerate(queue):
+            if queued is event:
+                queue[index] = (when, priority, eid, event)
+                heapify(queue)
+                return
+        raise SimError(f"{event!r} is not queued")
 
     def _hand_off(self, event: Event, callback) -> bool:
         """Resume the lone waiter of ``event`` now, if it is a process."""
@@ -313,6 +332,8 @@ class Process(Event):
         self._target = None
 
     def _interrupted(self, event: Event) -> None:
+        if not self.is_alive:
+            return  # an earlier interrupt, delivered first, ended it
         # Interrupted beneath its interrupter, it may have a target since.
         self._detach()
         self._resume(event)

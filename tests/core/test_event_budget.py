@@ -5,6 +5,8 @@ an extra event anywhere on the RPC path fails them.  The budget of each
 hop is documented in docs/simulation.md ("Performance notes").
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import build_testbed
@@ -19,8 +21,8 @@ from repro.core.device_manager import (
 )
 from repro.core.remote_lib import remote_platform
 from repro.core.remote_lib.connection import Connection
-from repro.faults import NetworkFaultPlane
-from repro.fpga import FPGABoard, standard_library
+from repro.faults import GatewayPolicy, NetworkFaultPlane
+from repro.fpga import DE5A_NET, FPGABoard, standard_library
 from repro.ocl import Context
 from repro.ocl.native import native_platform
 from repro.ocl.objects import CLEvent
@@ -46,8 +48,9 @@ from repro.sim.events import NORMAL
 #: the kernel's CLEvent completions cost nothing: nobody waits on them,
 #: and each payload rides in the event of the message that carries it.
 #: The stream sender's and the worker's wake-ups, the reply to the unary
-#: call and the blocking read's completion are hand-offs.
-SOBEL_REQUEST_EVENTS = 18
+#: call and the blocking read's completion are hand-offs.  Each of the
+#: three operations is one event: its overhead and its board step.
+SOBEL_REQUEST_EVENTS = 15
 
 
 class CountingEnvironment(Environment):
@@ -156,12 +159,15 @@ def test_notification_is_one_event():
     assert arrival.processed and env.now > 0
 
 
-def connected_manager(env):
-    """A Device Manager with one connected client, run until quiet."""
+def connected_manager(env, slots=1, workers=None):
+    """A Device Manager with one connected client, run until quiet; its
+    board has ``slots`` PR slots and the manager, by default, one worker
+    per slot."""
     network = Network(env)
     node = network.host("B")
-    manager = DeviceManager(env, "dm-B", FPGABoard(env), standard_library(),
-                            network, node)
+    board = FPGABoard(env, spec=replace(DE5A_NET, pr_slots=slots))
+    manager = DeviceManager(env, "dm-B", board, standard_library(),
+                            network, node, workers=workers)
     transport = make_transport(env, network, node, node)
     completions = RpcEndpoint(env, "client/completions",
                               handler=lambda message: None)
@@ -250,6 +256,37 @@ def test_task_pushed_to_a_waiting_worker_is_handed_off():
         scheduler.push(task, 0.0)
         assert env.scheduled - before == 0, policy
         assert taken == [task], policy
+
+
+def copy_cost(slots, workers=None):
+    """Events of one device-side copy task, submitted to an idle manager
+    whose board has ``slots`` PR slots, until it is quiet again."""
+    env = CountingEnvironment()
+    manager, _transport = connected_manager(env, slots, workers)
+    session = manager.sessions["client"]
+    src, dst = manager.board.allocate(4096), manager.board.allocate(4096)
+    session.buffers.update({src.id: src, dst.id: dst})
+    before = env.scheduled
+    task = Task("client", 0, env.new_id("task"))
+    task.append(Operation(type=OpType.COPY, client="client", queue_id=0,
+                          tag=1, buffer_id=src.id, dst_buffer_id=dst.id,
+                          nbytes=4096))
+    manager._submit(task)
+    env.run()
+    return env.scheduled - before
+
+
+def test_a_solo_board_operation_is_one_event():
+    # One worker, one slot: the overhead and the copy are one event, the
+    # notification the other.
+    assert copy_cost(1) == 2
+
+
+def test_a_space_sharing_board_operation_is_still_two_events():
+    # Two slots: the overhead Timeout, then the copy's, with one worker
+    # per slot or a single worker.
+    assert copy_cost(2) == 3
+    assert copy_cost(2, workers=1) == 3
 
 
 def test_dm_message_under_a_fault_plane_costs_no_event():
@@ -405,18 +442,24 @@ class EchoApp(FunctionApp):
         return request.payload
 
 
-def invocation_costs():
-    """Events from an invoke's start until an idle native instance starts
-    handling it, and from there until the invoke returns."""
+def echo_gateway(policy=None):
+    """A gateway in front of one idle native echo instance."""
     env = CountingEnvironment()
     testbed = build_testbed(env, functional=False, with_scraper=False)
-    gateway = Gateway(env, cluster=None)
+    gateway = Gateway(env, cluster=None, policy=policy)
     spec = FunctionSpec(name="echo", app_factory=EchoApp, runtime="native")
     function = gateway.functions["echo"] = DeployedFunction(env, spec)
     instance = FunctionInstance(
         env, function, Pod(PodSpec(name="echo-i1", function="echo")),
         testbed.cluster.node("A"), router=None)
     env.run()
+    return env, gateway, instance
+
+
+def invocation_costs():
+    """Events from an invoke's start until an idle native instance starts
+    handling it, and from there until the invoke returns."""
+    env, gateway, instance = echo_gateway()
     spent = []
 
     def client():
@@ -440,6 +483,30 @@ def test_request_into_an_idle_instance_is_handed_off():
 def test_response_to_a_waiting_gateway_is_handed_off():
     # The handler's own Timeout; the gateway resumes inside the settle.
     assert invocation_costs()[1] == 1
+
+
+def sequential_invocations_cost(policy, count):
+    """Events of ``count`` invokes, one after the other, until quiet."""
+    env, gateway, _instance = echo_gateway(policy)
+    before = env.scheduled
+
+    def client():
+        for n in range(count):
+            yield from gateway.invoke("echo", {"n": n})
+
+    env.process(client())
+    env.run()
+    return env.scheduled - before
+
+
+def test_a_request_deadline_is_one_timer_per_gateway():
+    # Answered attempts cost what they cost with no deadline: the gateway
+    # arms one timer, for the oldest deadline, and the attempt waits on
+    # its response alone.
+    plain = sequential_invocations_cost(GatewayPolicy(), 3)
+    timed = sequential_invocations_cost(GatewayPolicy(request_timeout=2.0),
+                                        3)
+    assert timed == plain + 1
 
 
 def test_unjoined_process_end_schedules_nothing():

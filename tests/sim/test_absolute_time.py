@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, SimError
 from repro.sim.events import NORMAL
 
 DELAYS = st.floats(min_value=0.0, max_value=10.0, allow_nan=False,
@@ -125,3 +125,29 @@ def test_ties_at_the_arrival_instant_follow_the_send():
     """
     assert _arrival_order(absolute=False) == ["before", "during", "message"]
     assert _arrival_order(absolute=True) == ["before", "message", "during"]
+
+
+def test_retime_keeps_the_place_among_same_instant_events():
+    # Moved to an instant where another event is due, the event runs in
+    # the order its tie-break id gives, as if queued for it at first.
+    env = CountingEnvironment()
+    order = []
+    moved = env.timeout_at(5.0)
+    moved.callbacks.append(lambda _: order.append("moved"))
+    env.timeout_at(1.0).callbacks.append(lambda _: order.append("later"))
+    scheduled = len(env.seen)
+    env.retime(moved, 1.0)
+    assert len(env.seen) == scheduled  # nothing new is scheduled
+    env.run()
+    assert order == ["moved", "later"]
+    assert env.now == 1.0
+
+
+def test_retime_refuses_the_past_and_unqueued_events():
+    env = Environment()
+    event = env.timeout(2.0)
+    env.run(until=1.0)
+    with pytest.raises(ValueError):
+        env.retime(event, 0.5)
+    with pytest.raises(SimError):
+        env.retime(Event(env), 1.5)

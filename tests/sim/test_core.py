@@ -247,6 +247,30 @@ def test_interrupt_finished_process_rejected():
         v.interrupt()
 
 
+def test_a_second_interrupt_of_the_same_instant_finds_the_process_ended():
+    # A Device Manager crash and a worker kill in one instant both
+    # interrupt the worker; the first ends it and the second is dropped.
+    env = Environment()
+    log = []
+
+    def victim(env):
+        try:
+            yield env.timeout(10.0)
+        except Interrupt as interrupt:
+            log.append(interrupt.cause)
+
+    def interrupter(env, victim_proc):
+        yield env.timeout(1.0)
+        victim_proc.interrupt("crash")
+        victim_proc.interrupt("kill")
+
+    v = env.process(victim(env))
+    env.process(interrupter(env, v))
+    env.run()
+    assert log == ["crash"]
+    assert v.processed and v.ok
+
+
 def test_interrupted_process_not_resumed_by_stale_target():
     env = Environment()
     resumed = []

@@ -24,6 +24,12 @@ from repro.sim import (
 from repro.sim.events import NORMAL
 
 
+def examples(count):
+    """``count`` examples, or more under a longer Hypothesis profile
+    (``HYPOTHESIS_PROFILE=ci``)."""
+    return max(count, settings.default.max_examples)
+
+
 class QueuedResource(Resource):
     """A Resource whose every request queues and is granted by an event."""
 
@@ -215,7 +221,7 @@ def _grant_log(resource_class, capacity, ops):
     return log, sorted(resumed), [names[r] for r in resource.users]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(capacity=st.integers(min_value=1, max_value=3), ops=RESOURCE_OPS)
 def test_immediate_grants_match_the_queued_path(capacity, ops):
     """Same grants, by the same operation, at the same times, in the same
@@ -280,13 +286,13 @@ def _store_log(store_class, ops):
     return values, scheduled, list(store.items)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(ops=STORE_OPS)
 def test_put_nowait_fast_path_matches_dispatch(ops):
     assert _store_log(Store, ops) == _store_log(DispatchStore, ops)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(ops=STORE_OPS)
 def test_priority_put_nowait_fast_path_matches_dispatch(ops):
     assert (_store_log(PriorityStore, ops)
@@ -377,7 +383,7 @@ def _resumes(log):
                    if entry[0] not in ("trigger", "returned")), key=repr)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(ops=SETTLE_OPS)
 def test_settle_hands_off_to_a_lone_process_waiter(ops):
     """Against the always-scheduled succeed path: the same resumes, at
@@ -509,7 +515,7 @@ def _ends_log(joined_always, ops):
     return resumed, _unwatched_removed(scheduled, unjoined)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(ops=SETTLE_OPS)
 def test_unjoined_ends_match_the_scheduled_path(ops):
     """A process end nobody joins is processed at once; joiners that
