@@ -67,6 +67,12 @@ _OP_TYPES = {
     protocol.ENQUEUE_MARKER: OpType.MARKER,
 }
 
+#: What each field absent from a command-queue payload means.
+_ENQUEUE_DEFAULTS = {
+    "queue": 0, "buffer_id": None, "dst_buffer_id": None, "nbytes": 0,
+    "offset": 0, "dst_offset": 0, "kernel_id": None, "args": None,
+}
+
 
 class ClientSession:
     """Server-side state of one connected client (isolated resource pool)."""
@@ -261,18 +267,29 @@ class DeviceManager:
         self.drain_seconds = 0.0
         self.reconfiguration_seconds = 0.0
 
+        #: Per-operation accounting, kept as plain accumulators: the
+        #: three families below read them when collected.
+        self._busy_seconds = 0.0
+        self._client_busy_seconds: Dict[str, float] = {}
+        self._op_counts: Dict[OpType, int] = {}
         self.metrics = MetricsRegistry(namespace="dm")
-        self._m_busy = self.metrics.counter(
+        self.metrics.collected_counter(
             "busy_seconds_total",
             "Seconds the FPGA spent computing OpenCL calls",
+            lambda: (((), self._busy_seconds),),
         )
-        self._m_client_busy = self.metrics.counter(
+        self.metrics.collected_counter(
             "client_busy_seconds_total",
             "Per-client FPGA busy seconds",
+            lambda: [((client,), seconds) for client, seconds
+                     in self._client_busy_seconds.items()],
             labelnames=["client"],
         )
-        self._m_ops = self.metrics.counter(
-            "ops_total", "Operations executed", labelnames=["type"]
+        self.metrics.collected_counter(
+            "ops_total", "Operations executed",
+            lambda: [((op_type.value,), float(count)) for op_type, count
+                     in self._op_counts.items()],
+            labelnames=["type"],
         )
         self._m_tasks = self.metrics.counter("tasks_total", "Tasks executed")
         self._m_clients = self.metrics.gauge(
@@ -297,10 +314,6 @@ class DeviceManager:
         )
         board.add_busy_listener(self._on_board_activity)
 
-        #: Per-label children of the two labelled counters the worker
-        #: bumps on every operation.
-        self._client_busy_children: Dict[str, Any] = {}
-        self._op_children: Dict[str, Any] = {}
         self._serve_proc = env.process(self._serve())
         # One worker per PR slot (space-sharing boards execute one task per
         # slot concurrently); classic boards get the single FIFO worker.
@@ -511,13 +524,16 @@ class DeviceManager:
             inbox.put_nowait(message)
             return
         self._idle = False
-        handling = self._handle(message)
-        try:
-            event = handling.send(None)
-        except StopIteration:
-            self._idle = True
-            return
-        inbox.put_nowait(_continue(handling, event))
+        serving = self._handle(message)
+        if serving is not None:
+            try:
+                event = serving.send(None)
+            except StopIteration:
+                pass
+            else:
+                inbox.put_nowait(_continue(serving, event))
+                return
+        self._idle = True
 
     def _serve(self):
         """gRPC server loop: serve inbox messages one at a time, in order.
@@ -532,14 +548,28 @@ class DeviceManager:
                 self._idle = not get.triggered
                 item = yield get
                 if type(item) is Message:
-                    yield from self._handle(item)
-                else:
+                    item = self._handle(item)
+                if item is not None:
                     yield from item
         except Interrupt:
             return
 
     def _handle(self, message: Message):
-        """Process: serve one message (dispatch by method group)."""
+        """Serve one message.  A streamed command-queue message is served
+        at once and None returned; any other returns the process that
+        serves it, for the caller to finish with ``yield from``."""
+        if message.method not in protocol.STREAM_METHODS:
+            return self._serve_message(message)
+        try:
+            self._METHODS[message.method](self, message)
+        except (DeviceManagerError, BoardError):
+            # A stray streamed message (e.g. from a session lost in a
+            # crash) must not kill the server: drop it.
+            self.rejected_messages += 1
+        return None
+
+    def _serve_message(self, message: Message):
+        """Process: serve a message of a unary method."""
         # Capture the reply path up front: a handler may tear the session
         # down (DISCONNECT) before the reply goes out.
         reply_transport = None
@@ -591,9 +621,8 @@ class DeviceManager:
         except Interrupt:
             raise
         except (DeviceManagerError, BoardError) as exc:
-            # A bad request must not kill the server: answer unary calls
-            # with a structured error, drop stray streamed messages (e.g.
-            # from sessions lost in a crash).
+            # A bad request must not kill the server: answer it with a
+            # structured error, or drop it if it cannot be answered.
             if (message.reply_to is not None
                     and reply_transport is not None
                     and not message.reply_to.triggered):
@@ -626,13 +655,13 @@ class DeviceManager:
         return self.sessions.get(message.sender)
 
     def _require_session(self, message: Message) -> ClientSession:
-        session = self.sessions.get(message.sender)
-        if session is None:
+        try:
+            return self.sessions[message.sender]
+        except KeyError:
             # Typically a client whose session died with a manager crash:
             # it must reconnect before anything else.
             raise DeviceManagerError(f"unknown client {message.sender!r}",
-                                     CL_DEVICE_NOT_AVAILABLE)
-        return session
+                                     CL_DEVICE_NOT_AVAILABLE) from None
 
     # -- context and information methods (synchronous) -----------------------
     def _on_connect(self, message: Message):
@@ -753,9 +782,12 @@ class DeviceManager:
             )
             return
         # Blocks this dispatcher (and the board) for the full
-        # reconfiguration time; device buffers are invalidated.
-        for other in self.sessions.values():
-            other.buffers.clear()
+        # reconfiguration time; device buffers are invalidated, but only
+        # by a reprogram the board accepts: a locked-up board refuses it
+        # and every buffer stays allocated, so no table may forget one.
+        if self.board.alive:
+            for other in self.sessions.values():
+                other.buffers.clear()
         yield from self.board.program(bitstream)
         self._m_reconfigurations.inc()
         yield from reply(session.transport, message, {"binary": binary})
@@ -803,19 +835,19 @@ class DeviceManager:
     # -- command-queue methods (streamed) --------------------------------------
     def _on_enqueue(self, message: Message):
         session = self._require_session(message)
-        payload = message.payload
+        fields = {**_ENQUEUE_DEFAULTS, **message.payload}
         operation = Operation(
             type=_OP_TYPES[message.method],
             client=session.name,
-            queue_id=int(payload.get("queue", 0)),
+            queue_id=int(fields["queue"]),
             tag=message.tag,
-            buffer_id=payload.get("buffer_id"),
-            dst_buffer_id=payload.get("dst_buffer_id"),
-            nbytes=int(payload.get("nbytes", 0)),
-            offset=int(payload.get("offset", 0)),
-            dst_offset=int(payload.get("dst_offset", 0)),
-            kernel_id=payload.get("kernel_id"),
-            kernel_args=payload.get("args"),
+            buffer_id=fields["buffer_id"],
+            dst_buffer_id=fields["dst_buffer_id"],
+            nbytes=int(fields["nbytes"]),
+            offset=int(fields["offset"]),
+            dst_offset=int(fields["dst_offset"]),
+            kernel_id=fields["kernel_id"],
+            kernel_args=fields["args"],
         )
         if operation.needs_data():
             operation.data_ready = Event(self.env)
@@ -827,8 +859,6 @@ class DeviceManager:
             self._submit(task)
         # FIRST step of the client's event state machine: op is enqueued.
         self._notify(session, protocol.OP_ENQUEUED, operation.tag)
-        return
-        yield  # pragma: no cover - marks this handler as a generator
 
     def _on_write_data(self, message: Message):
         operation = self._pending_writes.pop(message.tag, None)
@@ -839,18 +869,15 @@ class DeviceManager:
         operation.data = message.payload.get("data")
         assert operation.data_ready is not None
         operation.data_ready.settle()
-        return
-        yield  # pragma: no cover - marks this handler as a generator
 
     def _on_flush(self, message: Message):
         session = self._require_session(message)
         queue_id = int(message.payload.get("queue", 0))
         task = self.accumulator.flush(session.name, queue_id)
         self._submit(task)
-        return
-        yield  # pragma: no cover - marks this handler as a generator
 
-    #: The handler of each protocol method.
+    #: The handler of each protocol method: the streamed command-queue
+    #: ones are plain functions, the unary ones generators (they reply).
     _METHODS = {
         protocol.CONNECT: _on_connect,
         protocol.DISCONNECT: _on_disconnect,
@@ -987,9 +1014,10 @@ class DeviceManager:
 
     def _run_operation(self, operation: Operation):
         """Process: execute one op; returns True on success."""
-        session = self.sessions.get(operation.client)
-        if session is None:
+        sessions = self.sessions
+        if operation.client not in sessions:
             return False  # client disconnected while the task was queued
+        session = sessions[operation.client]
         if operation.needs_data() and operation.data_ready is not None:
             if not operation.data_ready.triggered:
                 if self.data_timeout is None:
@@ -1010,51 +1038,48 @@ class DeviceManager:
                 and not self.migrating and self.board.idle):
             # The worker alone uses the board: issue the board step now,
             # to start once the overhead has passed (one event, not two).
-            try:
-                return (yield from self._perform(session, operation,
-                                                 self.OP_OVERHEAD))
-            except StepSplit:
-                pass  # split before it started: the chain resumes here
+            lead = self.OP_OVERHEAD
         else:
+            lead = 0.0
             yield self.env.timeout(self.OP_OVERHEAD)
-        return (yield from self._perform(session, operation))
-
-    def _perform(self, session: ClientSession, operation: Operation,
-                 lead: float = 0.0):
-        """Process: run ``operation`` on the board, starting ``lead``
-        seconds from now; returns True on success."""
-        started = self.env.now + lead
-        failure = None
-        try:
-            result = yield from self._execute(session, operation, lead)
-        except (Interrupt, StepSplit):
-            raise  # manager crash/worker kill, not an operation failure
-        except Exception as exc:  # noqa: BLE001 - converted to notification
-            if self.env.now < started:
-                # Invalid when issued: the chain validates it again at
-                # its start, after whatever lands in between.
-                yield self.env.timeout(lead)
-                raise StepSplit() from None
-            failure = exc
+        while True:
+            started = self.env.now + lead
+            failure = None
+            try:
+                result = yield from self._execute(session, operation, lead)
+            except StepSplit:
+                # Split before it started (only a step issued ahead can
+                # be): the chain resumes here, at the step's start.
+                lead = 0.0
+                continue
+            except Interrupt:
+                raise  # manager crash/worker kill, not an operation failure
+            except Exception as exc:  # noqa: BLE001 - to a notification
+                if self.env.now < started:
+                    # Invalid when issued: the chain validates it again
+                    # at its start, after whatever lands in between.
+                    yield self.env.timeout(lead)
+                    lead = 0.0
+                    continue
+                failure = exc
+            break
         operation.started_at = started
         if failure is not None:
             self._notify(session, protocol.OP_FAILED, operation.tag,
                          {"error": str(failure),
                           "code": _error_code(failure)})
             return False
-        operation.finished_at = self.env.now
-        busy = self.env.now - started
-        self._m_busy.inc(busy)
-        client_busy = self._client_busy_children.get(operation.client)
-        if client_busy is None:
-            client_busy = self._m_client_busy.labels(operation.client)
-            self._client_busy_children[operation.client] = client_busy
-        client_busy.inc(busy)
-        op_type = operation.type.value
-        ops = self._op_children.get(op_type)
-        if ops is None:
-            ops = self._op_children[op_type] = self._m_ops.labels(op_type)
-        ops.inc()
+        now = operation.finished_at = self.env.now
+        busy = now - started
+        self._busy_seconds += busy
+        client, client_busy = operation.client, self._client_busy_seconds
+        if client in client_busy:
+            client_busy[client] += busy
+        else:
+            client_busy[client] = busy
+        op_type, op_counts = operation.type, self._op_counts
+        op_counts[op_type] = (op_counts[op_type] + 1 if op_type in op_counts
+                              else 1)
         for listener in self.op_listeners:
             listener(operation)
         if operation.type is OpType.READ:
@@ -1082,31 +1107,30 @@ class DeviceManager:
 
     def _execute(self, session: ClientSession, operation: Operation,
                  lead: float = 0.0):
-        """Process: perform one operation on the board, ``lead`` seconds
-        from now (see :meth:`FPGABoard.dma_write`)."""
+        """The board step of one operation, ``lead`` seconds from now (see
+        :meth:`FPGABoard.dma_write`), for the caller to ``yield from``:
+        its references are resolved here, the step itself is not started.
+        """
         if operation.type is OpType.MARKER:
-            return None
+            return ()
         if operation.type is OpType.WRITE:
             buffer = self._buffer(session, operation.buffer_id)
-            yield from self.board.dma_write(
+            return self.board.dma_write(
                 buffer, operation.nbytes, operation.data, operation.offset,
                 lead,
             )
-            return None
         if operation.type is OpType.READ:
             buffer = self._buffer(session, operation.buffer_id)
-            data = yield from self.board.dma_read(
+            return self.board.dma_read(
                 buffer, operation.nbytes, operation.offset, lead
             )
-            return data
         if operation.type is OpType.COPY:
             src = self._buffer(session, operation.buffer_id)
             dst = self._buffer(session, operation.dst_buffer_id)
-            yield from self.board.copy_on_device(
+            return self.board.copy_on_device(
                 src, dst, operation.nbytes, operation.offset,
                 operation.dst_offset, lead,
             )
-            return None
         if operation.type is OpType.KERNEL:
             binary, kernel_name = self._kernel(session, operation.kernel_id)
             live = [slot.name for slot in self.board.slots
@@ -1122,8 +1146,7 @@ class DeviceManager:
                     resolved.append(self._buffer(session, value))
                 else:
                     resolved.append(value)
-            yield from self.board.execute(kernel_name, resolved, lead)
-            return None
+            return self.board.execute(kernel_name, resolved, lead)
         raise DeviceManagerError(f"unsupported operation {operation.type}")
 
     def _buffer(self, session: ClientSession, buffer_id) -> DeviceBuffer:

@@ -25,8 +25,13 @@ class OpType(enum.Enum):
     KERNEL = "kernel"
     MARKER = "marker"
 
+    #: Members are singletons, compared by identity: hash them by identity
+    #: too, in C (``Enum.__hash__`` runs Python), as the Device Manager's
+    #: per-operation counts key on them.
+    __hash__ = object.__hash__
 
-@dataclass
+
+@dataclass(slots=True)
 class Operation:
     """One device operation inside a task.
 
@@ -59,7 +64,7 @@ class Operation:
         return self.type is OpType.WRITE
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """An atomic, in-order batch of operations from one client queue."""
 
@@ -100,7 +105,8 @@ class TaskAccumulator:
             task = Task(operation.client, operation.queue_id,
                         self.env.new_id("task"))
             self._open[key] = task
-        task.append(operation)
+        # Keyed by the operation's stream: Task.append's check holds.
+        task.operations.append(operation)
         return task
 
     def flush(self, client: str, queue_id: int) -> Optional[Task]:

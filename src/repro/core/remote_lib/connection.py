@@ -13,7 +13,6 @@ Mirrors Figure 2 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ...faults import RetryPolicy
@@ -35,18 +34,12 @@ from ..device_manager import protocol
 from .events import RemoteEventMachine
 
 
-@dataclass
-class _StreamItem:
-    """One outbound stream element."""
-
-    message: Message
-    data_nbytes: int = 0
-    #: Gates: events to wait for before transmitting (e.g. buffer handles
-    #: still being created server-side, or cross-queue wait lists).
-    gates: tuple = ()
-    #: Late payload binding: called just before transmission so remote ids
-    #: resolved by the gates can be filled in.
-    finalize: Optional[Any] = None
+#: One outbound stream element is a tuple ``(message, data_nbytes, gates,
+#: finalize)``: the message; the bytes of the bulk payload it announces;
+#: events to wait for before transmitting it (e.g. buffer handles still
+#: being created server-side, or cross-queue wait lists); and ``None`` or
+#: a late payload binding, called just before transmission so remote ids
+#: resolved by the gates can be filled in.
 
 
 class Connection:
@@ -290,7 +283,7 @@ class Connection:
         message = Message(method=method, payload=payload,
                           sender=self.client_name, tag=tag,
                           id=self.env.new_id("message"))
-        self._outbound.hand_over(_StreamItem(message))
+        self._outbound.hand_over((message, 0, (), None))
 
     def stream_send_op(self, method: str, finalize, tag: Any,
                        gates: list) -> None:
@@ -303,9 +296,7 @@ class Connection:
         message = Message(method=method, payload={},
                           sender=self.client_name, tag=tag,
                           id=self.env.new_id("message"))
-        self._outbound.hand_over(
-            _StreamItem(message, gates=tuple(gates), finalize=finalize)
-        )
+        self._outbound.hand_over((message, 0, tuple(gates), finalize))
 
     def stream_write_data(self, tag: Any, data: Any,
                           nbytes: int) -> None:
@@ -320,7 +311,7 @@ class Connection:
                           payload={"data": data},
                           sender=self.client_name, tag=tag,
                           id=self.env.new_id("message"))
-        self._outbound.hand_over(_StreamItem(message, data_nbytes=nbytes))
+        self._outbound.hand_over((message, nbytes, (), None))
 
     # -- worker processes -----------------------------------------------------
     def _sender(self):
@@ -333,10 +324,12 @@ class Connection:
         try:
             while True:
                 if outbound.items:
-                    item: _StreamItem = outbound.items.pop(0)
+                    item = outbound.items.pop(0)
                 else:
                     item = yield outbound.get()
-                if not (yield from self._resolve_gates(item)):
+                message, data_nbytes, gates, finalize = item
+                if gates and not (yield from self._resolve_gates(
+                        message, gates)):
                     continue
                 while self._paused:
                     # Live migration: hold the item untransmitted; on
@@ -345,31 +338,32 @@ class Connection:
                     yield self._stream_resume
                 self._sender_busy = True
                 try:
-                    if item.finalize is not None:
+                    if finalize is not None:
                         try:
-                            item.message.payload = item.finalize()
+                            message.payload = finalize()
                         except Exception as exc:  # noqa: BLE001
-                            self._fail_machine(item.message.tag, str(exc))
+                            self._fail_machine(message.tag, str(exc))
                             continue
                     # Bulk payloads ride the data plane; a slim control
                     # message still announces them.
                     yield from self.transport.deliver_to_server(
-                        self.manager_endpoint, item.message,
-                        item.data_nbytes or None)
+                        self.manager_endpoint, message,
+                        data_nbytes or None)
                 finally:
                     self._sender_busy = False
         except Interrupt:
             return
 
-    def _resolve_gates(self, item: _StreamItem):
-        """Process: wait for an item's gates; False if any gate failed."""
-        for gate in item.gates:
+    def _resolve_gates(self, message: Message, gates: tuple):
+        """Process: wait for the gates of ``message``; False if any gate
+        failed."""
+        for gate in gates:
             if gate.triggered and gate.ok:
                 continue
             try:
                 yield gate
             except Exception as exc:  # noqa: BLE001 - routed to the machine
-                self._fail_machine(item.message.tag, str(exc))
+                self._fail_machine(message.tag, str(exc))
                 return False
         return True
 

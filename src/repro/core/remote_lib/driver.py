@@ -179,7 +179,7 @@ class RemoteDriver(Driver):
     def enqueue(self, queue: CommandQueue, command: Command) -> None:
         event = command.event
         gates = [dep.completion for dep in command.wait_for
-                 if not dep.is_complete]
+                 if not dep.is_complete] if command.wait_for else []
 
         if command.type is CommandType.WRITE_BUFFER:
             machine = RemoteEventMachine(
@@ -245,37 +245,35 @@ class RemoteDriver(Driver):
                  buffer_handle: Optional[RemoteHandle] = None,
                  dst_buffer_handle: Optional[RemoteHandle] = None) -> None:
         self.connection.register_machine(machine)
-        all_gates = list(gates)
         for handle in (buffer_handle, dst_buffer_handle):
             if handle is not None and not handle.ready.triggered:
-                all_gates.append(handle.ready)
+                gates.append(handle.ready)
 
         def finalize() -> dict:
-            final = dict(payload)
+            # ``payload`` is this op's own dict: completed in place.
             if buffer_handle is not None:
                 if buffer_handle.error is not None:
                     raise buffer_handle.error
-                final["buffer_id"] = buffer_handle.remote_id
+                payload["buffer_id"] = buffer_handle.remote_id
             if dst_buffer_handle is not None:
                 if dst_buffer_handle.error is not None:
                     raise dst_buffer_handle.error
-                final["dst_buffer_id"] = dst_buffer_handle.remote_id
-            return final
+                payload["dst_buffer_id"] = dst_buffer_handle.remote_id
+            return payload
 
         self.connection.stream_send_op(
-            method, finalize, tag=machine.tag, gates=all_gates
+            method, finalize, tag=machine.tag, gates=gates
         )
 
     def _send_kernel_op(self, machine: RemoteEventMachine, payload: dict,
                         gates: list, kernel_handle: RemoteHandle,
                         arg_handles: list) -> None:
         self.connection.register_machine(machine)
-        all_gates = list(gates)
         if not kernel_handle.ready.triggered:
-            all_gates.append(kernel_handle.ready)
+            gates.append(kernel_handle.ready)
         for kind, value in arg_handles:
             if kind == protocol.ARG_BUFFER and not value.ready.triggered:
-                all_gates.append(value.ready)
+                gates.append(value.ready)
 
         def finalize() -> dict:
             if kernel_handle.error is not None:
@@ -288,12 +286,10 @@ class RemoteDriver(Driver):
                     args.append((kind, value.remote_id))
                 else:
                     args.append((kind, value))
-            final = dict(payload)
-            final["kernel_id"] = kernel_handle.remote_id
-            final["args"] = args
-            return final
+            payload["kernel_id"] = kernel_handle.remote_id
+            payload["args"] = args
+            return payload
 
         self.connection.stream_send_op(
-            protocol.ENQUEUE_KERNEL, finalize, tag=machine.tag,
-            gates=all_gates,
+            protocol.ENQUEUE_KERNEL, finalize, tag=machine.tag, gates=gates,
         )

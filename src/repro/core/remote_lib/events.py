@@ -34,6 +34,10 @@ class FsmState(enum.Enum):
     FAILED = "FAILED"
 
 
+#: The absorbing states.
+_TERMINAL = (FsmState.COMPLETE, FsmState.FAILED)
+
+
 class RemoteEventMachine:
     """Drives one remote command's lifecycle and its OpenCL event status.
 
@@ -41,6 +45,10 @@ class RemoteEventMachine:
     event" in the paper) travels with every request and notification so the
     connection thread can route completions back here.
     """
+
+    #: One per command: no per-instance ``__dict__``.
+    __slots__ = ("connection", "cl_event", "state", "_write_payload",
+                 "_write_nbytes", "is_write", "tag")
 
     def __init__(self, connection: "Connection", cl_event: CLEvent,
                  write_payload: Optional[bytes] = None,
@@ -50,19 +58,16 @@ class RemoteEventMachine:
         self.state = FsmState.INIT
         self._write_payload = write_payload
         self._write_nbytes = write_nbytes
+        self.is_write = write_nbytes > 0 or write_payload is not None
         self.tag = cl_event.id
 
     @property
-    def is_write(self) -> bool:
-        return self._write_nbytes > 0 or self._write_payload is not None
-
-    @property
     def terminal(self) -> bool:
-        return self.state in (FsmState.COMPLETE, FsmState.FAILED)
+        return self.state in _TERMINAL
 
     def on_notification(self, message: Message) -> None:
         """Advance on a Device Manager notification (connection thread)."""
-        if self.terminal:
+        if self.state in _TERMINAL:
             # COMPLETE/FAILED are absorbing: duplicated or straggling
             # notifications after the event resolved are dropped.
             return
@@ -77,6 +82,8 @@ class RemoteEventMachine:
             self._on_failed(f"unexpected notification {message.method!r}")
 
     # -- transitions ------------------------------------------------------
+    # The machine alone advances its OpenCL event, so the state says the
+    # event's status: QUEUED in INIT, SUBMITTED in FIRST and BUFFER.
     def _on_enqueued(self) -> None:
         if self.state is not FsmState.INIT:
             return self._protocol_error("FIRST", "INIT")
@@ -88,18 +95,14 @@ class RemoteEventMachine:
             )
         else:
             self.state = FsmState.FIRST
-        if self.cl_event.status == int(ExecutionStatus.QUEUED):
-            self.cl_event.set_status(ExecutionStatus.SUBMITTED)
+        self.cl_event.set_status(ExecutionStatus.SUBMITTED)
 
     def _on_complete(self, data) -> None:
-        if self.state not in (FsmState.FIRST, FsmState.BUFFER, FsmState.INIT):
-            return self._protocol_error("COMPLETE", "FIRST/BUFFER")
-        self.state = FsmState.COMPLETE
-        if self.cl_event.status == int(ExecutionStatus.SUBMITTED):
-            self.cl_event.set_status(ExecutionStatus.RUNNING)
-        elif self.cl_event.status == int(ExecutionStatus.QUEUED):
+        # Not terminal (see on_notification): INIT, FIRST or BUFFER.
+        if self.state is FsmState.INIT:
             self.cl_event.set_status(ExecutionStatus.SUBMITTED)
-            self.cl_event.set_status(ExecutionStatus.RUNNING)
+        self.state = FsmState.COMPLETE
+        self.cl_event.set_status(ExecutionStatus.RUNNING)
         self.connection.forget(self.tag)
         self.cl_event.complete(data)  # a waiting host process resumes here
 

@@ -10,9 +10,21 @@ collected in a registry that can be scraped (see
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 LabelValues = Tuple[str, ...]
+
+#: A collector: the ``(label values, value)`` samples of a family, read
+#: from the object that owns them at collection time.
+Collector = Callable[[], Iterable[Tuple[LabelValues, float]]]
 
 #: Default histogram buckets (seconds), as in the Prometheus client.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -60,8 +72,11 @@ class _Child:
 
     @property
     def value(self) -> float:
-        if self._family.type == "histogram":
+        family = self._family
+        if family.type == "histogram":
             raise MetricError("histograms have no scalar value; use sum/count")
+        if family._collect is not None:
+            family._sync()
         return self._value
 
     @property
@@ -74,12 +89,15 @@ class _Child:
 
     # -- counter ---------------------------------------------------------
     def inc(self, amount: float = 1.0) -> None:
-        if self._family.type == "counter" and amount < 0:
+        family = self._family
+        if family.type == "counter" and amount < 0:
             raise MetricError("counters can only increase")
-        if self._family.type == "histogram":
+        if family.type == "histogram":
             raise MetricError("use observe() on histograms")
+        if family._collect is not None:
+            raise MetricError(f"{family.name} is read from its collector")
         self._value += amount
-        self._family._version += 1
+        family._version += 1
 
     # -- gauge -----------------------------------------------------------
     def dec(self, amount: float = 1.0) -> None:
@@ -172,6 +190,9 @@ class MetricFamily:
         self._rows_cache: list = []
         self._text_version = 0
         self._text_cache = ""
+        #: Set by :meth:`MetricsRegistry.collected_counter`: the samples
+        #: are then read from their owner at collection, never written.
+        self._collect: Optional[Collector] = None
         #: The one child of an unlabelled metric, for the passthroughs.
         self._unlabelled: Optional[_Child] = None
         if not self.labelnames:
@@ -203,6 +224,22 @@ class MetricFamily:
             self._children_version += 1
             self._version += 1
         return child
+
+    def _sync(self) -> None:
+        """Read a collector-backed family's samples from their owner.
+
+        A label set seen for the first time gets its child now, as
+        :meth:`labels` would have made it when the owner first counted
+        it; only a changed sample dirties the family's caches.
+        """
+        children = self._children
+        for values, value in self._collect():
+            child = children.get(values)
+            if child is None:
+                child = self.labels(*values)
+            if child._value != value:
+                child._value = value
+                self._version += 1
 
     def _sorted_children(self) -> list:
         # Invalidated on child creation only (sample mutations cannot
@@ -244,6 +281,8 @@ class MetricFamily:
         since the last call (dirty-family tracking): a scrape re-renders
         only the families that were touched since the previous scrape.
         """
+        if self._collect is not None:
+            self._sync()
         if self._rows_version == self._version:
             return self._rows_cache
         rows: list = []
@@ -304,6 +343,22 @@ class MetricsRegistry:
             MetricFamily(self._full_name(name), help, "counter", labelnames)
         )
 
+    def collected_counter(
+        self, name: str, help: str, collect: Collector,
+        labelnames: Sequence[str] = (),
+    ) -> MetricFamily:
+        """A counter whose samples ``collect()`` reads, at every
+        collection, from the object that counts them (a Prometheus custom
+        collector): one source of truth and no metric call per count.
+
+        ``collect`` returns ``(label values, value)`` pairs.  A label set
+        appears at the first collection after it is first returned, at
+        the value returned then.
+        """
+        family = self.counter(name, help, labelnames)
+        family._collect = collect
+        return family
+
     def gauge(
         self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> MetricFamily:
@@ -347,12 +402,13 @@ class MetricsRegistry:
         """
         blocks: list[str] = []
         for family in self._families.values():
+            rows = family.collect_rows()
             if family._text_version != family._version:
                 lines = [
                     f"# HELP {family.name} {family.help}",
                     f"# TYPE {family.name} {family.type}",
                 ]
-                for sample_name, labels, _key, value in family.collect_rows():
+                for sample_name, labels, _key, value in rows:
                     if labels:
                         rendered = ",".join(
                             f'{key}="{val}"' for key, val in labels.items()

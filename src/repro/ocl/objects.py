@@ -67,6 +67,10 @@ class CLEvent:
     ``clGetEventProfilingInfo``-style timestamps.
     """
 
+    #: One per command: no per-instance ``__dict__``.
+    __slots__ = ("id", "env", "command_type", "_status", "_error",
+                 "profiling", "completion", "value", "_callbacks")
+
     def __init__(self, env: Environment, command_type: CommandType):
         self.id = env.new_id("ocl")
         self.env = env
@@ -76,7 +80,7 @@ class CLEvent:
         self.profiling: Dict[ProfilingInfo, float] = {
             ProfilingInfo.QUEUED: env.now
         }
-        self.completion: Event = env.event()
+        self.completion: Event = Event(env)
         self.value: Any = None
         self._callbacks: List[Callable[["CLEvent", int], None]] = []
 
@@ -104,9 +108,11 @@ class CLEvent:
 
     def set_status(self, status: ExecutionStatus) -> None:
         """Advance the event's status (stamps profiling timestamps)."""
-        if self.is_complete:
-            raise CLError(CL_INVALID_VALUE, "event already finished")
-        if status >= self._status:
+        # COMPLETE is the lowest status, so no status advances past it.
+        if status >= self._status or self._error is not None:
+            if (self._error is not None
+                    or self._status is ExecutionStatus.COMPLETE):
+                raise CLError(CL_INVALID_VALUE, "event already finished")
             raise CLError(
                 CL_INVALID_VALUE,
                 f"status may only advance ({self._status} -> {status})",
@@ -115,7 +121,8 @@ class CLEvent:
         stamp = _STATUS_STAMPS[status]
         if stamp is not None:
             self.profiling[stamp] = self.env.now
-        self._fire_callbacks()
+        if self._callbacks:
+            self._fire_callbacks()
         if status is ExecutionStatus.COMPLETE:
             # Host code waits on few completions (a blocking read's, handed
             # off to its waiter); the rest settle without an event.
@@ -187,7 +194,7 @@ def wait_for_events(events: Sequence[CLEvent]) -> Event:
     return AllOf(env, [event.completion for event in events])
 
 
-@dataclass
+@dataclass(slots=True)
 class Command:
     """One command-queue entry, as handed to a driver."""
 
@@ -434,7 +441,8 @@ class MemBuffer:
             self.released = True
 
     def _check_live(self) -> None:
-        check(not self.released, CL_INVALID_MEM_OBJECT, "buffer released")
+        if self.released:
+            raise CLError(CL_INVALID_MEM_OBJECT, "buffer released")
 
     def __repr__(self) -> str:
         return f"<MemBuffer #{self.id} size={self.size}>"
@@ -530,8 +538,8 @@ class CommandQueue:
         device: Device,
         properties: QueueProperties = QueueProperties.PROFILING_ENABLE,
     ):
-        check(device in context.devices, CL_INVALID_VALUE,
-              "device not in context")
+        if device not in context.devices:
+            raise CLError(CL_INVALID_VALUE, "device not in context")
         self.id = context.env.new_id("ocl")
         self.context = context
         self.device = device
@@ -553,13 +561,14 @@ class CommandQueue:
         """``clEnqueueWriteBuffer`` (non-blocking)."""
         self._check_live()
         buffer._check_live()
-        check(buffer.context is self.context, CL_INVALID_CONTEXT,
-              "buffer belongs to another context")
+        if buffer.context is not self.context:
+            raise CLError(CL_INVALID_CONTEXT,
+                          "buffer belongs to another context")
         payload = _as_payload(data)
         if nbytes is None:
             nbytes = len(payload) if payload is not None else buffer.size
-        check(0 <= offset and offset + nbytes <= buffer.size,
-              CL_INVALID_VALUE, "write outside buffer bounds")
+        if offset < 0 or offset + nbytes > buffer.size:
+            raise CLError(CL_INVALID_VALUE, "write outside buffer bounds")
         event = CLEvent(self.env, CommandType.WRITE_BUFFER)
         command = Command(
             CommandType.WRITE_BUFFER, event, buffer=buffer, data=payload,
@@ -578,12 +587,13 @@ class CommandQueue:
         """``clEnqueueReadBuffer`` (non-blocking); event value = bytes."""
         self._check_live()
         buffer._check_live()
-        check(buffer.context is self.context, CL_INVALID_CONTEXT,
-              "buffer belongs to another context")
+        if buffer.context is not self.context:
+            raise CLError(CL_INVALID_CONTEXT,
+                          "buffer belongs to another context")
         if nbytes is None:
             nbytes = buffer.size - offset
-        check(0 <= offset and offset + nbytes <= buffer.size,
-              CL_INVALID_VALUE, "read outside buffer bounds")
+        if offset < 0 or offset + nbytes > buffer.size:
+            raise CLError(CL_INVALID_VALUE, "read outside buffer bounds")
         event = CLEvent(self.env, CommandType.READ_BUFFER)
         command = Command(
             CommandType.READ_BUFFER, event, buffer=buffer, nbytes=nbytes,
@@ -605,15 +615,14 @@ class CommandQueue:
         self._check_live()
         src._check_live()
         dst._check_live()
-        check(src.context is self.context and dst.context is self.context,
-              CL_INVALID_CONTEXT, "buffer belongs to another context")
+        if src.context is not self.context or dst.context is not self.context:
+            raise CLError(CL_INVALID_CONTEXT,
+                          "buffer belongs to another context")
         if nbytes is None:
             nbytes = min(src.size - src_offset, dst.size - dst_offset)
-        check(
-            0 <= src_offset and src_offset + nbytes <= src.size
-            and 0 <= dst_offset and dst_offset + nbytes <= dst.size,
-            CL_INVALID_VALUE, "copy outside buffer bounds",
-        )
+        if (src_offset < 0 or src_offset + nbytes > src.size
+                or dst_offset < 0 or dst_offset + nbytes > dst.size):
+            raise CLError(CL_INVALID_VALUE, "copy outside buffer bounds")
         event = CLEvent(self.env, CommandType.COPY_BUFFER)
         command = Command(
             CommandType.COPY_BUFFER, event, buffer=src, dst_buffer=dst,
@@ -631,8 +640,9 @@ class CommandQueue:
     ) -> CLEvent:
         """``clEnqueueNDRangeKernel`` / ``clEnqueueTask``."""
         self._check_live()
-        check(kernel.context is self.context, CL_INVALID_CONTEXT,
-              "kernel belongs to another context")
+        if kernel.context is not self.context:
+            raise CLError(CL_INVALID_CONTEXT,
+                          "kernel belongs to another context")
         args = kernel.snapshot_args()
         command_type = (
             CommandType.TASK if global_size is None
@@ -721,7 +731,10 @@ class CommandQueue:
             self.released = True
 
     def _check_live(self) -> None:
-        check(not self.released, CL_INVALID_COMMAND_QUEUE, "queue released")
+        # The queue's checks raise inline, not through check(): they run
+        # for every command.
+        if self.released:
+            raise CLError(CL_INVALID_COMMAND_QUEUE, "queue released")
 
     def __repr__(self) -> str:
         return f"<CommandQueue #{self.id} on {self.device.name!r}>"

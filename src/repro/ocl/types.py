@@ -60,8 +60,12 @@ class DeviceType(enum.IntFlag):
     ALL = 0xFFFFFFFF
 
 
-class ProfilingInfo(enum.Enum):
-    """Event profiling counters (cl_profiling_info)."""
+class ProfilingInfo(enum.IntEnum):
+    """Event profiling counters (cl_profiling_info).
+
+    An ``IntEnum`` like the ``cl_uint`` it models: the keys of every
+    event's ``profiling`` dict hash in C, not through ``Enum.__hash__``.
+    """
 
     QUEUED = 0x1280
     SUBMIT = 0x1281

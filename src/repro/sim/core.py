@@ -9,7 +9,10 @@ times) are expressed in seconds as well.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import partial
 from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import Any, Generator, Optional
 
 from .events import (
@@ -46,13 +49,20 @@ class Environment:
     >>> env.run()
     >>> env.now
     1.5
+
+    :attr:`now` is a plain attribute so that reading it costs no call,
+    but only the kernel in this module writes it: anything else assigning
+    it would move the clock under events already scheduled.
+    ``tests/sim/test_core.py`` checks that no other code does.
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_proc", "_handoffs",
+    __slots__ = ("now", "_queue", "_eid", "_active_proc", "_handoffs",
                  "_ids")
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulated time in seconds: a plain slot, read on every
+        #: hop of every request, so reading it costs no call.
+        self.now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         #: Monotonic event id breaking ties at equal (time, priority); a
         #: plain int (not itertools.count) — ``schedule`` is the hottest
@@ -61,13 +71,14 @@ class Environment:
         self._eid = 0
         self._active_proc: Optional[Process] = None
         self._handoffs = 0
-        #: Last id handed out per kind (see :meth:`new_id`).
-        self._ids: dict[str, int] = {}
+        #: The id sequence of each kind (see :meth:`new_id`).
+        self._ids: defaultdict[str, count] = defaultdict(partial(count, 1))
 
     @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+    def _now(self) -> float:
+        """Read-only alias of :attr:`now`, for code that reads the clock
+        under its former private name."""
+        return self.now
 
     @property
     def active_process(self) -> Optional["Process"]:
@@ -77,8 +88,7 @@ class Environment:
     def new_id(self, kind: str) -> int:
         """The next id of ``kind`` (1, 2, 3, ...) in this simulation: a
         run's ids never depend on what the process simulated before it."""
-        value = self._ids[kind] = self._ids.get(kind, 0) + 1
-        return value
+        return next(self._ids[kind])
 
     # -- event factories --------------------------------------------------
     def event(self) -> Event:
@@ -121,7 +131,7 @@ class Environment:
         """Enqueue ``event`` to be processed after ``delay`` seconds."""
         eid = self._eid
         self._eid = eid + 1
-        heappush(self._queue, (self._now + delay, priority, eid, event))
+        heappush(self._queue, (self.now + delay, priority, eid, event))
 
     def schedule_at(self, event: Event, when: float,
                     priority: int = NORMAL) -> None:
@@ -132,14 +142,14 @@ class Environment:
         scheduled time exactly ``when`` (``now + (when - now)`` may not
         round back to it), and is restored afterwards.
         """
-        now = self._now
+        now = self.now
         if when < now:
             raise ValueError(f"time {when} is before now ({now})")
-        self._now = when
+        self.now = when
         try:
             self.schedule(event, 0.0, priority)
         finally:
-            self._now = now
+            self.now = now
 
     def retime(self, event: Event, when: float) -> None:
         """Move a queued event to the absolute time ``when``.
@@ -150,8 +160,8 @@ class Environment:
         scheduled.  Linear in the queue length: for rare corrections, not
         for the hot path.
         """
-        if when < self._now:
-            raise ValueError(f"time {when} is before now ({self._now})")
+        if when < self.now:
+            raise ValueError(f"time {when} is before now ({self.now})")
         queue = self._queue
         for index, (_when, priority, eid, queued) in enumerate(queue):
             if queued is event:
@@ -185,7 +195,7 @@ class Environment:
         except IndexError:
             raise EmptySchedule() from None
 
-        self._now = when
+        self.now = when
         callbacks, event.callbacks = event.callbacks, None
         assert callbacks is not None, "event processed twice"
         for callback in callbacks:
@@ -211,9 +221,9 @@ class Environment:
                 return stop_event.value
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if stop_time < self.now:
                 raise ValueError(
-                    f"until ({stop_time}) must not be before now ({self._now})"
+                    f"until ({stop_time}) must not be before now ({self.now})"
                 )
 
         stopped = False
@@ -246,10 +256,10 @@ class Environment:
                     raise SimError("simulation ended before the awaited event")
                 return None
             if stop_time is not None and queue[0][0] > stop_time:
-                self._now = stop_time
+                self.now = stop_time
                 return None
             when, _prio, _eid, event = pop(queue)
-            self._now = when
+            self.now = when
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)
@@ -344,11 +354,9 @@ class Process(Event):
         previous = env._active_proc
         env._active_proc = self
         self._target = None
-        # Bound methods are resolved once per resume, not once per yield —
-        # this callback runs for every step of every process.
+        # Bound once per resume, not once per yield: this callback runs
+        # for every step of every process.
         send = self._generator.send
-        throw = self._generator.throw
-        schedule = env.schedule
         try:
             while True:
                 try:
@@ -356,12 +364,12 @@ class Process(Event):
                         next_event = send(event._value)
                     else:
                         event.defused = True
-                        next_event = throw(event._value)
+                        next_event = self._generator.throw(event._value)
                 except StopIteration as stop:
                     self._ok = True
                     self._value = stop.value
                     if self.callbacks:
-                        schedule(self, 0.0, NORMAL)
+                        env.schedule(self, 0.0, NORMAL)
                     else:
                         # Nobody joins it yet: processed at once, no event.
                         self.callbacks = None
@@ -369,7 +377,7 @@ class Process(Event):
                 except BaseException as exc:
                     self._ok = False
                     self._value = exc
-                    schedule(self, 0.0, NORMAL)
+                    env.schedule(self, 0.0, NORMAL)
                     break
 
                 if not isinstance(next_event, Event):
@@ -378,7 +386,7 @@ class Process(Event):
                     )
                     self._ok = False
                     self._value = exc
-                    schedule(self, 0.0, NORMAL)
+                    env.schedule(self, 0.0, NORMAL)
                     break
 
                 if next_event.callbacks is not None:

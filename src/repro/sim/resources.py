@@ -95,7 +95,8 @@ class Resource:
             self.users.remove(request)
         elif request in self.queue:
             self.queue.remove(request)
-        self._trigger_waiters()
+        if self.queue:
+            self._trigger_waiters()
 
     def _request(self, request: Request) -> None:
         if not self.queue and len(self.users) < self._capacity:
@@ -202,18 +203,17 @@ class Store:
         is an event with no callbacks, so skipping it reorders nothing.
         Raises :class:`SimError` if the store has no room right now.
         """
-        self._put_now(item, Event.succeed)
+        if self._put_queue or len(self.items) >= self.capacity:
+            raise SimError(f"{type(self).__name__} is full")
+        self._hand_over(item, Event.succeed)
 
     def hand_over(self, item: Any) -> None:
         """:meth:`put_nowait`, except that a waiting get is settled: a lone
         process waiting on it takes the item inside this call, ahead of
         the events already queued for this instant."""
-        self._put_now(item, Event.settle)
-
-    def _put_now(self, item: Any, wake) -> None:
         if self._put_queue or len(self.items) >= self.capacity:
             raise SimError(f"{type(self).__name__} is full")
-        self._hand_over(item, wake)
+        self._hand_over(item, Event.settle)
 
     def _hand_over(self, item: Any, wake) -> None:
         # A get waits only while the store is empty, so the item goes to

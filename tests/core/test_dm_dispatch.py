@@ -37,14 +37,24 @@ def rig():
 def logged(env, manager, log, on_start=lambda message: None):
     """Wrap every handler of ``manager`` to log its start and end, and
     whether it started inside the serve process or on arrival."""
+    def start(self, method, message):
+        where = ("serve" if env.active_process is self._serve_proc
+                 else "arrival")
+        log.append((method, message.tag, "start", where, env.now))
+        on_start(message)
+
     def wrap(method, handler):
-        def run(self, message):
-            where = ("serve" if env.active_process is self._serve_proc
-                     else "arrival")
-            log.append((method, message.tag, "start", where, env.now))
-            on_start(message)
-            yield from handler(self, message)
-            log.append((method, message.tag, "end", env.now))
+        # A streamed handler is a plain function, a unary one a generator.
+        if method in protocol.STREAM_METHODS:
+            def run(self, message):
+                start(self, method, message)
+                handler(self, message)
+                log.append((method, message.tag, "end", env.now))
+        else:
+            def run(self, message):
+                start(self, method, message)
+                yield from handler(self, message)
+                log.append((method, message.tag, "end", env.now))
         return run
 
     manager._METHODS = {method: wrap(method, handler)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.device_manager import DeviceManager, protocol
 from repro.fpga import FPGABoard, standard_library
+from repro.ocl.errors import CL_DEVICE_NOT_AVAILABLE
 from repro.rpc import Message, RpcEndpoint, RpcError, ShmTransport, unary_call
 from repro.sim import Environment
 
@@ -193,6 +194,28 @@ class TestLifecycle:
         connect(env, manager, transport, other_completions, client="b")
         assert manager.connected_clients == 2
         assert set(manager.sessions) == {"a", "b"}
+
+    def test_a_refused_reprogram_keeps_every_session_buffer(self, rig):
+        # A locked-up board refuses BUILD_PROGRAM before reconfiguring, so
+        # every buffer stays allocated: no session may lose its handle.
+        env, manager, transport, completions = rig
+        buffers = {}
+        for client in ("a", "b"):
+            connect(env, manager, transport,
+                    RpcEndpoint(env, f"{client}/completions"), client=client)
+            buffers[client] = call(env, manager, transport,
+                                   protocol.CREATE_BUFFER, {"size": 8192},
+                                   client=client)["buffer_id"]
+        manager.board.lock_up()
+        with pytest.raises(RpcError) as refused:
+            call(env, manager, transport, protocol.BUILD_PROGRAM,
+                 {"binary": "mm"}, client="a")
+        assert refused.value.code == CL_DEVICE_NOT_AVAILABLE == -2
+        assert {client: list(manager.sessions[client].buffers)
+                for client in buffers} == {
+                    client: [buffer_id]
+                    for client, buffer_id in buffers.items()}
+        assert manager.board.memory.used == 16384
 
 
 class TestBatchingFlag:

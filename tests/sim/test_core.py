@@ -1,5 +1,8 @@
 """Unit tests for the DES scheduler and process machinery."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.sim import Environment, Interrupt, SimError
@@ -13,6 +16,24 @@ def test_clock_starts_at_zero():
 def test_clock_custom_start():
     env = Environment(initial_time=42.0)
     assert env.now == 42.0
+
+
+def test_only_the_kernel_writes_the_clock():
+    # ``Environment.now`` is a writable slot: an assignment anywhere but
+    # the kernel would silently move the clock under scheduled events.
+    root = Path(__file__).resolve().parents[2]
+    kernel = root / "src" / "repro" / "sim" / "core.py"
+    writers = []
+    for top in ("src", "perfbench", "benchmarks", "examples", "tests"):
+        for path in sorted((root / top).rglob("*.py")):
+            if path == kernel:
+                continue
+            writers.extend(
+                f"{path.relative_to(root)}:{node.lineno}"
+                for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.Attribute) and node.attr == "now"
+                and not isinstance(node.ctx, ast.Load))
+    assert writers == []
 
 
 def test_timeout_advances_clock():
