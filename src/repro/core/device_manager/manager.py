@@ -267,50 +267,54 @@ class DeviceManager:
         self.drain_seconds = 0.0
         self.reconfiguration_seconds = 0.0
 
-        #: Per-operation accounting, kept as plain accumulators: the
-        #: three families below read them when collected.
+        #: Per-operation and per-task accounting, kept as plain
+        #: accumulators: the families below read them when collected.
         self._busy_seconds = 0.0
         self._client_busy_seconds: Dict[str, float] = {}
         self._op_counts: Dict[OpType, int] = {}
-        self.metrics = MetricsRegistry(namespace="dm")
-        self.metrics.collected_counter(
+        self._tasks = 0
+        #: Every counter and gauge is read from this manager's (or its
+        #: board's) state at collection; only the histogram is pushed.
+        metrics = self.metrics = MetricsRegistry(namespace="dm")
+        metrics.counter(
             "busy_seconds_total",
             "Seconds the FPGA spent computing OpenCL calls",
-            lambda: (((), self._busy_seconds),),
+            collect=lambda: (((), self._busy_seconds),),
         )
-        self.metrics.collected_counter(
-            "client_busy_seconds_total",
-            "Per-client FPGA busy seconds",
-            lambda: [((client,), seconds) for client, seconds
-                     in self._client_busy_seconds.items()],
+        metrics.counter(
+            "client_busy_seconds_total", "Per-client FPGA busy seconds",
             labelnames=["client"],
+            collect=lambda: [((client,), seconds) for client, seconds
+                             in self._client_busy_seconds.items()],
         )
-        self.metrics.collected_counter(
-            "ops_total", "Operations executed",
-            lambda: [((op_type.value,), float(count)) for op_type, count
-                     in self._op_counts.items()],
-            labelnames=["type"],
+        metrics.counter(
+            "ops_total", "Operations executed", labelnames=["type"],
+            collect=lambda: [((op_type.value,), float(count))
+                             for op_type, count in self._op_counts.items()],
         )
-        self._m_tasks = self.metrics.counter("tasks_total", "Tasks executed")
-        self._m_clients = self.metrics.gauge(
-            "connected_clients", "Currently connected clients"
-        )
-        self._m_queue_depth = self.metrics.gauge(
-            "task_queue_depth", "Tasks waiting in the central queue"
-        )
-        self._m_task_latency = self.metrics.histogram(
+        metrics.counter("tasks_total", "Tasks executed",
+                        collect=lambda: (((), float(self._tasks)),))
+        metrics.gauge("connected_clients", "Currently connected clients",
+                      collect=lambda: (((), float(len(self.sessions))),))
+        metrics.gauge("task_queue_depth", "Tasks waiting in the central queue",
+                      collect=lambda: (((), float(len(self.scheduler))),))
+        self._task_latency = metrics.histogram(
             "task_latency_seconds", "Submit-to-finish task latency"
         )
-        self._m_reconfigurations = self.metrics.counter(
-            "reconfigurations_total", "Board reconfigurations performed"
+        metrics.counter(
+            "reconfigurations_total", "Board reconfigurations performed",
+            collect=lambda: (((), float(board.reconfigurations
+                                        + board.partial_reconfigurations)),),
         )
-        self._m_drain_seconds = self.metrics.gauge(
+        metrics.gauge(
             "board_drain_seconds",
             "Cumulative seconds workers spent quiesced for live migration",
+            collect=lambda: (((), self.drain_seconds),),
         )
-        self._m_reconf_seconds = self.metrics.gauge(
+        metrics.gauge(
             "board_reconfiguration_seconds",
             "Cumulative seconds the board spent being reprogrammed",
+            collect=lambda: (((), self.reconfiguration_seconds),),
         )
         board.add_busy_listener(self._on_board_activity)
 
@@ -384,7 +388,6 @@ class DeviceManager:
         """Board busy listener: account reconfiguration downtime."""
         if activity == "reconfigure":
             self.reconfiguration_seconds += seconds
-            self._m_reconf_seconds.set(self.reconfiguration_seconds)
 
     # ------------------------------------------------------------------ drain
     #: Poll period while waiting for workers to reach an op boundary.  The
@@ -419,11 +422,9 @@ class DeviceManager:
         self.migrating_clients.clear()
         self._migrating_transports.clear()
         self.drain_seconds += self.env.now - self._drain_started
-        self._m_drain_seconds.set(self.drain_seconds)
         backlog, self._drain_backlog = self._drain_backlog, []
         for task in backlog:
             self._push(task)
-        self._m_queue_depth.set(len(self.scheduler))
         resume_event, self._drain_resume = self._drain_resume, None
         if resume_event is not None and not resume_event.triggered:
             resume_event.succeed()
@@ -448,7 +449,6 @@ class DeviceManager:
             tasks += [t for t in self._drain_backlog if t.client == client]
             self._drain_backlog = [t for t in self._drain_backlog
                                    if t.client != client]
-        self._m_queue_depth.set(len(self.scheduler))
         return tasks
 
     @property
@@ -468,12 +468,10 @@ class DeviceManager:
         self.crashes += 1
         self.stop()
         self.sessions.clear()
-        self._m_clients.set(0)
         self._pending_writes.clear()
         self._replies.clear()
         self.accumulator = TaskAccumulator(self.env)
         self.scheduler.clear()
-        self._m_queue_depth.set(0)
         # An in-progress drain dies with the process.
         self.migrating = False
         self.migrating_clients.clear()
@@ -669,7 +667,6 @@ class DeviceManager:
         completion_queue: RpcEndpoint = message.payload["completion_queue"]
         session = ClientSession(message.sender, transport, completion_queue)
         self.sessions[message.sender] = session
-        self._m_clients.set(len(self.sessions))
         yield from reply(transport, message, {"session": message.sender})
 
     def _on_disconnect(self, message: Message):
@@ -682,7 +679,6 @@ class DeviceManager:
         self.accumulator.flush_client(session.name)
         session.connected = False
         del self.sessions[session.name]
-        self._m_clients.set(len(self.sessions))
         yield from reply(session.transport, message, {})
 
     def _on_platform_info(self, message: Message):
@@ -766,7 +762,6 @@ class DeviceManager:
                     if slot is None]
             slot = free[0] if free else self.board.slot_count - 1
             yield from self.board.program_slot(slot, bitstream)
-            self._m_reconfigurations.inc()
             yield from reply(session.transport, message, {
                 "binary": binary, "slot": slot,
             })
@@ -789,7 +784,6 @@ class DeviceManager:
             for other in self.sessions.values():
                 other.buffers.clear()
         yield from self.board.program(bitstream)
-        self._m_reconfigurations.inc()
         yield from reply(session.transport, message, {"binary": binary})
 
     def _deferred_build(self, message: Message, resume_event):
@@ -908,7 +902,6 @@ class DeviceManager:
             self._drain_backlog.append(task)
             return
         self._push(task)
-        self._m_queue_depth.set(len(self.scheduler))
 
     def _push(self, task: Task) -> None:
         """Queue a task; only a policy that reads estimates gets one."""
@@ -961,7 +954,6 @@ class DeviceManager:
                 task = self.scheduler.pop_nowait()
                 if task is None:
                     task = yield self.scheduler.pop()
-                self._m_queue_depth.set(len(self.scheduler))
                 self._busy_workers += 1
                 task.started_at = self.env.now
                 stolen = False
@@ -991,9 +983,9 @@ class DeviceManager:
                 if stolen:
                     continue  # the rest of the task migrated away
                 task.finished_at = self.env.now
-                self._m_tasks.inc()
+                self._tasks += 1
                 if task.submitted_at is not None:
-                    self._m_task_latency.observe(
+                    self._task_latency.observe(
                         task.finished_at - task.submitted_at
                     )
                 for listener in self.task_listeners:

@@ -172,28 +172,42 @@ class AcceleratorsRegistry:
         self._health_config = None
         self.snapshot_interval = snapshot_interval
         self._snapshot_proc = None
+        #: The recovery process while it replays (the blackout); a
+        #: restart then joins it instead of starting a second one.
+        self._replay = None
 
-        #: Registry-side metrics, scraped alongside the Device Managers'.
-        self.metrics = MetricsRegistry(namespace="registry")
-        self._m_migrations = self.metrics.counter(
+        #: Instances moved off a device (restart or live migration), and
+        #: those of them moved with checkpoint/restore (zero downtime).
+        self.migrations = 0
+        self.live_migrations = 0
+
+        #: Registry-side metrics, scraped alongside the Device Managers';
+        #: each is read, when collected, from the attribute it is named
+        #: after.
+        metrics = self.metrics = MetricsRegistry(namespace="registry")
+        metrics.counter(
             "migrations_total",
             "Instances moved off a device (restart or live migration)",
+            collect=lambda: (((), float(self.migrations)),),
         )
-        self._m_live_migrations = self.metrics.counter(
+        metrics.counter(
             "live_migrations_total",
             "Instances moved with checkpoint/restore (zero downtime)",
+            collect=lambda: (((), float(self.live_migrations)),),
         )
-        self._m_epoch = self.metrics.gauge(
+        metrics.gauge(
             "epoch", "Current Registry fencing epoch (bumps per restart)",
+            collect=lambda: (((), float(self.epoch)),),
         )
-        self._m_blackout = self.metrics.gauge(
+        metrics.gauge(
             "blackout_seconds_total",
             "Cumulative control-plane blackout (crash until replay done)",
+            collect=lambda: (((), self.blackout_seconds),),
         )
-        self._m_replayed = self.metrics.gauge(
+        metrics.gauge(
             "replayed_ops_total", "WAL records replayed across restarts",
+            collect=lambda: (((), float(self.replayed_ops)),),
         )
-        self._m_epoch.set(self.epoch)
         if scraper is not None:
             scraper.add_target("registry", self.metrics)
         #: Incremental Algorithm 1 index.
@@ -215,16 +229,6 @@ class AcceleratorsRegistry:
 
         cluster.add_admission_hook(self._admit)
         cluster.watch(self._on_watch)
-
-    @property
-    def migrations(self) -> int:
-        """Instances moved off a device (``registry_migrations_total``)."""
-        return int(self._m_migrations.value)
-
-    @property
-    def live_migrations(self) -> int:
-        """Moves made live (``registry_live_migrations_total``)."""
-        return int(self._m_live_migrations.value)
 
     def register_manager(self, manager: DeviceManager) -> None:
         """Add a Device Manager to the Devices Service (autoscaled nodes).
@@ -425,8 +429,8 @@ class AcceleratorsRegistry:
         if instance_name in self.cluster.pods:
             self.cluster.patch_pod(instance_name,
                                    **{MANAGER_ENV: target_name})
-        self._m_migrations.inc()
-        self._m_live_migrations.inc()
+        self.migrations += 1
+        self.live_migrations += 1
         self._index_refresh(self.devices.find(source_name))
         self._index_refresh(self.devices.find(target_name))
 
@@ -476,7 +480,7 @@ class AcceleratorsRegistry:
         instance = self.functions.instance(instance_name)
         if instance is None:
             return None
-        self._m_migrations.inc()
+        self.migrations += 1
         return self.env.process(
             self._evacuate(instance_name, instance.function)
         )
@@ -796,17 +800,22 @@ class AcceleratorsRegistry:
         when replay finishes) → health re-arm → reconciliation against
         DM-reported ground truth.  ``store`` substitutes a different log
         copy (the warm standby's, possibly lagging); ``resolver`` overrides
-        the manager-name → :class:`DeviceManager` address book.
+        the manager-name → :class:`DeviceManager` address book.  A
+        restart during the replay of an earlier one returns that
+        recovery (its store and address book stay).
         """
         if self.alive:
             return None
+        if self._replay is not None:
+            return self._replay
         if store is not None:
             self.store = store
         if self.store is None:
             raise RuntimeError(
                 "volatile registry has no durable store to restart from"
             )
-        return self.env.process(self._recover(resolver))
+        self._replay = self.env.process(self._recover(resolver))
+        return self._replay
 
     def _recover(self, resolver: Optional[Dict[str, DeviceManager]] = None):
         """Process: replay the store, then reconcile with the boards."""
@@ -833,13 +842,11 @@ class AcceleratorsRegistry:
         self.store.record_epoch(self.epoch)
         # Replay done: the control plane serves again (blackout over).
         self.alive = True
+        self._replay = None
         self.recoveries += 1
         self.recovered_at = self.env.now
         if self.crashed_at is not None:
             self.blackout_seconds += self.env.now - self.crashed_at
-        self._m_epoch.set(self.epoch)
-        self._m_blackout.set(self.blackout_seconds)
-        self._m_replayed.set(self.replayed_ops)
         for record in self.devices.all():
             self._index_refresh(record)
         if self._health_config is not None:

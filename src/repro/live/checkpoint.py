@@ -352,7 +352,6 @@ def capture_session(manager: DeviceManager, client: str) -> SessionCheckpoint:
     manager._migrating_transports[client] = session.transport
     session.connected = False
     del manager.sessions[client]
-    manager._m_clients.set(len(manager.sessions))
 
     return SessionCheckpoint(
         client=client,
@@ -445,7 +444,6 @@ def restore_session(manager: DeviceManager, checkpoint: SessionCheckpoint,
         allocator.reserve_ids(max(b.buffer_id for b in checkpoint.buffers))
 
     manager.sessions[checkpoint.client] = session
-    manager._m_clients.set(len(manager.sessions))
 
     for task_meta in checkpoint.tasks:
         task = Task(checkpoint.client, task_meta.queue_id,

@@ -177,7 +177,6 @@ class LiveMigrator:
             yield from target.board.program_slot(slot, bitstream)
         else:
             yield from target.board.program(bitstream)
-        target._m_reconfigurations.inc()
         return True
 
     def _required_bitstream(self, instance_name: str) -> Optional[str]:

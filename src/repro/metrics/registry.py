@@ -100,17 +100,14 @@ class _Child:
         family._version += 1
 
     # -- gauge -----------------------------------------------------------
-    def dec(self, amount: float = 1.0) -> None:
-        if self._family.type != "gauge":
-            raise MetricError("dec() is only valid on gauges")
-        self._value -= amount
-        self._family._version += 1
-
     def set(self, value: float) -> None:
-        if self._family.type != "gauge":
+        family = self._family
+        if family.type != "gauge":
             raise MetricError("set() is only valid on gauges")
+        if family._collect is not None:
+            raise MetricError(f"{family.name} is read from its collector")
         self._value = float(value)
-        self._family._version += 1
+        family._version += 1
 
     # -- histogram ---------------------------------------------------------
     def observe(self, value: float) -> None:
@@ -190,8 +187,8 @@ class MetricFamily:
         self._rows_cache: list = []
         self._text_version = 0
         self._text_cache = ""
-        #: Set by :meth:`MetricsRegistry.collected_counter`: the samples
-        #: are then read from their owner at collection, never written.
+        #: Set for a family made with ``collect=``: the samples are then
+        #: read from their owner at collection, never written.
         self._collect: Optional[Collector] = None
         #: The one child of an unlabelled metric, for the passthroughs.
         self._unlabelled: Optional[_Child] = None
@@ -260,9 +257,6 @@ class MetricFamily:
     def inc(self, amount: float = 1.0) -> None:
         self._default.inc(amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._default.dec(amount)
-
     def set(self, value: float) -> None:
         self._default.set(value)
 
@@ -330,40 +324,42 @@ class MetricsRegistry:
     def _full_name(self, name: str) -> str:
         return f"{self.namespace}_{name}" if self.namespace else name
 
-    def _register(self, family: MetricFamily) -> MetricFamily:
+    def _register(self, family: MetricFamily,
+                  collect: Optional[Collector] = None) -> MetricFamily:
         if family.name in self._families:
             raise MetricError(f"duplicate metric {family.name!r}")
+        family._collect = collect
         self._families[family.name] = family
         return family
 
     def counter(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
+        self, name: str, help: str = "", labelnames: Sequence[str] = (),
+        collect: Optional[Collector] = None,
     ) -> MetricFamily:
+        """A counter; with ``collect``, one read from its owner.
+
+        ``collect`` makes the family collector-backed (a Prometheus
+        custom collector): at every collection it returns the
+        ``(label values, value)`` samples the owning object already
+        keeps, so there is one source of truth and no metric call per
+        count, and ``inc()`` is refused.  A label set appears at the
+        first collection after it is first returned, at the value
+        returned then.  Values must be floats, as pushed ones are.
+        """
         return self._register(
-            MetricFamily(self._full_name(name), help, "counter", labelnames)
+            MetricFamily(self._full_name(name), help, "counter", labelnames),
+            collect,
         )
 
-    def collected_counter(
-        self, name: str, help: str, collect: Collector,
-        labelnames: Sequence[str] = (),
-    ) -> MetricFamily:
-        """A counter whose samples ``collect()`` reads, at every
-        collection, from the object that counts them (a Prometheus custom
-        collector): one source of truth and no metric call per count.
-
-        ``collect`` returns ``(label values, value)`` pairs.  A label set
-        appears at the first collection after it is first returned, at
-        the value returned then.
-        """
-        family = self.counter(name, help, labelnames)
-        family._collect = collect
-        return family
-
     def gauge(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
+        self, name: str, help: str = "", labelnames: Sequence[str] = (),
+        collect: Optional[Collector] = None,
     ) -> MetricFamily:
+        """A gauge; ``collect`` reads it from its owner, as for
+        :meth:`counter` (and refuses ``set()``)."""
         return self._register(
-            MetricFamily(self._full_name(name), help, "gauge", labelnames)
+            MetricFamily(self._full_name(name), help, "gauge", labelnames),
+            collect,
         )
 
     def histogram(

@@ -117,6 +117,28 @@ class TestCrashRestart:
         assert registry.blackout_seconds > 0
         assert check_invariants(registry, testbed.cluster) == (0, 0)
 
+    def test_a_restart_during_the_replay_joins_it(self):
+        """A second restart inside the blackout (a standby's takeover
+        racing the scripted restart) returns the running recovery: one
+        epoch bump, one replay of the log, one epoch record."""
+        env = Environment()
+        testbed, registry = build(env, snapshot_interval=None)
+        create_pods(env, testbed.cluster, 3)
+        log = len(registry.store.wal)
+        injector = RegistryCrash(registry)
+        injector.kill()
+        recovery = injector.restore()
+        env.run(until=env.now + registry.REPLAY_SECONDS_PER_OP / 2)
+        assert not registry.alive  # still replaying
+        assert registry.restart() is recovery
+        env.run(until=recovery)
+        assert registry.alive
+        assert registry.epoch == 2
+        assert registry.recoveries == 1
+        assert registry.replayed_ops == log
+        assert [r.op for r in registry.store.wal].count("epoch") == 2
+        assert registry.restart() is None  # serving again
+
     def test_replay_restores_every_instance_seq(self):
         # Admits on both sides of a snapshot, a remove and a re-admission
         # in the WAL: each replayed admit gets back the number it minted

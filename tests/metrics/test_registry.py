@@ -53,17 +53,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self, registry):
+    def test_set_and_inc(self, registry):
         gauge = registry.gauge("connected_functions")
         gauge.set(5)
         gauge.inc()
-        gauge.dec(2)
-        assert gauge.value == 4
-
-    def test_dec_on_counter_rejected(self, registry):
-        counter = registry.counter("c_total")
-        with pytest.raises(MetricError):
-            counter.dec()
+        assert gauge.value == 6
 
 
 class TestHistogram:
