@@ -15,7 +15,6 @@ Implements Section III-B of the paper:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional
 
 from ...fpga.bitstream import Bitstream, BitstreamLibrary
@@ -53,7 +52,7 @@ from ...rpc import (
     reply,
     reply_error,
 )
-from ...sim import AnyOf, Environment, Event, Interrupt
+from ...sim import Environment, Event, Interrupt
 from . import protocol
 from .schedulers import TaskScheduler, make_scheduler
 from .tasks import Operation, OpType, Task, TaskAccumulator
@@ -188,7 +187,6 @@ class DeviceManager:
         batching: bool = True,
         workers: Optional[int] = None,
         scheduler: "str | TaskScheduler" = "fifo",
-        data_timeout: Optional[float] = None,
     ):
         self.env = env
         self.name = name
@@ -221,19 +219,12 @@ class DeviceManager:
         self.op_listeners: list[Callable[[Operation], None]] = []
         #: Observers called with each Task after it finishes.
         self.task_listeners: list[Callable[[Task], None]] = []
-        #: How long a worker waits for a lost WRITE_DATA payload before
-        #: failing the op (``None`` = forever, the pre-fault behavior).
-        self.data_timeout = data_timeout
         #: False after :meth:`crash` until :meth:`restart`.
         self.alive = True
         self.crashes = 0
         #: Streamed messages dropped because no handler could serve them
         #: (unknown client after a restart, unknown write tag, ...).
         self.rejected_messages = 0
-        #: Recent unary replies keyed by (client, request id): an at-least-
-        #: once retry of an already-executed request replays its reply
-        #: instead of re-executing — what makes client retries idempotent.
-        self._replies: "OrderedDict[tuple, tuple]" = OrderedDict()
 
         # -- registry epoch fencing (see docs/failure_model.md) --------------
         #: Highest Registry fencing epoch observed on a control command;
@@ -458,18 +449,21 @@ class DeviceManager:
     def crash(self) -> None:
         """Fail-stop the manager process.
 
-        Sessions, queued tasks, pending write payloads, cached replies and
-        everything in flight to the server are lost, exactly as when a
-        real manager process dies.  The board itself keeps its bitstream.
+        Sessions, queued tasks, pending write payloads and everything in
+        flight to the server are lost, exactly as when a real manager
+        process dies, and every client connection breaks.  The board itself
+        keeps its bitstream.
         """
         if not self.alive:
             return
         self.alive = False
         self.crashes += 1
         self.stop()
+        connections = dict.fromkeys(
+            [session.transport for session in self.sessions.values()]
+            + list(self._migrating_transports.values()))
         self.sessions.clear()
         self._pending_writes.clear()
-        self._replies.clear()
         self.accumulator = TaskAccumulator(self.env)
         self.scheduler.clear()
         # An in-progress drain dies with the process.
@@ -482,6 +476,8 @@ class DeviceManager:
         self._drain_resume = None
         # A dead server's socket drops whatever was in flight to it.
         self.endpoint.inbox.items.clear()
+        for transport in connections:
+            transport.break_connection(f"device manager {self.name} crashed")
 
     def restart(self) -> None:
         """Start a fresh manager process on the same board.
@@ -505,9 +501,6 @@ class DeviceManager:
             process.interrupt("worker killed")
 
     # ------------------------------------------------------------- dispatcher
-    #: Unary replies remembered for retry deduplication.
-    REPLY_CACHE_SIZE = 512
-
     def _on_message(self, message: Message) -> None:
         """Endpoint handler: serve ``message`` in its arrival callback when
         the server is idle.
@@ -571,20 +564,12 @@ class DeviceManager:
         # Capture the reply path up front: a handler may tear the session
         # down (DISCONNECT) before the reply goes out.
         reply_transport = None
-        key = None
         if message.reply_to is not None:
             session = self._session_of(message)
             reply_transport = (
                 session.transport if session is not None
                 else message.payload.get("transport")
             )
-            key = (message.sender, message.id)
-            cached = self._replies.get(key)
-            if cached is not None:
-                # At-least-once retry of an executed request: replay the
-                # reply, never re-execute.
-                self.env.process(self._replay_reply(message, cached))
-                return
         if (self.migrating and message.reply_to is not None
                 and message.sender in self.migrating_clients):
             # Racing submit from a client being checkpointed off this
@@ -630,24 +615,6 @@ class DeviceManager:
                 )
             else:
                 self.rejected_messages += 1
-        if key is not None and message.reply_to.triggered:
-            self._cache_reply(key, reply_transport, message.reply_to)
-
-    def _cache_reply(self, key, transport, reply_event) -> None:
-        self._replies[key] = (transport, reply_event.ok, reply_event.value)
-        if len(self._replies) > self.REPLY_CACHE_SIZE:
-            self._replies.popitem(last=False)
-
-    def _replay_reply(self, message: Message, cached):
-        """Process: answer a duplicate request from the reply cache."""
-        transport, ok, value = cached
-        yield from transport.control_to_client()
-        if message.reply_to.triggered:
-            return  # a duplicated delivery of an already-answered message
-        if ok:
-            message.reply_to.settle(value)
-        else:
-            message.reply_to.fail(value)
 
     def _session_of(self, message: Message) -> Optional[ClientSession]:
         return self.sessions.get(message.sender)
@@ -665,12 +632,23 @@ class DeviceManager:
     def _on_connect(self, message: Message):
         transport: Transport = message.payload["transport"]
         completion_queue: RpcEndpoint = message.payload["completion_queue"]
-        session = ClientSession(message.sender, transport, completion_queue)
-        self.sessions[message.sender] = session
+        self.adopt(ClientSession(message.sender, transport, completion_queue))
         yield from reply(transport, message, {"session": message.sender})
 
-    def _on_disconnect(self, message: Message):
-        session = self._require_session(message)
+    def adopt(self, session: ClientSession) -> None:
+        """Serve ``session`` until its client disconnects or its
+        connection breaks."""
+        if session.transport.broken is not None:
+            return  # the client hung up before it was served
+        self.sessions[session.name] = session
+        session.transport.on_break.append(
+            lambda _transport: self._close_session(session))
+
+    def _close_session(self, session: ClientSession) -> None:
+        """Tear a session down: free its buffers, drop its open work and
+        release every worker waiting on its ``WRITE_DATA``."""
+        if self.sessions.get(session.name) is not session:
+            return  # already closed, captured or lost in a crash
         self.board.split()
         for buffer in session.buffers.values():
             if not buffer.freed:
@@ -679,6 +657,14 @@ class DeviceManager:
         self.accumulator.flush_client(session.name)
         session.connected = False
         del self.sessions[session.name]
+        for tag, operation in list(self._pending_writes.items()):
+            if operation.client == session.name:
+                del self._pending_writes[tag]
+                operation.data_ready.succeed()
+
+    def _on_disconnect(self, message: Message):
+        session = self._require_session(message)
+        self._close_session(session)
         yield from reply(session.transport, message, {})
 
     def _on_platform_info(self, message: Message):
@@ -1012,20 +998,9 @@ class DeviceManager:
         session = sessions[operation.client]
         if operation.needs_data() and operation.data_ready is not None:
             if not operation.data_ready.triggered:
-                if self.data_timeout is None:
-                    yield operation.data_ready
-                else:
-                    expiry = self.env.timeout(self.data_timeout)
-                    yield AnyOf(self.env, [operation.data_ready, expiry])
-                    if not operation.data_ready.triggered:
-                        # The WRITE_DATA payload was lost on the wire: fail
-                        # the op instead of wedging this worker forever.
-                        self._pending_writes.pop(operation.tag, None)
-                        self._notify(session, protocol.OP_FAILED,
-                                     operation.tag,
-                                     {"error": "write payload never arrived",
-                                      "code": CL_INVALID_OPERATION})
-                        return False
+                yield operation.data_ready
+                if sessions.get(operation.client) is not session:
+                    return False  # the session closed before the payload
         if (self._solo and operation.type is not OpType.MARKER
                 and not self.migrating and self.board.idle):
             # The worker alone uses the board: issue the board step now,

@@ -152,6 +152,9 @@ class HealthMonitor:
             while True:
                 yield self.env.timeout(self.policy.heartbeat_interval)
                 if manager.healthy and manager.board.alive:
+                    if transport.broken is not None:
+                        transport = make_transport(  # reconnect
+                            self.env, self.network, manager.node, self.host)
                     yield from transport.deliver_to_server(
                         self.inbox,
                         Message(method=HEARTBEAT, sender=manager.name,

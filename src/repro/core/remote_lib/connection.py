@@ -9,6 +9,9 @@ Mirrors Figure 2 of the paper:
 * a **completion queue** receives the manager's asynchronous notifications
   and plays the paper's connection thread: on arrival it retrieves the
   event state machine by tag and advances it, synchronously.
+
+The transport underneath delivers every message once and in order, or
+breaks; a break fails every operation in flight at once.
 """
 
 from __future__ import annotations
@@ -23,10 +26,8 @@ from ...rpc import (
     NetworkHost,
     RpcEndpoint,
     RpcError,
-    RpcTimeout,
     Transport,
     make_transport,
-    new_request_id,
     unary_call,
 )
 from ...sim import Environment, Event, Interrupt, Store
@@ -58,19 +59,16 @@ class Connection:
     ):
         self.env = env
         self.client_name = client_name
-        #: ``None`` (default) = no deadlines, no retries, no op guards —
-        #: the exact pre-recovery behavior.  A :class:`RetryPolicy` arms
-        #: idempotent retries for unary calls and a per-op deadline that
-        #: resolves stuck event machines to an error.
+        #: ``None`` (default) = no op guards.  A :class:`RetryPolicy` arms a
+        #: per-op deadline that resolves stuck event machines to an error.
         self.recovery = recovery
+        #: Unary calls replayed after a ``CL_DEVICE_MIGRATING`` refusal.
         self.retries = 0
         self.network = network
         self.client_host = client_host
         self._prefer_shm = prefer_shm
         self.manager_endpoint = manager_endpoint
-        self.transport: Transport = make_transport(
-            env, network, client_host, manager_host, prefer_shm=prefer_shm
-        )
+        self.transport: Transport = self._open(manager_host, prefer_shm)
         self.completion_queue = RpcEndpoint(
             env, f"{client_name}/completions", handler=self._on_completion
         )
@@ -90,10 +88,16 @@ class Connection:
     # -- lifecycle -----------------------------------------------------------
     def connect(self):
         """Process: register this client with the Device Manager."""
-        yield from self.call(protocol.CONNECT, {
-            "transport": self.transport,
-            "completion_queue": self.completion_queue,
-        })
+        try:
+            yield from self.call(protocol.CONNECT, {
+                "transport": self.transport,
+                "completion_queue": self.completion_queue,
+            })
+        except BaseException:
+            # Given up (moved while waiting on a crashed manager, say):
+            # hang up, so the manager opens no session nobody uses.
+            self.transport.break_connection("connect abandoned")
+            raise
         self.connected = True
         return self
 
@@ -111,14 +115,22 @@ class Connection:
         # still in flight can never hear back: resolve it to a structured
         # error, not a hang.
         self.completion_queue.handler = None
-        for machine in list(self._machines.values()):
-            machine.on_notification(Message(
-                method=protocol.OP_FAILED,
-                payload={"error": "connection closed with operation in "
-                                  "flight", "code": CL_DEVICE_NOT_AVAILABLE},
-                sender="local", tag=machine.tag,
-                id=self.env.new_id("message"),
-            ))
+        self._fail_all("connection closed with operation in flight")
+
+    def _open(self, manager_host: NetworkHost, prefer_shm: bool) -> Transport:
+        transport = make_transport(self.env, self.network, self.client_host,
+                                   manager_host, prefer_shm=prefer_shm)
+        transport.on_break.append(self._on_break)
+        return transport
+
+    def _on_break(self, transport: Transport) -> None:
+        """The connection broke: fail every operation in flight at once."""
+        if transport is self.transport:
+            self._fail_all(f"connection broken: {transport.broken}")
+
+    def _fail_all(self, error: str) -> None:
+        for tag in list(self._machines):
+            self._fail_machine(tag, error, code=CL_DEVICE_NOT_AVAILABLE)
         self._machines.clear()
 
     # -- live migration -------------------------------------------------------
@@ -163,10 +175,7 @@ class Connection:
         if prefer_shm is None:
             prefer_shm = self._prefer_shm
         self.manager_endpoint = manager_endpoint
-        self.transport = make_transport(
-            self.env, self.network, self.client_host, manager_host,
-            prefer_shm=prefer_shm,
-        )
+        self.transport = self._open(manager_host, prefer_shm)
         self.rebinds += 1
         return self.transport
 
@@ -174,17 +183,17 @@ class Connection:
     def call(self, method: str, payload: dict):
         """Process: synchronous unary call to the manager.
 
-        With a recovery policy armed the call carries a gRPC-style
-        deadline and is retried with exponential backoff under a stable
-        request id, so the manager can dedupe re-executions; an error
-        *reply* is a definitive answer and is never retried — except
-        ``CL_DEVICE_MIGRATING``, which means the manager refused to
-        execute at all: the call replays once the migration settles,
-        reaching the rebound endpoint.
+        An error reply is a definitive answer, and so is a broken
+        connection — except ``CL_DEVICE_MIGRATING``, which means the
+        manager refused to execute at all: the call replays once the
+        migration settles, reaching the rebound endpoint.
         """
         while True:
             try:
-                result = yield from self._call_once(method, payload)
+                result = yield from unary_call(
+                    self.transport, self.manager_endpoint, method, payload,
+                    sender=self.client_name,
+                )
                 return result
             except RpcError as exc:
                 if getattr(exc, "code", None) != CL_DEVICE_MIGRATING:
@@ -204,31 +213,6 @@ class Connection:
                 yield self.env.timeout(10 * self.PAUSE_POLL)
             if not self._paused:
                 return
-
-    def _call_once(self, method: str, payload: dict):
-        policy = self.recovery
-        if policy is None:
-            result = yield from unary_call(
-                self.transport, self.manager_endpoint, method, payload,
-                sender=self.client_name,
-            )
-            return result
-        request_id = new_request_id(self.env)
-        last_error: Optional[Exception] = None
-        for attempt in range(policy.max_attempts):
-            if attempt:
-                self.retries += 1
-                yield self.env.timeout(policy.backoff(attempt - 1))
-            try:
-                result = yield from unary_call(
-                    self.transport, self.manager_endpoint, method, payload,
-                    sender=self.client_name, timeout=policy.deadline,
-                    request_id=request_id, attempt=attempt,
-                )
-                return result
-            except RpcTimeout as exc:
-                last_error = exc
-        raise last_error
 
     def call_async(self, method: str, payload: dict) -> Event:
         """Issue a unary call in the background; returns an event with the
@@ -336,6 +320,12 @@ class Connection:
                     # resume it goes to whatever endpoint/transport the
                     # connection is bound to by then.
                     yield self._stream_resume
+                if self.transport.broken is not None:
+                    self._fail_machine(
+                        message.tag,
+                        f"connection broken: {self.transport.broken}",
+                        code=CL_DEVICE_NOT_AVAILABLE)
+                    continue
                 self._sender_busy = True
                 try:
                     if finalize is not None:

@@ -1,9 +1,10 @@
 """Chaos experiment: the Table-II load under injected failures.
 
 Replays the paper's Section IV-B load test (5 Sobel functions, Table I
-rates) while the fault plane eats 1% of control messages and a scripted
-failure crashes a Device Manager mid-run.  The full recovery stack is
-armed — RPC deadlines and idempotent retries, the heartbeat/lease
+rates) while the fault plane eats 1% of control-message transmissions and
+a scripted failure crashes a Device Manager mid-run.  The full recovery
+stack is armed — reliable connections that resend what the fabric eats
+and break on the crash, the per-op deadline guard, the heartbeat/lease
 protocol, Algorithm-1 migration of orphaned instances, gateway retry
 budget and circuit breaker — and the run reports what the paper's
 operators would care about: availability, tail latency, and how long the
@@ -41,9 +42,9 @@ class ChaosSpec:
     configuration: str = "medium"
     #: Seed of the fault plane's verdicts.
     seed: int = 7
-    #: Fraction of control messages the fabric silently eats.
+    #: Fraction of control-message transmissions the fabric silently eats
+    #: (each is sent again; see :mod:`repro.rpc.transport`).
     message_loss: float = 0.01
-    duplicate_rate: float = 0.002
     delay_rate: float = 0.005
     delay: float = 1e-3
     #: Device Manager to crash mid-run (and when, as fractions of the
@@ -157,7 +158,6 @@ def run_chaos(spec: Optional[ChaosSpec] = None) -> ChaosResult:
     plane = NetworkFaultPlane(
         seed=spec.seed,
         drop_rate=spec.message_loss,
-        duplicate_rate=spec.duplicate_rate,
         delay_rate=spec.delay_rate,
         delay=spec.delay,
     )

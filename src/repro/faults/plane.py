@@ -1,9 +1,13 @@
 """The network fault plane: message-level fault decisions.
 
 Installed as ``network.faults`` on the RPC :class:`~repro.rpc.network.Network`
-(``None`` by default).  When installed, every control-message delivery and
-every unary reply consults :meth:`NetworkFaultPlane.message_action`, which
-returns a verdict — drop, delay, duplicate, or pass.
+(``None`` by default).  When installed, every transmission of a control
+message or a unary reply consults :meth:`NetworkFaultPlane.message_action`,
+which returns a verdict: drop, delay, or pass.  The transports turn those
+verdicts into a reliable, ordered connection (see
+:mod:`repro.rpc.transport`): a dropped transmission is sent again, so a
+verdict costs time, and loss reaches the application only when the
+connection breaks.
 
 A verdict is a pure function of the seed and the message's link, id and
 attempt (counter-based draws, as in Salmon et al., "Parallel Random Numbers:
@@ -17,7 +21,7 @@ partitioned every message between them drops, whatever its draw.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, FrozenSet, Set
+from typing import Dict, FrozenSet, NamedTuple, Set
 
 _MASK = (1 << 64) - 1
 #: SplitMix64's increment (the golden ratio in 64-bit fixed point).
@@ -39,20 +43,11 @@ def _keyed_draw(*keys: int) -> float:
     return (state >> 11) * (1.0 / (1 << 53))
 
 
-class MessageVerdict:
-    """Outcome of one fault decision for one message."""
+class MessageVerdict(NamedTuple):
+    """Outcome of one fault decision for one transmission."""
 
-    __slots__ = ("drop", "delay", "duplicate")
-
-    def __init__(self, drop: bool = False, delay: float = 0.0,
-                 duplicate: bool = False):
-        self.drop = drop
-        self.delay = delay
-        self.duplicate = duplicate
-
-    def __repr__(self) -> str:
-        return (f"MessageVerdict(drop={self.drop}, delay={self.delay}, "
-                f"duplicate={self.duplicate})")
+    drop: bool = False
+    delay: float = 0.0
 
 
 #: Shared no-fault verdict (hot path: avoid one allocation per message).
@@ -61,28 +56,26 @@ _DROP = MessageVerdict(drop=True)
 
 
 class NetworkFaultPlane:
-    """Seeded drop/delay/duplicate/partition decisions for control messages.
+    """Seeded drop/delay/partition decisions for control messages.
 
-    One uniform draw per message classifies it against the cumulative rate
-    bands ``[drop | duplicate | delay | pass]``; rates are fractions in
-    ``[0, 1]`` and their sum must not exceed 1.
+    One uniform draw per transmission classifies it against the cumulative
+    rate bands ``[drop | delay | pass]``; rates are fractions in ``[0, 1]``
+    and their sum must not exceed 1.
     """
 
     def __init__(
         self,
         seed: int = 1,
         drop_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
         delay_rate: float = 0.0,
         delay: float = 1e-3,
     ):
-        if min(drop_rate, duplicate_rate, delay_rate) < 0:
+        if min(drop_rate, delay_rate) < 0:
             raise ValueError("fault rates must be non-negative")
-        if drop_rate + duplicate_rate + delay_rate > 1.0:
+        if drop_rate + delay_rate > 1.0:
             raise ValueError("fault rates must sum to at most 1")
         self.seed = int(seed)
         self.drop_rate = drop_rate
-        self.duplicate_rate = duplicate_rate
         self.delay_rate = delay_rate
         self.delay = delay
         #: Unordered host pairs currently partitioned from each other.
@@ -92,7 +85,6 @@ class NetworkFaultPlane:
         self.counters: Dict[str, int] = {
             "delivered": 0,
             "dropped": 0,
-            "duplicated": 0,
             "delayed": 0,
             "partitioned": 0,
         }
@@ -126,7 +118,7 @@ class NetworkFaultPlane:
                        reply: bool = False) -> MessageVerdict:
         """Decide the fate of ``message`` on the ``src`` → ``dst`` link.
 
-        ``message.attempt`` is keyed because a retry reuses its request's
+        ``message.attempt`` is keyed because a resend reuses its message's
         id; ``reply`` judges the answer to a unary call instead, whose key
         would otherwise equal the request's on a same-node link.
         """
@@ -135,17 +127,14 @@ class NetworkFaultPlane:
         if self.is_partitioned(src, dst):
             counters["partitioned"] += 1
             verdict = _DROP
-        elif self.drop_rate or self.duplicate_rate or self.delay_rate:
+        elif self.drop_rate or self.delay_rate:
             # A stable link key: PYTHONHASHSEED randomises ``hash()``.
             link = zlib.crc32(f"{src}\0{dst}".encode())
             draw = _keyed_draw(self.seed, link, message.id, message.attempt,
                                reply)
             if draw < self.drop_rate:
                 verdict = _DROP
-            elif draw < self.drop_rate + self.duplicate_rate:
-                counters["duplicated"] += 1
-                verdict = MessageVerdict(duplicate=True)
-            elif draw < self.drop_rate + self.duplicate_rate + self.delay_rate:
+            elif draw < self.drop_rate + self.delay_rate:
                 counters["delayed"] += 1
                 verdict = MessageVerdict(delay=self.delay)
         counters["dropped" if verdict.drop else "delivered"] += 1

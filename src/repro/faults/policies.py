@@ -6,9 +6,8 @@ of ``None`` by default and then behave exactly as a build without the fault
 plane (same event sequence, bit-identical goldens).  Passing a policy arms
 the corresponding machinery:
 
-* :class:`RetryPolicy` — RPC deadlines + exponential backoff + the per-op
-  deadline guard of the Remote OpenCL Library
-  (:class:`~repro.core.remote_lib.connection.Connection`);
+* :class:`RetryPolicy` — the per-op deadline guard of the Remote OpenCL
+  Library (:class:`~repro.core.remote_lib.connection.Connection`);
 * :class:`HealthPolicy` — heartbeat/lease protocol between Device Managers
   and the Accelerators Registry
   (:class:`~repro.core.registry.health.HealthMonitor`);
@@ -25,26 +24,17 @@ from typing import Optional
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Deadlines and retries for the Remote OpenCL Library's control plane."""
+    """Recovery for the Remote OpenCL Library's command queues.
 
-    #: Per-attempt deadline of a unary call, seconds (gRPC deadline).
-    deadline: float = 1.0
-    #: Total attempts per unary call (first try + retries).  Retries reuse
-    #: the original request id, so the Device Manager's reply cache makes
-    #: them idempotent.
-    max_attempts: int = 4
-    #: First retry backoff, seconds; doubles (``backoff_factor``) per retry.
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
+    Unary calls need no retries: their connection delivers each request
+    and reply once and in order, and a break fails them at once.
+    """
+
     #: Deadline for a streamed command-queue operation to reach a terminal
     #: notification (OP_COMPLETE / OP_FAILED).  Expiry resolves the event
     #: state machine to a structured error — ops never deadlock.  ``None``
     #: disables the guard.
     op_deadline: Optional[float] = 5.0
-
-    def backoff(self, attempt: int) -> float:
-        """Backoff to sleep after failed attempt number ``attempt`` (0-based)."""
-        return self.backoff_base * self.backoff_factor ** attempt
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,7 @@ as if nothing happened:
   and the still-open (unflushed) accumulator operations;
 * **pending write** markers for WRITE operations whose payload has not
   arrived yet, so the target re-arms ``data_ready`` and the payload lands
-  there after the stream rebind;
-* the client's recent **unary reply cache** entries, keeping retried
-  context calls idempotent across the move (in-memory only — soft state).
+  there after the stream rebind.
 
 Capture happens only while the source manager is *drained* (see
 :meth:`~repro.core.device_manager.manager.DeviceManager.drain`): every
@@ -97,9 +95,6 @@ class SessionCheckpoint:
     tasks: List[TaskCheckpoint]
     #: Unflushed accumulator operations, in arrival order.
     open_operations: List[OperationCheckpoint] = field(default_factory=list)
-    #: Cached unary replies [(request_id, ok, value)] — soft state carried
-    #: in-memory only, never serialized (values may hold live objects).
-    replies: List[Tuple[Any, bool, Any]] = field(default_factory=list)
 
     @property
     def transfer_nbytes(self) -> int:
@@ -128,8 +123,7 @@ class BoardCheckpoint:
     def to_wire(self) -> bytes:
         """Serialize: MAGIC + 8-byte length + sorted-keys JSON + blobs.
 
-        The reply cache is connection-local soft state and is excluded;
-        everything else round-trips bit-identically.
+        Everything round-trips bit-identically.
         """
         blobs: List[bytes] = []
         meta = {
@@ -285,9 +279,9 @@ def capture_session(manager: DeviceManager, client: str) -> SessionCheckpoint:
 
     Steals the unexecuted suffix of any parked task, pulls the client's
     queued and unflushed work, snapshots buffers/kernels, frees the
-    source-side DDR, moves the client's cached replies out and removes the
-    session — leaving a tombstone transport so racing unary calls still
-    receive ``CL_DEVICE_MIGRATING`` until :meth:`DeviceManager.resume`.
+    source-side DDR and removes the session — leaving a tombstone
+    transport so racing unary calls still receive ``CL_DEVICE_MIGRATING``
+    until :meth:`DeviceManager.resume`.
     """
     session = manager.sessions.get(client)
     if session is None:
@@ -343,11 +337,6 @@ def capture_session(manager: DeviceManager, client: str) -> SessionCheckpoint:
         manager.board.free(buffer)
     session.buffers.clear()
 
-    replies = []
-    for key in [k for k in manager._replies if k[0] == client]:
-        _transport, ok, value = manager._replies.pop(key)
-        replies.append((key[1], ok, value))
-
     # Tear the session down; the tombstone keeps rejects answerable.
     manager._migrating_transports[client] = session.transport
     session.connected = False
@@ -360,7 +349,6 @@ def capture_session(manager: DeviceManager, client: str) -> SessionCheckpoint:
         buffers=buffers,
         tasks=tasks,
         open_operations=open_operations,
-        replies=replies,
     )
 
 
@@ -443,7 +431,7 @@ def restore_session(manager: DeviceManager, checkpoint: SessionCheckpoint,
     if checkpoint.buffers:
         allocator.reserve_ids(max(b.buffer_id for b in checkpoint.buffers))
 
-    manager.sessions[checkpoint.client] = session
+    manager.adopt(session)
 
     for task_meta in checkpoint.tasks:
         task = Task(checkpoint.client, task_meta.queue_id,
@@ -457,18 +445,4 @@ def restore_session(manager: DeviceManager, checkpoint: SessionCheckpoint,
             _rebuild_op(op_meta, checkpoint.client, manager)
         )
 
-    for request_id, ok, value in checkpoint.replies:
-        manager._cache_reply(
-            (checkpoint.client, request_id), transport, _Reply(ok, value)
-        )
     return session
-
-
-class _Reply:
-    """Adapter so restored reply-cache entries reuse ``_cache_reply``."""
-
-    __slots__ = ("ok", "value")
-
-    def __init__(self, ok: bool, value: Any):
-        self.ok = ok
-        self.value = value

@@ -115,7 +115,8 @@ class LiveMigrator:
         yield from connection.pause_stream()
         yield self.env.timeout(self.SETTLE)
 
-        ready = yield from self._prepare_target(target, instance_name)
+        ready = yield from self._prepare_target(source, target,
+                                                instance_name)
         if not ready:
             connection.resume_stream()
             return False
@@ -150,17 +151,23 @@ class LiveMigrator:
         connection.resume_stream()
         return True
 
-    def _prepare_target(self, target: DeviceManager, instance_name: str):
-        """Process: make sure the target board runs the victim's bitstream.
+    def _prepare_target(self, source: DeviceManager, target: DeviceManager,
+                        instance_name: str):
+        """Process: make sure the target board runs the victim's bitstream:
+        the one its kernels on ``source`` were created from, which the
+        source knows even while the Registry is down.
 
         Algorithm 1 already picked a compatible target; when the image is
         not loaded yet the board is reprogrammed — but only while no other
         tenant holds live buffers there (a full reprogram wipes DDR).
         Returns False when the move must fall back to a restart.
         """
-        needed = self._required_bitstream(instance_name)
-        if needed is None:
+        session = source.sessions.get(instance_name)
+        if session is None:
+            return False  # lost with the source: nothing to move
+        if not session.kernels:
             return True
+        needed, _kernel_name = next(iter(session.kernels.values()))
         live = [slot.name for slot in target.board.slots if slot is not None]
         if needed in live:
             return True
@@ -178,13 +185,6 @@ class LiveMigrator:
         else:
             yield from target.board.program(bitstream)
         return True
-
-    def _required_bitstream(self, instance_name: str) -> Optional[str]:
-        instance = self.registry.functions.instance(instance_name)
-        if instance is None:
-            return None
-        query = self.registry.functions.get(instance.function).device_query
-        return query.accelerator or None
 
     # -- restart fallback -----------------------------------------------------
     def _restart(self, instance_name: str):

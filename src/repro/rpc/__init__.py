@@ -6,11 +6,9 @@ from .messages import (
     RpcEndpoint,
     RpcError,
     RpcTimeout,
-    new_request_id,
     reply,
     reply_error,
     send_to_client,
-    send_to_server,
     unary_call,
 )
 from .network import LOCAL_STACK, Network, NetworkHost
@@ -39,10 +37,8 @@ __all__ = [
     "ShmTransport",
     "Transport",
     "make_transport",
-    "new_request_id",
     "reply",
     "reply_error",
     "send_to_client",
-    "send_to_server",
     "unary_call",
 ]

@@ -13,10 +13,14 @@ request and returns with its response).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from ..sim import Environment, Event, Store
-from .transport import Transport
+from ..ocl.errors import CL_DEVICE_NOT_AVAILABLE
+from ..sim import AnyOf, Event, Store
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..sim import Environment
+    from .transport import Transport
 
 
 class RpcError(RuntimeError):
@@ -30,16 +34,6 @@ class RpcError(RuntimeError):
     def __init__(self, message: str, code: Optional[int] = None):
         super().__init__(message)
         self.code = code
-
-
-def new_request_id(env: Environment) -> int:
-    """Fresh request id for an idempotent unary call.
-
-    Retries of the same logical request reuse one id, letting the server
-    dedupe re-executions and replay the cached reply.  Request ids come
-    from the message sequence, so they never collide with a message's.
-    """
-    return env.new_id("message")
 
 
 @dataclass(slots=True)
@@ -61,9 +55,10 @@ class Message:
     tag: Any = None
     #: For unary calls: the simulation event the reply will trigger.
     reply_to: Optional[Event] = None
-    #: ``env.new_id("message")``; a retried unary call reuses its request's.
+    #: ``env.new_id("message")``: keys its fault verdicts.
     id: int = field(kw_only=True)
-    #: Which try of its request (0 first): keys its fault verdict with ``id``.
+    #: Which transmission of the message (0 first; a resend after a loss
+    #: adds one): keys its fault verdict with ``id``.
     attempt: int = 0
 
 
@@ -92,14 +87,12 @@ class RpcEndpoint:
         else:
             self.inbox.put_nowait(message)
 
+    def arrive(self, arrival: Event) -> None:
+        """Arrival-event callback: deliver the message the event carries."""
+        self.deliver(arrival._value)
+
     def __repr__(self) -> str:
         return f"<RpcEndpoint {self.name}>"
-
-
-def send_to_server(transport: Transport, endpoint: RpcEndpoint,
-                   message: Message):
-    """Process: deliver a client→server control message."""
-    yield from transport.deliver_to_server(endpoint, message)
 
 
 def send_to_client(transport: Transport, endpoint: RpcEndpoint,
@@ -123,63 +116,39 @@ def unary_call(
     payload: Optional[Dict[str, Any]] = None,
     sender: str = "",
     timeout: Optional[float] = None,
-    request_id: Optional[int] = None,
-    attempt: int = 0,
 ):
     """Process: synchronous request/response against a server endpoint.
 
     The server is expected to answer via :func:`reply`.  Raises
-    :class:`RpcError` if the server replies with an error and
-    :class:`RpcTimeout` if no reply arrives within ``timeout`` seconds
-    (gRPC deadline semantics; ``None`` waits forever).
-
-    ``request_id`` pins the message id so a retry is recognizably the
-    same logical request (the Device Manager dedupes on it and replays
-    its cached reply instead of re-executing); ``attempt`` numbers the
-    retry, so each try meets the fault plane afresh.
+    :class:`RpcError` if the server replies with an error or the
+    connection breaks, and :class:`RpcTimeout` if no reply arrives within
+    ``timeout`` seconds (gRPC deadline semantics; ``None`` waits until the
+    reply or a break).
     """
+    if transport.broken is not None:
+        raise RpcError(f"{method}: connection broken: {transport.broken}",
+                       code=CL_DEVICE_NOT_AVAILABLE)
     env = transport.env
     response = env.event()
     message = Message(
         method=method, payload=dict(payload or {}), sender=sender,
-        reply_to=response, attempt=attempt,
-        id=env.new_id("message") if request_id is None else request_id,
+        reply_to=response, id=env.new_id("message"),
     )
-    yield from transport.deliver_to_server(endpoint, message)
-    if timeout is None:
-        result = yield response
-        return result
-    deadline = env.timeout(timeout)
-    from ..sim import AnyOf
-
-    yield AnyOf(env, [response, deadline])
+    calls = transport.calls
+    calls[response] = None
+    try:
+        yield from transport.deliver_to_server(endpoint, message)
+        if timeout is None:
+            result = yield response
+            return result
+        yield AnyOf(env, [response, env.timeout(timeout)])
+    finally:
+        calls.pop(response, None)
     if not response.triggered:
         # Late replies (including late errors) must not crash the
         # abandoned caller.
         response.defused = True
         raise RpcTimeout(f"{method} deadline of {timeout}s exceeded")
-    faults = transport.network.faults
-    if faults is not None:
-        # Reply loss is decided client-side: the server's handler DID run
-        # (and cached its reply for retries), but the answer crossing the
-        # same lossy fabric may drop or straggle, surfacing to the caller
-        # as a deadline expiry.  Only modeled under a deadline — without
-        # one a lost reply would hang the caller forever.
-        verdict = faults.message_action(transport.server.name,
-                                        transport.client.name, message,
-                                        reply=True)
-        if verdict.drop:
-            response.defused = True
-            if not deadline.processed:
-                yield deadline
-            raise RpcTimeout(f"{method} reply lost; deadline of "
-                             f"{timeout}s exceeded")
-        if verdict.delay:
-            extra = env.timeout(verdict.delay)
-            yield AnyOf(env, [extra, deadline])
-            if not extra.processed:
-                response.defused = True
-                raise RpcTimeout(f"{method} deadline of {timeout}s exceeded")
     if not response.ok:
         raise response.value
     return response.value
@@ -189,8 +158,7 @@ def reply(transport: Transport, message: Message, value: Any = None):
     """Process: answer a unary call (server side)."""
     if message.reply_to is None:
         raise ValueError(f"message {message.method!r} expects no reply")
-    yield from transport.control_to_client()
-    message.reply_to.settle(value)
+    yield from transport.answer(message, message.reply_to.settle, value)
 
 
 def reply_error(transport: Transport, message: Message,
@@ -198,8 +166,7 @@ def reply_error(transport: Transport, message: Message,
     """Process: answer a unary call with a failure."""
     if message.reply_to is None:
         raise ValueError(f"message {message.method!r} expects no reply")
-    yield from transport.control_to_client()
     if not isinstance(error, RpcError):
         # Preserve a structured OpenCL code when the server error has one.
         error = RpcError(str(error), code=getattr(error, "cl_code", None))
-    message.reply_to.fail(error)
+    yield from transport.answer(message, message.reply_to.fail, error)

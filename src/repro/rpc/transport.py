@@ -13,16 +13,28 @@ Two mechanisms, as in Section III-B of the paper:
 
 Every copy is counted in :class:`CopyStats` so the 4-vs-1 claim is a tested
 invariant, not prose.
+
+Under a fault plane each transport is a reliable, ordered connection in
+each direction, as gRPC's HTTP/2 over TCP is: a lost transmission is sent
+again after a retransmission timeout that doubles per resend, and a
+message a fault holds (a delay, or resends) holds every later message of
+its direction.  Loss reaches the application only when the connection
+breaks: when its Device Manager crashes, or when a transmission goes
+unacknowledged for :data:`USER_TIMEOUT`.  A break fails every unary call
+awaiting an answer and tells each ``on_break`` listener.
 """
 
 from __future__ import annotations
 
 import abc
+from collections import deque
+from copy import copy
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Dict, List, Optional
 
-from ..faults.plane import PASS, MessageVerdict
+from ..ocl.errors import CL_DEVICE_NOT_AVAILABLE
 from ..sim import Environment, Event
+from .messages import RpcError
 from .network import Network, NetworkHost
 
 #: Size of a control message on the wire (call metadata, acks), bytes.
@@ -32,6 +44,16 @@ CONTROL_MESSAGE_BYTES = 256
 #: Calibrated so the minimum BlastFunction RTT (one blocking write + read)
 #: lands near the ~2 ms of control signalling the paper reports in Fig. 4.
 CONTROL_HANDLING_OVERHEAD = 225e-6
+
+#: First retransmission timeout, seconds: Linux's ``TCP_RTO_MIN``, the
+#: floor RFC 6298 (section 2.4) lets a sender use below its conservative
+#: 1 s.  Each resend doubles it (RFC 6298, section 5.5).
+RTO = 0.2
+
+#: Seconds a transmission may go unacknowledged before its connection
+#: breaks: a ``TCP_USER_TIMEOUT`` (RFC 5482) of gRPC's default keepalive
+#: timeout, 20 s, which gRPC installs as the socket's user timeout.
+USER_TIMEOUT = 20.0
 
 
 @dataclass
@@ -44,15 +66,6 @@ class CopyStats:
     def record(self, count: int, nbytes: int) -> None:
         self.copies += count
         self.bytes_copied += count * nbytes
-
-
-def _land(endpoint, message, verdict: MessageVerdict) -> None:
-    """Deliver an arrived ``message`` 0, 1 or 2 times, as its verdict says."""
-    if verdict.drop:
-        return
-    endpoint.deliver(message)
-    if verdict.duplicate:
-        endpoint.deliver(message)
 
 
 class Transport(abc.ABC):
@@ -79,21 +92,30 @@ class Transport(abc.ABC):
         self._control_overhead = CONTROL_HANDLING_OVERHEAD * max(
             client.host.speed_factor, server.host.speed_factor)
         self._wire_time = network.local.transfer_time(CONTROL_MESSAGE_BYTES)
+        #: Why the connection broke; ``None`` while it is up.
+        self.broken: Optional[str] = None
+        #: Called with this transport when the connection breaks.
+        self.on_break: List[Callable[["Transport"], None]] = []
+        #: Reply events of the unary calls awaiting an answer (a dict, so
+        #: a break fails them in call order).
+        self.calls: Dict[Event, None] = {}
+        #: Per direction (to the server, to the client): the messages a
+        #: fault holds and those sent after them, in send order.
+        self._held = (deque(), deque())
 
     # -- control plane -----------------------------------------------------
-    def _control_arrival(self, nbytes=None, delay=0.0) -> Optional[Event]:
-        """One arrival event for a same-node control message and the
-        ``nbytes`` payload it carries, if any, at
-        ``(((now + copy) + overhead) + transfer) + delay``: the float their
-        Timeouts and a fault ``delay`` would end on.  The copies are
-        recorded on arrival.  ``None`` when the message crosses nodes and
-        queues on the NIC.
+    def _control_arrival(self, nbytes=None, value=None) -> Optional[Event]:
+        """One arrival event, carrying ``value``, for a same-node control
+        message and the ``nbytes`` payload it carries, if any, at
+        ``((now + copy) + overhead) + transfer``: the float their Timeouts
+        would end on.  The copies are recorded on arrival.  ``None`` when
+        the message crosses nodes and queues on the NIC.
         """
         if not self._local:
             return None
         sent = self.env.now if nbytes is None else self._landing(nbytes)
         arrival = self.env.timeout_at(
-            ((sent + self._control_overhead) + self._wire_time) + delay)
+            (sent + self._control_overhead) + self._wire_time, value)
         if nbytes is not None:
             arrival.callbacks.append(lambda _: self._landed(nbytes))
         return arrival
@@ -116,55 +138,141 @@ class Transport(abc.ABC):
     def control_to_client(self):
         yield from self.send_control(self.server, self.client)
 
-    # -- control plane with delivery (fault-injection point) ----------------
-    def _verdict(self, src: NetworkHost, dst: NetworkHost,
-                 message) -> MessageVerdict:
-        """The fault plane's verdict on ``message`` (no plane: ``PASS``)."""
-        faults = self.network.faults
-        if faults is None:
-            return PASS
-        return faults.message_action(src.name, dst.name, message)
-
+    # -- control plane with delivery ------------------------------------------
     def deliver_to_server(self, endpoint, message, nbytes=None):
-        """Process: send one control message, after the ``nbytes`` payload
-        it announces, if any, and deliver it client→server as its fault
-        verdict says.
-
-        A same-node message is one arrival event; the sender pays the
-        send cost even when the fabric eats the message.
-        """
-        verdict = self._verdict(self.client, self.server, message)
-        arrival = self._control_arrival(nbytes, verdict.delay)
+        """Process: send one control message client→server, after the
+        ``nbytes`` payload it announces, if any, and deliver it.  The
+        sender pays the send cost; a message a fault holds finishes its
+        delivery in the background."""
+        if self.network.faults is not None:
+            held = self._hold(0, self.client, self.server, endpoint.deliver,
+                              message, message)
+            if held is not None:
+                yield from self.send_control(self.client, self.server, nbytes)
+                self.env.process(held)
+                return
+        arrival = self._control_arrival(nbytes)
         if arrival is None:
-            yield from self._deliver(self.client, self.server, endpoint,
-                                     message, nbytes, verdict)
-            return
-        yield arrival
-        _land(endpoint, message, verdict)
+            yield from self.send_control(self.client, self.server, nbytes)
+        else:
+            yield arrival
+        if self.broken is None:  # a break drops what is in flight
+            endpoint.deliver(message)
 
     def deliver_to_client(self, endpoint, message, nbytes=None) -> Event:
         """Send one control message server→client, after the ``nbytes``
         payload it carries, if any; returns its arrival.
 
-        Fire-and-forget: a same-node message is one scheduled callback
-        delivering into ``endpoint``.  The cross-node path runs as a
-        process, which is the returned event.
+        Fire-and-forget: a same-node message is one arrival event whose
+        callback delivers it.  The cross-node path, and a message a fault
+        holds, run as a process, which is the returned event.
         """
-        verdict = self._verdict(self.server, self.client, message)
-        arrival = self._control_arrival(nbytes, verdict.delay)
+        if self.network.faults is not None:
+            held = self._hold(1, self.server, self.client, endpoint.deliver,
+                              message, message)
+            if held is not None:
+                return self.env.process(self._send_held(
+                    self.server, self.client, nbytes, held))
+        arrival = self._control_arrival(nbytes, message)
         if arrival is None:
             return self.env.process(self._deliver(
-                self.server, self.client, endpoint, message, nbytes,
-                verdict))
-        arrival.callbacks.append(lambda _: _land(endpoint, message, verdict))
+                self.server, self.client, endpoint, message, nbytes))
+        arrival.callbacks.append(endpoint.arrive)
         return arrival
 
-    def _deliver(self, src, dst, endpoint, message, nbytes, verdict):
+    def answer(self, message, land: Callable, value):
+        """Process: reply server→client to the unary call ``message``;
+        ``land(value)`` settles its reply event on arrival.  Under a fault
+        plane the reply draws its own verdicts, keyed by its request's."""
+        if self.network.faults is not None:
+            key = copy(message)
+            key.attempt = 0
+            held = self._hold(1, self.server, self.client, land, value, key,
+                              reply=True)
+            if held is not None:
+                yield from self.send_control(self.server, self.client)
+                self.env.process(held)
+                return
+        yield from self.send_control(self.server, self.client)
+        if self.broken is None:  # a break drops what is in flight
+            land(value)
+
+    def _deliver(self, src, dst, endpoint, message, nbytes):
         """Process: the cross-node path of one delivery."""
         yield from self.send_control(src, dst, nbytes)
+        endpoint.deliver(message)
+
+    def _send_held(self, src, dst, nbytes, held):
+        """Process: send a held message, then finish its delivery."""
+        yield from self.send_control(src, dst, nbytes)
+        yield from held
+
+    # -- reliable, ordered delivery under a fault plane -----------------------
+    def _hold(self, direction: int, src: NetworkHost, dst: NetworkHost,
+              land: Callable, value, key, reply: bool = False):
+        """Judge a message about to be sent on ``direction`` (0 to the
+        server, 1 to the client), drawing its verdicts for ``key``.
+
+        ``None`` when its verdict passes and no earlier message of its
+        direction is held: it takes the fault-free path.  Otherwise it
+        queues, and this returns the process that finishes its delivery,
+        ``land(value)`` in send order, once it has been sent."""
+        faults = self.network.faults
+        verdict = faults.message_action(src.name, dst.name, key, reply)
+        queue = self._held[direction]
+        if not (verdict.drop or verdict.delay or queue):
+            return None
+        entry = [False, land, value]
+        queue.append(entry)
+        return self._carry(queue, entry, src, dst, key, verdict, reply)
+
+    def _carry(self, queue, entry, src, dst, key, verdict, reply):
+        """Process: resend a lost message every RTO, doubled each time,
+        until a copy gets through or it has waited :data:`USER_TIMEOUT`
+        (the connection then breaks); wait out a fault delay; then land
+        it, and every message queued behind it that is ready too."""
+        rto, waited = RTO, 0.0
+        while verdict.drop:
+            if waited + rto >= USER_TIMEOUT:
+                yield self.env.timeout(USER_TIMEOUT - waited)
+                self.break_connection(
+                    f"{src.name}->{dst.name} unacknowledged for "
+                    f"{USER_TIMEOUT}s")
+                return
+            yield self.env.timeout(rto)
+            if self.broken is not None:
+                return
+            waited += rto
+            rto *= 2
+            key.attempt += 1
+            verdict = self.network.faults.message_action(
+                src.name, dst.name, key, reply)
         if verdict.delay:
             yield self.env.timeout(verdict.delay)
-        _land(endpoint, message, verdict)
+        if self.broken is not None:
+            return
+        entry[0] = True
+        while queue and queue[0][0]:
+            _ready, land, value = queue.popleft()
+            land(value)
+
+    def break_connection(self, reason: str) -> None:
+        """Break this connection: drop what it holds, fail every unary
+        call awaiting an answer, and tell each ``on_break`` listener."""
+        if self.broken is not None:
+            return
+        self.broken = reason
+        for queue in self._held:
+            queue.clear()
+        calls, self.calls = self.calls, {}
+        for response in calls:
+            if not response.triggered:
+                # Defused: the caller may still be sending its request.
+                response.fail(RpcError(f"connection broken: {reason}",
+                                       code=CL_DEVICE_NOT_AVAILABLE))
+                response.defused = True
+        for listener in list(self.on_break):
+            listener(self)
 
     # -- data plane -----------------------------------------------------------
     @abc.abstractmethod

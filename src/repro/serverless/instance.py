@@ -105,6 +105,18 @@ class FunctionInstance:
                     if not request.response.triggered:
                         request.response.fail(InvocationError(str(exc)))
                         request.response.defused = True
+                    connection = getattr(self.platform.driver,
+                                         "connection", None)
+                    if (connection is not None
+                            and connection.transport.broken is not None):
+                        # The connection to the Device Manager broke (a
+                        # crash, or a partition outlasting the transport's
+                        # user timeout): take no request until a fresh
+                        # session is warm.
+                        self._teardown()
+                        self.platform = yield from self._acquire_platform()
+                        yield from self.app.setup(self.env, self.platform,
+                                                  self.node)
                 else:
                     self.requests_served += 1
                     if not request.response.triggered:

@@ -220,12 +220,6 @@ def build_system(env: Environment,
             testbed.scraper.add_target(manager.name, manager.metrics,
                                        node=manager.node.name,
                                        device=manager.board.name)
-    if config.retry is not None:
-        for manager in testbed.managers.values():
-            # Without this a dropped write payload wedges a worker (and
-            # the board behind it) forever; the timeout turns it into a
-            # structured failure.
-            manager.data_timeout = config.retry.deadline
     gateway = Gateway(env, testbed.cluster, policy=config.gateway)
     if config.runtime == "native":
         controller = FunctionController(env, testbed.cluster, gateway,

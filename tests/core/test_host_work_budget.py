@@ -34,7 +34,7 @@ pytestmark = pytest.mark.skipif(
 
 #: Python calls into ``repro`` code per full-HD remote Sobel request
 #: (write, kernel, blocking read over shared memory).
-SOBEL_REQUEST_CALLS = 431
+SOBEL_REQUEST_CALLS = 409
 
 #: Steady-state requests counted after a warm-up request.
 REQUESTS = 3

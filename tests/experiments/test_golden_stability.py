@@ -23,7 +23,7 @@ GOLDEN_DIGESTS = {
     "golden_table2.json":
         "d8b3fb66dc84f3b31b890512a215873d09a3ea95a026919e92cf2dc160448eee",
     "golden_chaos.json":
-        "989020ff16d41ea6306373649e1107557e73e7dadafad0394e61c2d9e2a06d2f",
+        "29be5111ceaf256d393d03ccb18900b9967457665751acf70a31872ef80cce31",
     "golden_migration.json":
         "9674068e0bc99fdd080185f4008a4afa9da0bec2d993c9b0ed1ddd263ca3272e",
     "golden_registry_chaos.json":

@@ -18,7 +18,7 @@ def message(id, attempt=0):
 
 
 def fate(verdict):
-    return (verdict.drop, verdict.delay, verdict.duplicate)
+    return (verdict.drop, verdict.delay)
 
 
 class TestNetworkFaultPlane:
@@ -26,7 +26,7 @@ class TestNetworkFaultPlane:
         with pytest.raises(ValueError):
             NetworkFaultPlane(drop_rate=-0.1)
         with pytest.raises(ValueError):
-            NetworkFaultPlane(drop_rate=0.6, duplicate_rate=0.6)
+            NetworkFaultPlane(drop_rate=0.6, delay_rate=0.6)
 
     def test_zero_rates_always_pass(self):
         plane = NetworkFaultPlane(seed=1)
@@ -40,8 +40,7 @@ class TestNetworkFaultPlane:
             return [fate(plane.message_action("a", "b", message(id)))
                     for id in range(1, 501)]
 
-        kwargs = dict(seed=9, drop_rate=0.1, duplicate_rate=0.1,
-                      delay_rate=0.1)
+        kwargs = dict(seed=9, drop_rate=0.1, delay_rate=0.1)
         assert verdicts(NetworkFaultPlane(**kwargs)) == verdicts(
             NetworkFaultPlane(**kwargs)
         )
@@ -58,7 +57,7 @@ class TestNetworkFaultPlane:
 
         base = drops("a", "b")
         assert 60 < sum(base) < 140
-        # A retry, the reverse link, another link and a reply each draw
+        # A resend, the reverse link, another link and a reply each draw
         # afresh (a same-node reply would otherwise share its request's
         # key).
         assert drops("a", "b", attempt=1) != base
@@ -67,13 +66,12 @@ class TestNetworkFaultPlane:
         assert drops("a", "a", reply=True) != drops("a", "a")
 
     def test_all_bands_reachable(self):
-        plane = NetworkFaultPlane(seed=3, drop_rate=0.2, duplicate_rate=0.2,
-                                  delay_rate=0.2, delay=0.5)
+        plane = NetworkFaultPlane(seed=3, drop_rate=0.2, delay_rate=0.2,
+                                  delay=0.5)
         for id in range(1, 501):
             plane.message_action("a", "b", message(id))
         counters = plane.counters
         assert counters["dropped"] > 0
-        assert counters["duplicated"] > 0
         assert counters["delayed"] > 0
         assert (counters["delivered"] + counters["dropped"]) == 500
 
@@ -89,7 +87,7 @@ class TestNetworkFaultPlane:
     def test_partition_consumes_no_draws(self):
         # Healing a partition replays the rest of the run unchanged: a
         # verdict depends on its message alone, not on what dropped before.
-        kwargs = dict(seed=11, drop_rate=0.3, duplicate_rate=0.3)
+        kwargs = dict(seed=11, drop_rate=0.3, delay_rate=0.3)
         partitioned = NetworkFaultPlane(**kwargs)
         partitioned.partition("a", "b")
         for id in range(1, 26):
@@ -135,8 +133,7 @@ def test_verdicts_do_not_depend_on_call_order(judged, noise, data):
     in, interleaved with any other link's draws and with partitions and
     heals elsewhere: a draw on one link leaves every other verdict as it
     was."""
-    kwargs = dict(seed=5, drop_rate=0.2, duplicate_rate=0.2,
-                  delay_rate=0.2, delay=0.25)
+    kwargs = dict(seed=5, drop_rate=0.2, delay_rate=0.4, delay=0.25)
 
     def judge(plane, key):
         link, id, attempt, reply = key

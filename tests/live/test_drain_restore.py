@@ -18,7 +18,10 @@ from repro.live import (
     restore_session,
 )
 from repro.core.device_manager.protocol import OP_COMPLETE
+from repro.faults import RegistryCrash
+from repro.serverless import SobelApp
 from repro.sim import Environment, Event
+from repro.system import Load, SystemConfig, build_system
 
 
 class FakeTransport:
@@ -27,6 +30,8 @@ class FakeTransport:
     def __init__(self, env):
         self.env = env
         self.delivered = []
+        self.broken = None
+        self.on_break = []
 
     def deliver_to_client(self, endpoint, message, nbytes=None):
         self.delivered.append(message)
@@ -86,11 +91,10 @@ def populate(env, manager, transport):
     manager._submit(writes)
     manager._pending_writes[13] = pending
 
-    # An unflushed accumulator operation and a cached unary reply.
+    # An unflushed accumulator operation.
     manager.accumulator.add(Operation(
         type=OpType.MARKER, client="c1", queue_id=1, tag=14,
     ))
-    manager._replies[("c1", 42)] = (transport, True, {"r": 1})
     return session
 
 
@@ -109,7 +113,6 @@ class TestExactRestore:
         for session in first.sessions:
             restore_session(b, session, tb, None, exact=True)
         assert 13 in b._pending_writes  # pending write re-armed
-        assert ("c1", 42) in b._replies  # reply cache carried over
 
         second = capture_board(b)
         first.manager = second.manager = "board"
@@ -207,3 +210,40 @@ class TestDrainProtocol:
         tags = [m.tag for m in transport.delivered
                 if m.method == OP_COMPLETE]
         assert tags == [21]  # the stolen suffix never ran here
+
+
+class TestMoveDuringRegistryBlackout:
+    @pytest.mark.parametrize("registry_down", [False, True])
+    def test_target_is_programmed_from_the_source_session(self,
+                                                          registry_down):
+        """A live move reads the bitstream the victim needs from its
+        session on the source, so a Registry down at the move still gets
+        the blank target programmed, and the function serves as if the
+        Registry had stayed up."""
+        env = Environment()
+        system = build_system(env, SystemConfig(
+            boards=2, migration="live", durability="durable"))
+        registry, managers = system.registry, system.testbed.managers
+        system.deploy([system.function_spec("sobel-0", SobelApp, "sobel")])
+        (instance,) = system.controller.live_instances("sobel-0")
+        name = instance.pod.name
+        source = registry.functions.instance(name).device
+        (target,) = set(managers) - {source}
+        injector = RegistryCrash(registry)
+
+        def move():
+            yield env.timeout(0.5)
+            yield from system.live_migrator.migrate(source, [(name, target)])
+
+        def blackout():
+            yield env.timeout(0.5)
+            injector.kill()
+            yield env.timeout(0.5)
+            yield injector.restore()
+
+        extra = [move()] + ([blackout()] if registry_down else [])
+        (stats,) = system.drive([Load("sobel-0", 20.0, duration=6.0)],
+                                extra=extra, settle=0.5)
+        assert (stats.completed, stats.errors) == (26, 0)
+        assert managers[target].board.reconfigurations == 1
+        assert system.live_migrator.fallbacks == 0

@@ -232,7 +232,9 @@ class Rig:
             for name in "AB"
         ]
         self.pushed = [PushedManager(m) for m in self.managers]
-        self.transport = ShmTransport(env, network, node, node)
+        self.network, self.node = network, node
+        #: One connection per client: a crash breaks its clients' only.
+        self.transports = {}
         self.queues = {c: RpcEndpoint(env, f"{c}/cq") for c in CLIENTS}
         self.home = dict.fromkeys(CLIENTS, self.managers[0])
         self.buffers = {}
@@ -246,9 +248,11 @@ class Rig:
         """Process: program Sobel, then connect ``clients`` to
         ``manager``, each with two buffers and a kernel."""
         for index, client in enumerate(clients):
+            transport = self.transports[client] = ShmTransport(
+                self.env, self.network, self.node, self.node)
             try:
                 yield from self._call(client, protocol.CONNECT, {
-                    "transport": self.transport,
+                    "transport": transport,
                     "completion_queue": self.queues[client]})
                 if index == 0:
                     yield from self._call(client, protocol.BUILD_PROGRAM,
@@ -268,7 +272,7 @@ class Rig:
             self.ready.add(client)
 
     def _call(self, client, method, payload):
-        return (yield from unary_call(self.transport,
+        return (yield from unary_call(self.transports[client],
                                       self.home[client].endpoint,
                                       method, payload, sender=client))
 
@@ -325,7 +329,7 @@ class Rig:
                 if not (source.migrating and target.alive):
                     raise CheckpointError("a manager crashed mid-drain")
                 checkpoint = capture_session(source, client)
-                restore_session(target, checkpoint, self.transport,
+                restore_session(target, checkpoint, self.transports[client],
                                 self.queues[client])
             except CheckpointError:
                 self.ready.discard(client)

@@ -1,4 +1,8 @@
-"""RPC layer under the fault plane: drop, delay, duplicate, partition."""
+"""RPC layer under the fault plane: drop, delay, partition.
+
+The connection resends what the fabric drops, so a fault costs time; the
+delivery model itself is checked in ``test_reliable_delivery.py``.
+"""
 
 import pytest
 
@@ -9,10 +13,10 @@ from repro.rpc import (
     Network,
     RpcEndpoint,
     RpcTimeout,
-    new_request_id,
     reply,
     unary_call,
 )
+from repro.rpc.transport import RTO
 from repro.sim import Environment
 
 
@@ -56,22 +60,8 @@ def test_dropped_request_times_out(setup):
     assert env.run(until=env.process(client())) == pytest.approx(0.5,
                                                                  abs=0.01)
     assert len(endpoint.inbox.items) == 0
-    assert network.faults.counters["dropped"] == 1
-
-
-def test_duplicate_delivers_message_twice(setup):
-    env, network, transport, endpoint = setup
-    network.faults = NetworkFaultPlane(seed=1, duplicate_rate=1.0)
-
-    def sender():
-        yield from transport.deliver_to_server(
-            endpoint,
-            Message(method="Notify", sender="c", id=env.new_id("message")),
-        )
-
-    env.run(until=env.process(sender()))
-    assert len(endpoint.inbox.items) == 2
-    assert network.faults.counters["duplicated"] == 1
+    # The first transmission and its resend one RTO later.
+    assert network.faults.counters["dropped"] == 2
 
 
 def test_delay_postpones_delivery(setup):
@@ -141,46 +131,29 @@ def test_partition_blocks_until_healed(setup):
     env.process(server())
     assert env.run(until=env.process(client(0.3))) == "timeout"
     plane.heal("client-host", "server-host")
-    assert env.run(until=env.process(client(0.3))) == {"ok": True}
+    # The next call waits behind the first request's next resend.
+    assert env.run(until=env.process(client(1.0))) == {"ok": True}
+    assert env.now == pytest.approx(3 * RTO, abs=0.01)
 
 
-def test_lost_reply_surfaces_as_deadline_expiry(setup):
+def test_lost_reply_is_resent(setup):
     env, network, transport, endpoint = setup
     served = []
 
     def server():
         message = yield endpoint.inbox.get()
         served.append(message.method)
-        # Arm total loss only now, so exactly the reply leg is hit.
+        # Arm total loss only now, so exactly the reply leg is hit; heal
+        # it before the reply's first resend.
         network.faults = NetworkFaultPlane(seed=1, drop_rate=1.0)
         yield from reply(transport, message, {"ok": True})
+        network.faults = NetworkFaultPlane(seed=1)
 
     def client():
-        try:
-            yield from unary_call(transport, endpoint, "Ping", timeout=0.5)
-        except RpcTimeout as exc:
-            return env.now, str(exc)
-        return None
+        return (yield from unary_call(transport, endpoint, "Ping"))
 
     env.process(server())
-    now, text = env.run(until=env.process(client()))
-    assert served == ["Ping"]  # the server handled it: only the reply died
-    assert now == pytest.approx(0.5, abs=0.01)
-    assert "reply lost" in text
-    env.run()  # nothing left behind may crash the simulation
-
-
-def test_request_id_pins_message_id(setup):
-    env, network, transport, endpoint = setup
-    rid = new_request_id(env)
-
-    def server():
-        message = yield endpoint.inbox.get()
-        yield from reply(transport, message, {"id": message.id})
-
-    def client():
-        return (yield from unary_call(transport, endpoint, "Ping",
-                                      request_id=rid))
-
-    env.process(server())
-    assert env.run(until=env.process(client())) == {"id": rid}
+    started = env.now
+    assert env.run(until=env.process(client())) == {"ok": True}
+    assert served == ["Ping"]  # served once; only its reply was resent
+    assert RTO < env.now - started < RTO + 0.01

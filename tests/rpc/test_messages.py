@@ -11,7 +11,6 @@ from repro.rpc import (
     reply,
     reply_error,
     send_to_client,
-    send_to_server,
     unary_call,
 )
 from repro.sim import Environment
@@ -41,7 +40,7 @@ def test_one_way_message_delivery(env, setup):
                       id=env.new_id("message"))
 
     def client(env):
-        yield from send_to_server(transport, endpoint, message)
+        yield from transport.deliver_to_server(endpoint, message)
 
     def server(env):
         received = yield endpoint.inbox.get()
@@ -106,7 +105,7 @@ def test_tag_travels_with_message(env, setup):
                       id=env.new_id("message"))
 
     def client(env):
-        yield from send_to_server(transport, endpoint, message)
+        yield from transport.deliver_to_server(endpoint, message)
 
     def server(env):
         received = yield endpoint.inbox.get()

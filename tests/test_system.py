@@ -42,9 +42,6 @@ def test_wiring(name):
     assert (system.standby is not None) == (config.durability == "replicated")
     assert (registry.store is not None) == (config.durability != "volatile")
     assert (registry.health is not None) == (config.health is not None)
-    for manager in system.testbed.managers.values():
-        assert manager.data_timeout == (
-            config.retry.deadline if config.retry else None)
     if name == "fleet":
         # Fleet mode: the heartbeats and the scraper share one wheel.
         assert registry.health.wheel is not None
