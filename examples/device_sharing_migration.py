@@ -35,9 +35,12 @@ def main():
     def show_devices(moment):
         print(f"\n--- devices at {moment} ---")
         for record in registry.devices.all():
+            instances = sorted(inst.name for inst in
+                               registry.functions.instances_on_device(
+                                   record.name))
             print(f"  {record.name} (node {record.node}): "
                   f"bitstream={record.configured_bitstream!r}, "
-                  f"instances={sorted(record.instances)}")
+                  f"instances={instances}")
 
     def flow():
         for index in range(1, 4):

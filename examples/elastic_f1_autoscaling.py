@@ -42,8 +42,11 @@ def main():
     def show_fleet(moment):
         print(f"\n--- fleet at {moment} (t={env.now:.1f}s) ---")
         for record in registry.devices.all():
+            instances = sorted(inst.name for inst in
+                               registry.functions.instances_on_device(
+                                   record.name))
             print(f"  {record.name} (node {record.node}): "
-                  f"instances={sorted(record.instances)}")
+                  f"instances={instances}")
 
     def scenario():
         for index in range(1, 4):

@@ -152,10 +152,12 @@ def main():
                   f"(target {stats.target_rate:.0f}), "
                   f"mean {stats.mean_latency * 1e3:.2f} ms")
 
-        placements = {
-            record.name: sorted(record.instances)
-            for record in registry.devices.all() if record.instances
-        }
+        placements = {}
+        for record in registry.devices.all():
+            instances = registry.functions.instances_on_device(record.name)
+            if instances:
+                placements[record.name] = sorted(inst.name
+                                                 for inst in instances)
         print(f"\nplacements: {placements}")
 
     env.run(until=env.process(scenario()))

@@ -98,11 +98,8 @@ class NodeAutoscaler:
     def scale_in(self, node_name: str) -> bool:
         """Retire an autoscaled node if no instance is allocated to it."""
         manager_name = f"dm-{node_name}"
-        try:
-            record = self.registry.devices.get(manager_name)
-        except KeyError:
-            return False
-        if record.instances:
+        if (manager_name not in self.registry.devices
+                or self.registry.functions.instances_on_device(manager_name)):
             return False
         if self.testbed.cluster.pods_on(node_name):
             return False

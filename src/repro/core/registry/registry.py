@@ -250,8 +250,8 @@ class AcceleratorsRegistry:
 
     def deregister_manager(self, manager_name: str) -> bool:
         """Forget a retired device; refuses while instances are allocated."""
-        record = self.devices.find(manager_name)
-        if record is None or record.instances:
+        if (manager_name not in self.devices
+                or self.functions.instances_on_device(manager_name)):
             return False
         self._commit("deregister_manager", manager=manager_name)
         if self.gatherer is not None:
@@ -277,14 +277,16 @@ class AcceleratorsRegistry:
                 if self.gatherer
                 else {}
             )
-        # The Registry's own Functions Service is authoritative (and
-        # fresher than the last scrape) for connected-function counts.
-        metrics["connected_functions"] = float(len(record.instances))
         workloads = tuple(
             (inst.name, self.functions.get(inst.function)
              .device_query.accelerator)
             for inst in self.functions.instances_on_device(record.name)
         )
+        # The Registry's own Functions Service is authoritative (and
+        # fresher than the last scrape) for connected-function counts.
+        metrics["connected_functions"] = float(len(workloads))
+        self._apply("promise_kept", {"manager": record.name},
+                    self._known_managers)
         return DeviceView(
             name=record.name,
             node=record.node,
@@ -466,7 +468,9 @@ class AcceleratorsRegistry:
         record = self.devices.get(device_name)
         self.device_failures += 1
         self._index_refresh(record)  # drops the dead device from the index
-        affected = sorted(record.instances)
+        affected = sorted(
+            inst.name for inst in self.functions.instances_on_device(
+                record.name))
         for instance_name in affected:
             self.evacuate(instance_name)
         return affected
@@ -583,7 +587,8 @@ class AcceleratorsRegistry:
                wal_seq: Optional[int] = None) -> bool:
         """Apply one operation to the services: the only code that changes
         device membership, liveness, pending bitstreams, function
-        registration or instance placement.
+        registration or instance placement (its one record is the
+        instance's device in the Functions Service).
 
         Live writes (via :meth:`_commit`), WAL replay (with the record's
         ``wal_seq``) and reconciliation all land here.  Each op states a
@@ -591,6 +596,16 @@ class AcceleratorsRegistry:
         reflects is a no-op.  Returns True if the state changed.
         """
         devices, functions = self.devices, self.functions
+        if op == "promise_kept":
+            # Unlogged: the board runs the promised bitstream, so the
+            # promise is dropped when a view reads it (a pure function of
+            # the board, which replay re-derives).
+            device = devices.find(args["manager"])
+            if (device is None or device.pending_bitstream is None
+                    or device.pending_bitstream != device.configured_bitstream):
+                return False
+            device.pending_bitstream = None
+            return True
         if op == "register_manager":
             manager = resolver.get(args["manager"])
             if manager is None or manager.name in devices:
@@ -609,8 +624,7 @@ class AcceleratorsRegistry:
             return True
         if op == "admit":
             name, function = args["instance"], args["function"]
-            instance = functions.instance(name)
-            changed = instance is None
+            changed = functions.instance(name) is None
             if changed:
                 if not functions.known(function):
                     return False  # its register_function record was lost
@@ -625,37 +639,26 @@ class AcceleratorsRegistry:
                     instance.seq = self._logged_instance_seq(wal_seq)
                     functions.restore_instance(instance)
             device = devices.find(args["device"])
-            if device is not None:
-                if instance.device == device.name:
-                    device.instances.add(name)
+            pending = args.get("pending")
+            if device is not None and pending:
                 # The reconfiguration promise is re-made even when the
                 # instance is already known: an older device_dead replayed
-                # before this record has just cleared it.
-                pending = args.get("pending")
-                if pending and device.effective_bitstream != pending:
-                    device.pending_bitstream = pending
-                    changed = True
+                # before this record has just cleared it.  None is held for
+                # the bitstream the board runs already, so a kept promise
+                # is dropped here too.
+                changed |= device.effective_bitstream != pending
+                device.pending_bitstream = (
+                    None if pending == device.configured_bitstream
+                    else pending)
             return changed
         if op == "remove_instance":
-            instance = functions.remove_instance(args["function"],
-                                                 args["instance"])
-            if instance is None:
-                return False
-            device = devices.find(instance.device)
-            if device is not None:
-                device.instances.discard(instance.name)
-            return True
+            return functions.remove_instance(args["function"],
+                                             args["instance"]) is not None
         if op == "move_instance":
             instance = functions.instance(args["instance"])
             if instance is None or instance.device == args["device"]:
                 return False
-            source = devices.find(instance.device)
-            if source is not None:
-                source.instances.discard(instance.name)
             functions.move_instance(instance.name, args["device"])
-            target = devices.find(args["device"])
-            if target is not None:
-                target.instances.add(instance.name)
             return True
         if op in ("device_dead", "device_alive"):
             device = devices.find(args["manager"])
@@ -673,12 +676,20 @@ class AcceleratorsRegistry:
         return False  # "epoch" or an unknown op: forward-compatible skip
 
     def snapshot_state(self) -> dict:
-        """Deterministic full-state snapshot (plain JSON-clean dict)."""
+        """Deterministic full-state snapshot (plain JSON-clean dict).
+
+        Each device cell still lists its instances, written from the
+        Functions Service, although :meth:`_install_state` reads placement
+        from the function cells alone: the snapshot keeps its bytes, and
+        with them the simulated time a restart spends loading it.
+        """
         devices = {
             record.name: {
                 "alive": record.alive,
                 "pending_bitstream": record.pending_bitstream,
-                "instances": sorted(record.instances),
+                "instances": sorted(
+                    inst.name for inst in
+                    self.functions.instances_on_device(record.name)),
             }
             for record in self.devices.all()
         }
@@ -725,7 +736,6 @@ class AcceleratorsRegistry:
             record = self._attach(manager)
             record.alive = cell["alive"]
             record.pending_bitstream = cell["pending_bitstream"]
-            record.instances = set(cell["instances"])
         for fn_name, cell in sorted(state["functions"].items(),
                                     key=lambda kv: kv[1]["seq"]):
             record = self.functions.register(
@@ -904,21 +914,13 @@ class AcceleratorsRegistry:
 
         # Cluster pods vs the replayed Functions Service.
         pods = self.cluster.pods
-        for device in self.devices.all():
-            for instance_name in sorted(device.instances):
+        for function in self.functions.all():
+            for instance_name in sorted(function.instances):
                 pod = pods.get(instance_name)
-                instance = self.functions.instance(instance_name)
-                if instance is None:
-                    # A device claim no Functions Service record backs: no
-                    # op describes it, so it is discarded here, outside
-                    # _apply; a live pod is re-adopted below.
-                    device.instances.discard(instance_name)
                 if pod is None:
                     # The pod died while the Registry was dark.
-                    if instance is not None:
-                        self._commit("remove_instance",
-                                     function=instance.function,
-                                     instance=instance_name)
+                    self._commit("remove_instance", function=function.name,
+                                 instance=instance_name)
                     diffs["dropped_instances"] += 1
                     continue
                 actual = pod.spec.env.get(MANAGER_ENV, "")
@@ -926,15 +928,6 @@ class AcceleratorsRegistry:
                                            instance=instance_name,
                                            device=actual):
                     diffs["moved_instances"] += 1
-        # An instance whose device no record holds (its manager was
-        # retired after the cut, so replay could not re-register it) is
-        # not reached above; drop it if its pod died too.
-        for function in self.functions.all():
-            for instance_name in sorted(function.instances):
-                if instance_name not in pods:
-                    self._commit("remove_instance", function=function.name,
-                                 instance=instance_name)
-                    diffs["dropped_instances"] += 1
         for pod_name, pod in sorted(pods.items()):
             allocated = pod.spec.env.get(MANAGER_ENV, "")
             if not allocated or self.functions.instance(pod_name) is not None:
@@ -957,7 +950,9 @@ class AcceleratorsRegistry:
         # Instances stranded on dead devices: the usual failure path.
         for device in self.devices.all():
             if not device.alive:
-                for instance_name in sorted(device.instances):
+                for instance_name in sorted(
+                        inst.name for inst in
+                        self.functions.instances_on_device(device.name)):
                     if self.evacuate(instance_name) is not None:
                         diffs["evacuated_instances"] += 1
         for device in self.devices.all():

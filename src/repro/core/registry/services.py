@@ -9,7 +9,7 @@ identifier, location, device, created instances)."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ...cluster.objects import DeviceQuery
 from ..device_manager.manager import DeviceManager
@@ -24,10 +24,10 @@ class DeviceRecord:
     vendor: str
     platform: str
     manager: DeviceManager
-    #: Bitstream a pending allocation will program (clears once applied).
+    #: Bitstream a pending allocation will program; the Registry drops
+    #: it once the board runs it.  Which instances the device serves is
+    #: the Functions Service's record (``instances_on_device``).
     pending_bitstream: Optional[str] = None
-    #: Instance names currently allocated to this device.
-    instances: Set[str] = field(default_factory=set)
     #: False once the Registry marks the device dead (lease expired);
     #: Algorithm 1 never considers dead devices.
     alive: bool = True
@@ -40,10 +40,6 @@ class DeviceRecord:
     def effective_bitstream(self) -> Optional[str]:
         """What the device will run once pending work lands."""
         if self.pending_bitstream is not None:
-            if self.configured_bitstream == self.pending_bitstream:
-                # The reconfiguration happened; forget the pending marker.
-                self.pending_bitstream = None
-                return self.configured_bitstream
             return self.pending_bitstream
         return self.configured_bitstream
 

@@ -116,6 +116,9 @@ class Connection:
         # error, not a hang.
         self.completion_queue.handler = None
         self._fail_all("connection closed with operation in flight")
+        # Hang up: the manager closes the session (and frees its buffers)
+        # when its connection breaks.
+        self.transport.break_connection("connection closed")
 
     def _open(self, manager_host: NetworkHost, prefer_shm: bool) -> Transport:
         transport = make_transport(self.env, self.network, self.client_host,

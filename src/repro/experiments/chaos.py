@@ -176,12 +176,10 @@ def run_chaos(spec: Optional[ChaosSpec] = None) -> ChaosResult:
     def recovery_monitor():
         """Process: crash → victims re-placed and full ready capacity."""
         yield env.timeout(crash_at - env.now)
-        try:
-            victims = set(
-                registry.devices.get(spec.crash_device).instances
-            )
-        except KeyError:
+        if spec.crash_device not in registry.devices:
             return
+        victims = {inst.name for inst in
+                   registry.functions.instances_on_device(spec.crash_device)}
         while env.now < hard_end:
             evacuated = all(
                 name not in controller.instances for name in victims

@@ -163,10 +163,11 @@ class RegistryChaosResult:
 def check_invariants(registry, cluster) -> Tuple[int, int]:
     """Count double allocations and lost instances (must both be 0).
 
-    * **double allocation** — an instance claimed by more than one device
-      record, or whose Functions Service device disagrees with the device
-      record holding it (the zombie-registry hazard epoch fencing
-      prevents);
+    * **double allocation** — a registry instance whose device differs
+      from its pod's ``MANAGER_ENV``, the manager its client actually
+      uses: the Registry counts it on one device while it runs on
+      another, so Algorithm 1 can give its place away twice (the
+      zombie-registry hazard epoch fencing prevents);
     * **lost instance** — a pod the control plane allocated
       (``MANAGER_ENV`` patched in) with no Functions Service record, or a
       registry instance whose pod no longer exists (state dropped across
@@ -174,20 +175,7 @@ def check_invariants(registry, cluster) -> Tuple[int, int]:
     """
     from ..core.registry.registry import MANAGER_ENV
 
-    double = 0
-    owners: Dict[str, List[str]] = {}
-    for device in registry.devices.all():
-        for instance_name in device.instances:
-            owners.setdefault(instance_name, []).append(device.name)
-    for instance_name, devices in owners.items():
-        if len(devices) > 1:
-            double += 1
-            continue
-        instance = registry.functions.instance(instance_name)
-        if instance is not None and instance.device != devices[0]:
-            double += 1
-
-    lost = 0
+    double = lost = 0
     pods = cluster.pods
     for pod_name, pod in pods.items():
         if not pod.spec.env.get(MANAGER_ENV):
@@ -195,9 +183,12 @@ def check_invariants(registry, cluster) -> Tuple[int, int]:
         if registry.functions.instance(pod_name) is None:
             lost += 1
     for function in registry.functions.all():
-        for instance_name in function.instances:
-            if instance_name not in pods:
+        for instance_name, instance in function.instances.items():
+            pod = pods.get(instance_name)
+            if pod is None:
                 lost += 1
+            elif instance.device != pod.spec.env.get(MANAGER_ENV, ""):
+                double += 1
     return double, lost
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from ..cluster.apiserver import Cluster
 from ..cluster.objects import DeviceQuery, PodSpec
@@ -102,10 +102,9 @@ class DeployedFunction:
         self.spec = spec
         self.request_queue: Store = Store(env)
         self.instance_counter = count(1)
-        self.pod_names: List[str] = []
-        #: Mirror of pod_names for O(1) membership on the watch/dispatch
-        #: paths (every cluster watch event checks ownership).
-        self._pod_name_set: set = set()
+        #: The function's pods, in creation order (a dict for O(1)
+        #: membership on the watch path; the values are unused).
+        self.pod_names: Dict[str, None] = {}
         self.invocations = 0
         self.failures = 0
         self.retries = 0
@@ -119,22 +118,11 @@ class DeployedFunction:
     def next_instance_name(self) -> str:
         return f"{self.spec.name}-i{next(self.instance_counter)}"
 
-    # -- pod bookkeeping (keep list + set in lockstep) ---------------------
     def add_pod(self, name: str) -> None:
-        if name not in self._pod_name_set:
-            self.pod_names.append(name)
-            self._pod_name_set.add(name)
+        self.pod_names.setdefault(name)
 
     def remove_pod(self, name: str) -> None:
-        if name in self._pod_name_set:
-            self._pod_name_set.discard(name)
-            self.pod_names.remove(name)
-        elif name in self.pod_names:
-            # Name was appended to the list directly (legacy callers).
-            self.pod_names.remove(name)
-
-    def has_pod(self, name: str) -> bool:
-        return name in self._pod_name_set
+        self.pod_names.pop(name, None)
 
 
 class Gateway:

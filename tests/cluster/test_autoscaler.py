@@ -57,7 +57,8 @@ class TestScaleOut:
                 yield from controller.wait_ready(f"sobel-{index}")
 
         env.run(until=env.process(flow()))
-        devices = {d.name: len(d.instances) for d in registry.devices.all()}
+        devices = {d.name: len(registry.functions.instances_on_device(d.name))
+                   for d in registry.devices.all()}
         # 4 functions over 4 devices: the F1 node took one.
         assert devices["dm-F1-1"] == 1
 

@@ -305,7 +305,7 @@ class TestUnwatchManager:
         )
         name = sorted(testbed.managers)[0]
         # Detach its instances first (deregister refuses busy devices).
-        assert not registry.devices.get(name).instances
+        assert not registry.functions.instances_on_device(name)
         beater = health._beaters[name]
         assert registry.deregister_manager(name)
         assert name not in health.last_seen
@@ -550,6 +550,9 @@ ACTIONS = st.lists(
     st.one_of(
         st.tuples(st.just("create"), st.integers(0, 7)),
         st.tuples(st.just("delete"), st.integers(0, 7)),
+        st.tuples(st.just("create_mm"), st.integers(0, 3)),
+        st.tuples(st.just("delete_mm"), st.integers(0, 3)),
+        st.tuples(st.just("program"), st.integers(0, 2)),
         st.tuples(st.just("fail_device"), st.integers(0, 2)),
         st.tuples(st.just("recover_device"), st.integers(0, 2)),
         st.tuples(st.just("add_node"), st.integers(0, 1)),
@@ -557,6 +560,14 @@ ACTIONS = st.lists(
     ),
     min_size=1, max_size=10,
 )
+#: Pod name prefix and function of each accelerator's pods.
+PODS = {"sobel": ("pod", "fn-sobel"), "mm": ("mm", "fn-mm")}
+
+
+def examples(count):
+    """``count`` examples, or more under a longer Hypothesis profile
+    (``HYPOTHESIS_PROFILE=ci``)."""
+    return max(count, settings.default.max_examples)
 
 
 def reapply_wal(registry):
@@ -575,6 +586,13 @@ def reapply_wal(registry):
     assert registry.store.appends == appends
 
 
+def kept_promises(registry):
+    """Devices whose pending bitstream their board already runs."""
+    return [record.name for record in registry.devices.all()
+            if record.pending_bitstream is not None
+            and record.pending_bitstream == record.configured_bitstream]
+
+
 def check_recovery_idempotent(actions, cut, snapshot):
     """Crash at a WAL cut; replayed state converges to pod/DM ground truth,
     and replaying the WAL a second time changes nothing."""
@@ -589,23 +607,32 @@ def check_recovery_idempotent(actions, cut, snapshot):
     def driver():
         for action, arg in actions:
             yield env.timeout(0.01)
-            if action == "create":
-                name = f"pod-{arg}"
+            accelerator = "mm" if action.endswith("_mm") else "sobel"
+            prefix, function = PODS[accelerator]
+            name = f"{prefix}-{arg}"
+            if action.startswith("create"):
                 if name in testbed.cluster.pods:
                     continue
                 try:
                     yield from testbed.cluster.create_pod(PodSpec(
-                        name=name, function="fn-sobel",
-                        device_query=DeviceQuery(accelerator="sobel"),
+                        name=name, function=function,
+                        device_query=DeviceQuery(accelerator=accelerator),
                     ))
                 except AllocationError:
                     # Admission denied (every device is dead): the pod
                     # was never created, as a rejected kubectl create.
                     assert name not in testbed.cluster.pods
-            elif action == "delete":
-                name = f"pod-{arg}"
+            elif action.startswith("delete"):
                 if name in testbed.cluster.pods:
                     testbed.cluster.delete_pod(name)
+            elif action == "program":
+                # The board runs the bitstream the Registry promised it,
+                # which makes the promise a fulfilled one.
+                record = registry.devices.find(manager_names[arg])
+                if record is not None and record.pending_bitstream:
+                    manager = testbed.managers[record.name]
+                    yield from manager.board.program(
+                        manager.library.get(record.pending_bitstream))
             elif action == "fail_device":
                 registry.on_device_failure(manager_names[arg])
             elif action == "recover_device":
@@ -631,8 +658,10 @@ def check_recovery_idempotent(actions, cut, snapshot):
     env.run(until=registry.restart())
     env.run(until=env.now + 1.0)  # let post-reconcile evacuations settle
 
-    # 1. Converged to ground truth: no double allocations, none lost.
+    # 1. Converged to ground truth: no double allocations, none lost, and
+    #    no promise a board already keeps (the restart built every view).
     assert check_invariants(registry, testbed.cluster) == (0, 0)
+    assert kept_promises(registry) == []
 
     # 2. Double replay is a no-op: re-applying the full WAL in order
     #    leaves both services bit-identical.
@@ -645,9 +674,10 @@ def check_recovery_idempotent(actions, cut, snapshot):
     env.run(until=registry.restart())
     env.run(until=env.now + 1.0)
     assert check_invariants(registry, testbed.cluster) == (0, 0)
+    assert kept_promises(registry) == []
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(actions=ACTIONS, cut=st.integers(0, 40), data=st.data())
 def test_recovery_idempotent_at_any_wal_position(actions, cut, data):
     """Crash at an arbitrary WAL cut; replayed state converges to pod/DM
@@ -683,6 +713,16 @@ def test_replaying_device_toggles_keeps_pending_bitstream():
     check_recovery_idempotent(
         [("fail_device", 0), ("recover_device", 0), ("create", 0)], cut=5,
         snapshot=False)
+
+
+def test_replaying_a_promise_the_board_keeps_makes_none():
+    """Regression: dm-A was promised MM, then Sobel (pod-0 displaced the
+    MM pod), and its board runs Sobel.  Re-applying that log over the
+    recovered state, which holds no promise for dm-A, passes through the
+    MM promise and must not end on a Sobel promise the board keeps."""
+    check_recovery_idempotent(
+        [("create_mm", 0), ("create_mm", 1), ("create_mm", 2),
+         ("create", 0), ("program", 0)], cut=6, snapshot=False)
 
 
 def test_creation_denied_when_every_device_is_dead():

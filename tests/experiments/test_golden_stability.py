@@ -27,7 +27,7 @@ GOLDEN_DIGESTS = {
     "golden_migration.json":
         "9674068e0bc99fdd080185f4008a4afa9da0bec2d993c9b0ed1ddd263ca3272e",
     "golden_registry_chaos.json":
-        "af28ffe24c9db4a5a8e733bb70f0be36e073d2e95c0e440b50ab149d78f22326",
+        "a0655967fbc2f3eb130503254eeb6fd1df85ae334aa9c7145baabd48d23133bf",
 }
 
 

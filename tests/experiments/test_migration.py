@@ -14,12 +14,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import migration
 from repro.experiments.config import LoadTiming
 from repro.experiments.migration import (
     MigrationSpec,
     run_migration,
     run_migration_mode,
 )
+from repro.system import build_system
 
 GOLDEN = Path(__file__).parent / "data" / "golden_migration.json"
 
@@ -31,7 +33,20 @@ def monkeypatch_module():
 
 
 @pytest.fixture(scope="module")
-def migration_result(monkeypatch_module):
+def built_systems(monkeypatch_module):
+    """Every system the module's migration runs build, in order."""
+    systems = []
+
+    def build_and_keep(*args, **kwargs):
+        systems.append(build_system(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch_module.setattr(migration, "build_system", build_and_keep)
+    return systems
+
+
+@pytest.fixture(scope="module")
+def migration_result(monkeypatch_module, built_systems):
     monkeypatch_module.setenv("REPRO_QUICK", "1")
     return run_migration()
 
@@ -81,6 +96,20 @@ class TestGoldenMigration:
         # The restart arm used only the paper's path.
         assert migration_result.restart.live_migrations == 0
         assert migration_result.restart.rebinds == 0
+
+    def test_every_session_belongs_to_a_live_instance(
+            self, migration_result, built_systems):
+        # A torn-down instance hangs up, so its manager closes the session
+        # and frees its buffers; none outlives its instance on either arm.
+        for system in built_systems[:2]:
+            live = set(system.controller.instances)
+            leaked = [
+                (name, client)
+                for name, manager in sorted(system.testbed.managers.items())
+                for client in sorted(manager.sessions)
+                if client not in live
+            ]
+            assert leaked == [], system.config.migration
 
     def test_storm_functions_only_fail_under_restart(self, migration_result):
         # Under restart moves the storm functions lose the build race

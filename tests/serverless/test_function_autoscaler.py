@@ -58,7 +58,8 @@ class TestScaleUp:
         assert autoscaler.replicas("sobel-1") >= 2
         # Replicas were allocated devices by the Registry like any pod.
         total_instances = sum(
-            len(d.instances) for d in registry.devices.all()
+            len(registry.functions.instances_on_device(d.name))
+            for d in registry.devices.all()
         )
         assert total_instances == autoscaler.replicas("sobel-1")
 

@@ -58,7 +58,7 @@ def serve(env, gateway, service_times):
     instance, it leaves a response that is already triggered alone."""
     function = DeployedFunction(env, FunctionSpec(name="f",
                                                   app_factory=lambda: None))
-    function.pod_names.append("f-i1")
+    function.add_pod("f-i1")
     gateway.functions["f"] = function
 
     def instance():

@@ -106,8 +106,9 @@ class TestWatchBookkeeping:
             yield from controller.wait_ready("fn")
 
         env.run(until=env.process(flow()))
-        record = next(d for d in registry.devices.all() if d.instances)
-        assert "fn-i1" in record.instances
+        device = registry.functions.instance("fn-i1").device
+        assert [inst.name for inst in
+                registry.functions.instances_on_device(device)] == ["fn-i1"]
         testbed.cluster.delete_pod("fn-i1")
-        assert "fn-i1" not in record.instances
+        assert registry.functions.instances_on_device(device) == []
         assert registry.functions.instance("fn-i1") is None

@@ -51,7 +51,7 @@ def _gateway(env, policy):
     gateway = Gateway(env, cluster=None, policy=policy)
     spec = FunctionSpec(name="f", app_factory=lambda: None)
     function = DeployedFunction(env, spec)
-    function.pod_names.append("f-i1")  # pretend one instance is live
+    function.add_pod("f-i1")  # pretend one instance is live
     gateway.functions["f"] = function
     return gateway, function
 
@@ -173,7 +173,7 @@ class TestResilientInvoke:
 
         def revive():
             yield env.timeout(0.5)
-            function.pod_names.append("f-i2")
+            function.add_pod("f-i2")
             _serve(env, function, ["recovered"])
 
         env.process(revive())
@@ -221,7 +221,7 @@ class TestSelfHeal:
         testbed, registry, gateway, controller = _full_stack(env)
         _deploy_sobel(env, gateway, controller)
         function = gateway.function("sobel-1")
-        victim = function.pod_names[0]
+        victim = next(iter(function.pod_names))
 
         testbed.cluster.delete_pod(victim)
         run_guarded(env, until=env.process(
@@ -229,7 +229,7 @@ class TestSelfHeal:
 
         assert controller.heals == 1
         assert victim not in function.pod_names
-        replacement = function.pod_names[0]
+        replacement = next(iter(function.pod_names))
         assert replacement != victim
         pod = testbed.cluster.pods[replacement]
         assert pod.spec.labels.get("healed") == "true"
@@ -244,10 +244,10 @@ class TestSelfHeal:
             env, self_heal=False)
         _deploy_sobel(env, gateway, controller)
         function = gateway.function("sobel-1")
-        testbed.cluster.delete_pod(function.pod_names[0])
+        testbed.cluster.delete_pod(next(iter(function.pod_names)))
         env.run(until=env.now + 2.0)
         assert controller.heals == 0
-        assert function.pod_names == []
+        assert not function.pod_names
 
 
 class TestInstanceDeathMidRequest:
@@ -257,7 +257,7 @@ class TestInstanceDeathMidRequest:
             env, self_heal=False)
         _deploy_sobel(env, gateway, controller)
         function = gateway.function("sobel-1")
-        victim = function.pod_names[0]
+        victim = next(iter(function.pod_names))
 
         def killer():
             # Strike while the instance is mid-handle.
@@ -284,7 +284,7 @@ class TestInstanceDeathMidRequest:
             env, policy=policy, self_heal=True)
         _deploy_sobel(env, gateway, controller)
         function = gateway.function("sobel-1")
-        victim = function.pod_names[0]
+        victim = next(iter(function.pod_names))
 
         def killer():
             yield env.timeout(0.002)

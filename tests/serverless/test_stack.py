@@ -86,10 +86,8 @@ class TestDeployment:
 
         run(env, flow(env))
         per_device = {
-            name: len(record.instances)
-            for name, record in (
-                (d.name, d) for d in registry.devices.all()
-            )
+            d.name: len(registry.functions.instances_on_device(d.name))
+            for d in registry.devices.all()
         }
         assert sum(per_device.values()) == 5
         assert max(per_device.values()) == 2
@@ -260,4 +258,5 @@ class TestMigration:
             d for d in registry.devices.all()
             if d.configured_bitstream == "mm"
         )
-        assert len(mm_record.instances) == 1
+        assert len(registry.functions.instances_on_device(
+            mm_record.name)) == 1
