@@ -59,17 +59,3 @@ OP_FAILED = "OpFailed"
 # -- kernel argument encoding -------------------------------------------------
 ARG_BUFFER = "buf"
 ARG_SCALAR = "scalar"
-
-
-def encode_kernel_args(args: list) -> list:
-    """Encode kernel arguments for the wire: buffers by remote id.
-
-    ``args`` holds client-side values where buffers are already mapped to
-    their remote buffer ids by the caller.
-    """
-    encoded = []
-    for kind, value in args:
-        if kind not in (ARG_BUFFER, ARG_SCALAR):
-            raise ValueError(f"unknown kernel arg kind {kind!r}")
-        encoded.append((kind, value))
-    return encoded

@@ -3,15 +3,16 @@
 Two path classes, as in the paper's testbed: the *local virtual network
 stack* within a node (container-to-container over the bridge/loopback,
 memcpy-class bandwidth) and 1 Gb/s Ethernet between nodes.  Cross-node
-traffic serializes on the sending host's NIC.
+traffic serializes on the sending host's NIC, a FIFO queue that sends one
+booking at a time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..fpga.hwspec import ETHERNET_1G, HOST_I7_6700, HostSpec, NetworkSpec
-from ..sim import Environment, Resource
+from ..sim import Environment
 
 #: Local (same-node) virtual network stack: memcpy-class byte movement.
 LOCAL_STACK = NetworkSpec(bandwidth=13.9e9, latency=25e-6)
@@ -25,7 +26,9 @@ class NetworkHost:
         self.env = env
         self.name = name
         self.host = host
-        self.nic = Resource(env, capacity=1)
+        #: When the NIC has sent every byte booked on it so far: a FIFO
+        #: queue of capacity one, kept as the time it drains.
+        self.nic_free = 0.0
 
     def __repr__(self) -> str:
         return f"<NetworkHost {self.name}>"
@@ -56,24 +59,32 @@ class Network:
             self._hosts[name] = found
         return found
 
-    def spec_between(self, src: NetworkHost, dst: NetworkHost) -> NetworkSpec:
-        return self.local if src.name == dst.name else self.remote
-
     def is_local(self, src: NetworkHost, dst: NetworkHost) -> bool:
         return src.name == dst.name
+
+    def book(self, src: NetworkHost, nbytes: int) -> float:
+        """Queue ``nbytes`` on ``src``'s NIC now; returns when they land.
+
+        The bytes start when the NIC has sent everything booked before
+        them, and take the Ethernet transfer time: the float a grant of a
+        capacity-one FIFO ``Resource`` followed by a transfer Timeout
+        would end on.  A booking is never withdrawn.
+        """
+        now = self.env.now
+        start = src.nic_free if src.nic_free > now else now
+        src.nic_free = landed = start + self.remote.transfer_time(nbytes)
+        return landed
 
     def transfer(self, src: NetworkHost, dst: NetworkHost, nbytes: int):
         """Process: move ``nbytes`` from ``src`` to ``dst``.
 
         Same-node traffic flows through the local stack without NIC
-        contention; cross-node traffic serializes on the sender's NIC.
+        contention; cross-node traffic is booked on the sender's NIC and
+        costs one event, at its landing.
         """
         if nbytes < 0:
             raise ValueError("negative transfer size")
-        spec = self.spec_between(src, dst)
         if self.is_local(src, dst):
-            yield self.env.timeout(spec.transfer_time(nbytes))
+            yield self.env.timeout(self.local.transfer_time(nbytes))
         else:
-            with src.nic.request() as grant:
-                yield grant
-                yield self.env.timeout(spec.transfer_time(nbytes))
+            yield self.env.timeout_at(self.book(src, nbytes))

@@ -104,39 +104,59 @@ class Transport(abc.ABC):
         self._held = (deque(), deque())
 
     # -- control plane -----------------------------------------------------
-    def _control_arrival(self, nbytes=None, value=None) -> Optional[Event]:
-        """One arrival event, carrying ``value``, for a same-node control
-        message and the ``nbytes`` payload it carries, if any, at
-        ``((now + copy) + overhead) + transfer``: the float their Timeouts
-        would end on.  The copies are recorded on arrival.  ``None`` when
-        the message crosses nodes and queues on the NIC.
+    def _arrival(self, src: NetworkHost, nbytes=None, value=None) -> Event:
+        """The arrival event, carrying ``value``, of one control message
+        that ``src`` sends now to the other end, after the ``nbytes``
+        payload it carries, if any: the floats the chain of Timeouts
+        would end on.
+
+        Same node: one event at ``((now + copy) + overhead) + transfer``;
+        the copies are recorded on arrival.  Across nodes the bytes queue
+        on ``src``'s NIC (:meth:`Network.book`): the end of the handling
+        overhead is an event that books the message, and the arrival is
+        scheduled at its landing.  A payload adds one event before it,
+        at the encode end, which records the sender's copies, books the
+        payload and schedules the handling end at its landing plus the
+        overhead; the wire copy is recorded at the handling end.
         """
-        if not self._local:
-            return None
-        sent = self.env.now if nbytes is None else self._landing(nbytes)
-        arrival = self.env.timeout_at(
-            (sent + self._control_overhead) + self._wire_time, value)
-        if nbytes is not None:
-            arrival.callbacks.append(lambda _: self._landed(nbytes))
+        env = self.env
+        if self._local:
+            sent = env.now if nbytes is None else self._landing(nbytes)
+            arrival = env.timeout_at(
+                (sent + self._control_overhead) + self._wire_time, value)
+            if nbytes is not None:
+                arrival.callbacks.append(lambda _: self._landed(nbytes))
+            return arrival
+        arrival = Event(env)
+        book = self.network.book
+
+        def handled(_event):
+            arrival._ok = True
+            arrival._value = value
+            env.schedule_at(arrival, book(src, CONTROL_MESSAGE_BYTES))
+
+        if nbytes is None:
+            env.timeout(self._control_overhead).callbacks.append(handled)
+            return arrival
+
+        def landed(_event):
+            self.stats.record(1, nbytes)  # the wire traversal
+            handled(_event)
+
+        def encoded(_event):
+            self.stats.record(self.data_copies, nbytes)
+            env.timeout_at(book(src, nbytes) + self._control_overhead) \
+                .callbacks.append(landed)
+
+        env.timeout(self._encode_time(nbytes)).callbacks.append(encoded)
         return arrival
 
-    def send_control(self, src: NetworkHost, dst: NetworkHost, nbytes=None):
-        """Process: one-way control message (gRPC in both transports),
-        after the ``nbytes`` bulk payload it announces, if any."""
-        arrival = self._control_arrival(nbytes)
-        if arrival is not None:
-            yield arrival
-            return
-        if nbytes is not None:
-            yield from self.send_data(src, dst, nbytes)
-        yield self.env.timeout(self._control_overhead)
-        yield from self.network.transfer(src, dst, CONTROL_MESSAGE_BYTES)
-
     def control_to_server(self):
-        yield from self.send_control(self.client, self.server)
+        """Process: one-way control message (gRPC in both transports)."""
+        yield self._arrival(self.client)
 
     def control_to_client(self):
-        yield from self.send_control(self.server, self.client)
+        yield self._arrival(self.server)
 
     # -- control plane with delivery ------------------------------------------
     def deliver_to_server(self, endpoint, message, nbytes=None):
@@ -148,14 +168,10 @@ class Transport(abc.ABC):
             held = self._hold(0, self.client, self.server, endpoint.deliver,
                               message, message)
             if held is not None:
-                yield from self.send_control(self.client, self.server, nbytes)
+                yield self._arrival(self.client, nbytes)
                 self.env.process(held)
                 return
-        arrival = self._control_arrival(nbytes)
-        if arrival is None:
-            yield from self.send_control(self.client, self.server, nbytes)
-        else:
-            yield arrival
+        yield self._arrival(self.client, nbytes)
         if self.broken is None:  # a break drops what is in flight
             endpoint.deliver(message)
 
@@ -163,20 +179,16 @@ class Transport(abc.ABC):
         """Send one control message server→client, after the ``nbytes``
         payload it carries, if any; returns its arrival.
 
-        Fire-and-forget: a same-node message is one arrival event whose
-        callback delivers it.  The cross-node path, and a message a fault
-        holds, run as a process, which is the returned event.
+        Fire-and-forget: the arrival event's callback delivers it.  A
+        message a fault holds runs as a process, which is the returned
+        event.
         """
         if self.network.faults is not None:
             held = self._hold(1, self.server, self.client, endpoint.deliver,
                               message, message)
             if held is not None:
-                return self.env.process(self._send_held(
-                    self.server, self.client, nbytes, held))
-        arrival = self._control_arrival(nbytes, message)
-        if arrival is None:
-            return self.env.process(self._deliver(
-                self.server, self.client, endpoint, message, nbytes))
+                return self.env.process(self._send_held(nbytes, held))
+        arrival = self._arrival(self.server, nbytes, message)
         arrival.callbacks.append(endpoint.arrive)
         return arrival
 
@@ -190,21 +202,16 @@ class Transport(abc.ABC):
             held = self._hold(1, self.server, self.client, land, value, key,
                               reply=True)
             if held is not None:
-                yield from self.send_control(self.server, self.client)
+                yield self._arrival(self.server)
                 self.env.process(held)
                 return
-        yield from self.send_control(self.server, self.client)
+        yield self._arrival(self.server)
         if self.broken is None:  # a break drops what is in flight
             land(value)
 
-    def _deliver(self, src, dst, endpoint, message, nbytes):
-        """Process: the cross-node path of one delivery."""
-        yield from self.send_control(src, dst, nbytes)
-        endpoint.deliver(message)
-
-    def _send_held(self, src, dst, nbytes, held):
-        """Process: send a held message, then finish its delivery."""
-        yield from self.send_control(src, dst, nbytes)
+    def _send_held(self, nbytes, held):
+        """Process: send a held notification, then finish its delivery."""
+        yield self._arrival(self.server, nbytes)
         yield from held
 
     # -- reliable, ordered delivery under a fault plane -----------------------
@@ -286,6 +293,10 @@ class Transport(abc.ABC):
         yield from self.send_data(self.server, self.client, nbytes)
 
     @abc.abstractmethod
+    def _encode_time(self, nbytes: int) -> float:
+        """Host work on a payload before it reaches the wire."""
+
+    @abc.abstractmethod
     def _landing(self, nbytes: int) -> float:
         """When a same-node payload sent now lands, as send_data would."""
 
@@ -360,17 +371,17 @@ class ShmTransport(Transport):
             )
         super().__init__(env, network, client, server, stats)
 
-    def _copy_time(self, nbytes: int) -> float:
+    def _encode_time(self, nbytes: int) -> float:
         if nbytes < 0:
             raise ValueError("negative payload size")
         return nbytes / self._slow_memcpy_bandwidth()
 
     def send_data(self, src: NetworkHost, dst: NetworkHost, nbytes: int):
-        yield self.env.timeout(self._copy_time(nbytes))
+        yield self.env.timeout(self._encode_time(nbytes))
         self._landed(nbytes)
 
     def _landing(self, nbytes: int) -> float:
-        return self.env.now + self._copy_time(nbytes)
+        return self.env.now + self._encode_time(nbytes)
 
     def _landed(self, nbytes: int) -> None:
         self.stats.record(self.data_copies, nbytes)

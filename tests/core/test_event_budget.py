@@ -52,6 +52,15 @@ from repro.sim.events import NORMAL
 #: three operations is one event: its overhead and its board step.
 SOBEL_REQUEST_EVENTS = 15
 
+#: The same request with its client on node A and its Device Manager on
+#: node B: gRPC over 1 Gb Ethernet, with both NICs idle.  Each of the 11
+#: control messages (5 streamed to the manager, 6 notifications) is 2
+#: events: the end of its handling overhead, which books its bytes on the
+#: sending NIC, and its arrival.  Each of the 2 payloads (the write's
+#: ``WriteData``, the read's result) adds 1, at its encode end.  With the
+#: 3 board operations and the request's start: 11 * 2 + 2 + 3 + 1.
+CROSS_NODE_SOBEL_REQUEST_EVENTS = 28
+
 
 class CountingEnvironment(Environment):
     """Counts every event passing through ``schedule``."""
@@ -73,25 +82,41 @@ def local_transport(env):
     return make_transport(env, network, host, host)
 
 
-def test_remote_sobel_request_budget():
+def sobel_request_costs(client_node, transport_class):
+    """Events of three remote Sobel requests, one after the other, from a
+    client on ``client_node`` to the Device Manager of node B."""
     env = CountingEnvironment()
     testbed = build_testbed(env, functional=False, with_scraper=False)
     app = SobelApp()
 
     def setup():
         platform = yield from remote_platform(
-            env, "fn-1", testbed.network.host("B"), testbed.managers["dm-B"],
-            testbed.network, testbed.library,
+            env, "fn-1", testbed.network.host(client_node),
+            testbed.managers["dm-B"], testbed.network, testbed.library,
         )
         yield from app.setup(env, platform, None)
 
     env.run(until=env.process(setup()))
     env.run()
+    (session,) = testbed.managers["dm-B"].sessions.values()
+    assert type(session.transport) is transport_class
+    spent = []
     for _ in range(3):
         before = env.scheduled
         env.process(app.handle(None))
         env.run()
-        assert env.scheduled - before == SOBEL_REQUEST_EVENTS
+        spent.append(env.scheduled - before)
+    return spent
+
+
+def test_remote_sobel_request_budget():
+    assert sobel_request_costs("B", ShmTransport) == \
+        [SOBEL_REQUEST_EVENTS] * 3
+
+
+def test_cross_node_remote_sobel_request_budget():
+    assert sobel_request_costs("A", GrpcTransport) == \
+        [CROSS_NODE_SOBEL_REQUEST_EVENTS] * 3
 
 
 def test_local_control_message_is_one_event():

@@ -50,7 +50,7 @@ PINNED = {
                              partitions=7),
     "fleet-256": dict(events=76119, requests=3396, allocations=427,
                       partitions=1106),
-    "storm-live-durable": dict(events=78442, requests=3500,
+    "storm-live-durable": dict(events=70118, requests=3500,
                                allocations=21, partitions=39),
 }
 

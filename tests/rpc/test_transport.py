@@ -41,10 +41,9 @@ class TestNetwork:
         assert a1 is a2
         assert network.is_local(a1, a2)
         assert not network.is_local(a1, b)
-        local = network.spec_between(a1, a2)
-        remote = network.spec_between(a1, b)
         nbytes = 10_000_000
-        assert local.transfer_time(nbytes) < remote.transfer_time(nbytes)
+        assert (network.local.transfer_time(nbytes)
+                < network.remote.transfer_time(nbytes))
 
     def test_transfer_advances_clock(self, env, network):
         src = network.host("A")
