@@ -27,9 +27,10 @@ layers do this at the user-facing read boundary (see docs/simulation.md).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OutOfMemoryError(MemoryError):
@@ -93,6 +94,8 @@ def as_uint8_view(payload) -> np.ndarray:
     Zero-copy for bytes, bytearray, C-contiguous memoryviews and
     C-contiguous arrays; only non-contiguous inputs pay a compaction copy.
     """
+    import numpy as np
+
     if isinstance(payload, np.ndarray):
         if not payload.flags["C_CONTIGUOUS"]:
             payload = np.ascontiguousarray(payload)
@@ -131,6 +134,8 @@ class DeviceBuffer:
                 "buffer has no backing data (allocator is timing-only)"
             )
         if self._data is None:
+            import numpy as np
+
             self._data = np.zeros(self.size, dtype=np.uint8)
         return self._data
 
@@ -162,6 +167,8 @@ class DeviceBuffer:
 
     def as_array(self, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
         """View the buffer contents as a typed array (functional mode)."""
+        import numpy as np
+
         wanted = int(np.prod(shape)) * np.dtype(dtype).itemsize
         self._check_range(0, wanted)
         return self.data[:wanted].view(dtype).reshape(shape)

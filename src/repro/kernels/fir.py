@@ -8,11 +8,12 @@ sample count, not the tap count (up to the design's maximum taps).
 
 from __future__ import annotations
 
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .base import AcceleratorKernel, Direction, buffer_arg, scalar_arg
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Samples per second the pipeline sustains (1 sample/cycle @ 200 MHz).
 FIR_SAMPLE_RATE = 200e6
@@ -46,6 +47,8 @@ class FIRKernel(AcceleratorKernel):
         return FIR_LAUNCH_OVERHEAD + n / FIR_SAMPLE_RATE
 
     def compute(self, args: Mapping[str, object]) -> None:
+        import numpy as np
+
         n = int(args["n"])  # type: ignore[arg-type]
         taps = int(args["taps"])  # type: ignore[arg-type]
         signal = args["signal"].as_array(np.float32, (n,))  # type: ignore[union-attr]
@@ -56,6 +59,8 @@ class FIRKernel(AcceleratorKernel):
 
 def fir_reference(signal: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Golden model: causal FIR with zero initial history."""
+    import numpy as np
+
     full = np.convolve(signal.astype(np.float64),
                        coeffs.astype(np.float64))
     return full[: len(signal)].astype(np.float32)

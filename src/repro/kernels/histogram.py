@@ -7,11 +7,12 @@ processes two samples per cycle with banked on-chip counters.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .base import AcceleratorKernel, Direction, buffer_arg, scalar_arg
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Samples per second (2 samples/cycle @ 200 MHz).
 HISTOGRAM_SAMPLE_RATE = 400e6
@@ -44,6 +45,8 @@ class HistogramKernel(AcceleratorKernel):
         return HISTOGRAM_LAUNCH_OVERHEAD + n / HISTOGRAM_SAMPLE_RATE
 
     def compute(self, args: Mapping[str, object]) -> None:
+        import numpy as np
+
         n = int(args["n"])  # type: ignore[arg-type]
         bins = int(args["bins"])  # type: ignore[arg-type]
         values = args["values"].as_array(np.uint32, (n,))  # type: ignore[union-attr]
@@ -53,5 +56,7 @@ class HistogramKernel(AcceleratorKernel):
 
 def histogram_reference(values: np.ndarray, bins: int) -> np.ndarray:
     """Golden model: counts of ``values % bins``."""
+    import numpy as np
+
     reduced = (values.astype(np.uint64) % bins).astype(np.int64)
     return np.bincount(reduced, minlength=bins).astype(np.uint32)

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .base import AcceleratorKernel, Direction, buffer_arg, scalar_arg
 
 #: float32 elements.
@@ -60,6 +58,8 @@ class MatrixMultiplyKernel(AcceleratorKernel):
         return MM_LAUNCH_OVERHEAD + (m * n * k) / MM_MAC_RATE
 
     def compute(self, args: Mapping[str, object]) -> None:
+        import numpy as np
+
         m, n, k = (int(args[key]) for key in ("m", "n", "k"))  # type: ignore[arg-type]
         a = args["a"].as_array(np.float32, (m, k))  # type: ignore[union-attr]
         b = args["b"].as_array(np.float32, (k, n))  # type: ignore[union-attr]

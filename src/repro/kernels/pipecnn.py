@@ -15,11 +15,12 @@ latency at ≈ 96% utilization for 11.91 rq/s over three boards).
 
 from __future__ import annotations
 
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .base import AcceleratorKernel, Direction, buffer_arg, scalar_arg
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Convolution engine MAC rate (MAC/s).
 CONV_MAC_RATE = 12.0e9
@@ -106,6 +107,8 @@ class ConvKernel(AcceleratorKernel):
         return PIPECNN_LAUNCH_OVERHEAD + macs / rate
 
     def compute(self, args: Mapping[str, object]) -> None:
+        import numpy as np
+
         (in_c, in_s, out_c, out_s, k, stride, pad, groups, relu) = \
             self._geometry(args)
         x = args["input"].as_array(np.float32, (in_c, in_s, in_s))  # type: ignore[union-attr]
@@ -141,6 +144,8 @@ class PoolKernel(AcceleratorKernel):
         return PIPECNN_LAUNCH_OVERHEAD + ops / POOL_OP_RATE
 
     def compute(self, args: Mapping[str, object]) -> None:
+        import numpy as np
+
         channels = int(args["channels"])  # type: ignore[arg-type]
         in_size = int(args["in_size"])  # type: ignore[arg-type]
         out_size = int(args["out_size"])  # type: ignore[arg-type]
@@ -176,6 +181,8 @@ class LRNKernel(AcceleratorKernel):
         return PIPECNN_LAUNCH_OVERHEAD + ops / LRN_OP_RATE
 
     def compute(self, args: Mapping[str, object]) -> None:
+        import numpy as np
+
         channels = int(args["channels"])  # type: ignore[arg-type]
         size = int(args["size"])  # type: ignore[arg-type]
         local_size = int(args["local_size"])  # type: ignore[arg-type]
@@ -201,6 +208,8 @@ def conv2d_reference(
     relu: bool = True,
 ) -> np.ndarray:
     """Grouped 2-D convolution via im2col; float32 in, float32 out."""
+    import numpy as np
+
     in_c, in_h, in_w = x.shape
     out_c, in_c_per_group, k, _ = w.shape
     if in_c % groups or out_c % groups:
@@ -246,6 +255,8 @@ def conv2d_reference(
 
 def maxpool_reference(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """Max pooling over square windows (valid padding)."""
+    import numpy as np
+
     channels, in_h, in_w = x.shape
     out_h = (in_h - kernel) // stride + 1
     out_w = (in_w - kernel) // stride + 1
@@ -265,6 +276,8 @@ def lrn_reference(
     x: np.ndarray, local_size: int, alpha: float, beta: float, k: float
 ) -> np.ndarray:
     """AlexNet cross-channel local response normalisation."""
+    import numpy as np
+
     channels = x.shape[0]
     squared = x.astype(np.float64) ** 2
     half = local_size // 2

@@ -14,11 +14,12 @@ each direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .base import AcceleratorKernel, Direction, buffer_arg, scalar_arg
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Bytes per pixel on the wire and in device memory.
 BYTES_PER_PIXEL = 4
@@ -30,10 +31,10 @@ SOBEL_THROUGHPUT = 175.4e6
 SOBEL_LAUNCH_OVERHEAD = 30e-6
 
 #: Saturation ceiling of the 32-bit magnitude output.
-_MAX_MAGNITUDE = np.uint32(0xFFFFFFFF)
+_MAX_MAGNITUDE = 0xFFFFFFFF
 
-_GX = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.int64)
-_GY = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.int64)
+_GX = ((-1, 0, 1), (-2, 0, 2), (-1, 0, 1))
+_GY = ((-1, -2, -1), (0, 0, 0), (1, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,8 @@ class SobelKernel(AcceleratorKernel):
         return SOBEL_LAUNCH_OVERHEAD + (width * height) / SOBEL_THROUGHPUT
 
     def compute(self, args: Mapping[str, object]) -> None:
+        import numpy as np
+
         width = int(args["width"])  # type: ignore[arg-type]
         height = int(args["height"])  # type: ignore[arg-type]
         in_buf = args["in_img"]
@@ -87,6 +90,8 @@ def sobel_reference(image: np.ndarray) -> np.ndarray:
     Matches the Spector kernel semantics: interior pixels get the L1
     gradient magnitude; the one-pixel border is zero.
     """
+    import numpy as np
+
     if image.ndim != 2:
         raise ValueError("expected a 2-D grayscale image")
     image = image.astype(np.int64)
@@ -98,7 +103,7 @@ def sobel_reference(image: np.ndarray) -> np.ndarray:
         for dy in range(3):
             for dx in range(3):
                 window = image[dy:dy + height - 2, dx:dx + width - 2]
-                gx += _GX[dy, dx] * window
-                gy += _GY[dy, dx] * window
+                gx += _GX[dy][dx] * window
+                gy += _GY[dy][dx] * window
         result[1:-1, 1:-1] = np.abs(gx) + np.abs(gy)
-    return np.minimum(result, int(_MAX_MAGNITUDE)).astype(np.uint32)
+    return np.minimum(result, _MAX_MAGNITUDE).astype(np.uint32)

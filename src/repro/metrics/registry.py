@@ -168,10 +168,13 @@ class MetricFamily:
         self.help = help
         self.type = type
         self.labelnames = tuple(labelnames)
-        buckets = tuple(sorted(set(float(b) for b in buckets)))
-        if type == "histogram" and (not buckets or not math.isinf(buckets[-1])):
-            buckets = buckets + (float("inf"),)
-        self.buckets = buckets
+        #: Upper bounds of a histogram's buckets; empty for other types.
+        self.buckets: Tuple[float, ...] = ()
+        if type == "histogram":
+            buckets = tuple(sorted(set(float(b) for b in buckets)))
+            if not buckets or not math.isinf(buckets[-1]):
+                buckets = buckets + (float("inf"),)
+            self.buckets = buckets
         self._children: Dict[LabelValues, _Child] = {}
         #: Bumped on every sample mutation and child creation; the caches
         #: below remember the version they were computed at, so unchanged

@@ -16,14 +16,12 @@ class TimeSeries:
     least as long as the widest query window issued against the series.
     """
 
-    __slots__ = ("name", "labels", "label_set", "retention",
-                 "_times", "_values")
+    __slots__ = ("name", "labels", "retention", "_times", "_values")
 
     def __init__(self, name: str, labels: Tuple[str, ...] = (),
                  retention: Optional[float] = None):
         self.name = name
         self.labels = labels
-        self.label_set = frozenset(labels)
         self.retention = retention
         self._times: List[float] = []
         self._values: List[float] = []
@@ -136,7 +134,7 @@ class TimeSeriesDatabase:
             found = TimeSeries(name, key[1], retention=retention)
             self._series[key] = found
             self._by_name.setdefault(name, []).append(found)
-            for label in found.label_set:
+            for label in found.labels:
                 self._by_label.setdefault((name, label), []).append(found)
         return found
 
@@ -161,7 +159,7 @@ class TimeSeriesDatabase:
             return list(candidates)
         return [
             series for series in candidates
-            if all(label in series.label_set for label in rest)
+            if all(label in series.labels for label in rest)
         ]
 
     def __len__(self) -> int:

@@ -18,8 +18,6 @@ from __future__ import annotations
 import abc
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from ..kernels.alexnet import LayerSpec, alexnet_layers
 from ..ocl.objects import Context, Platform, wait_for_events
 from ..sim import Environment
@@ -67,6 +65,8 @@ class SobelApp(FunctionApp):
         self.kernel.set_args(self.in_buf, self.out_buf,
                              self.width, self.height)
         if self.functional:
+            import numpy as np
+
             rng = np.random.default_rng(self.seed)
             image = rng.integers(0, 4096, size=(self.height, self.width),
                                  dtype=np.uint32)
@@ -114,6 +114,8 @@ class MMApp(FunctionApp):
         self.kernel.set_args(self.a_buf, self.b_buf, self.c_buf,
                              self.n, self.n, self.n)
         if self.functional:
+            import numpy as np
+
             rng = np.random.default_rng(self.seed)
             self.a_data = rng.standard_normal(
                 (self.n, self.n)).astype(np.float32).tobytes()
@@ -164,6 +166,8 @@ class FIRApp(FunctionApp):
                              self.n, self.taps)
         coeffs_data = None
         if self.functional:
+            import numpy as np
+
             rng = np.random.default_rng(self.seed)
             self.signal_data = rng.standard_normal(self.n).astype(
                 np.float32).tobytes()
@@ -211,6 +215,8 @@ class HistogramApp(FunctionApp):
         self.kernel.set_args(self.values_buf, self.counts_buf,
                              self.n, self.bins)
         if self.functional:
+            import numpy as np
+
             rng = np.random.default_rng(self.seed)
             self.values_data = rng.integers(
                 0, 1 << 32, size=self.n, dtype=np.uint32
@@ -258,7 +264,11 @@ class AlexNetApp(FunctionApp):
         self.lrn_out = ctx.create_buffer(scratch)
 
         # Per-layer weights/biases, loaded once at startup.
-        rng = np.random.default_rng(self.seed) if self.functional else None
+        rng = None
+        if self.functional:
+            import numpy as np
+
+            rng = np.random.default_rng(self.seed)
         self.weights = []
         self.biases = []
         for layer in self.layers:
@@ -338,6 +348,8 @@ class AlexNetApp(FunctionApp):
         yield wait_for_events([read_event])
         data = read_event.value
         if self.functional and data:
+            import numpy as np
+
             logits = np.frombuffer(data, dtype=np.float32)
             return {"top1": int(logits.argmax())}
         return {"top1": None}

@@ -11,12 +11,19 @@ interpreter, as the benchmark runs it, so nothing the test process
 imported or patched first can reach the counts.  When a change moves a
 count on purpose, the failure message shows the new counts to pin; pins
 only ever move down.
+
+The same interpreter also reports whether numpy was loaded.  Timing-only
+boards carry sizes and no bytes, so building and loading a workload must
+never import it; a static check keeps every numpy import under
+``src/repro`` inside the functions that compute bytes.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +48,7 @@ for index in range(workload.cells):
     counts["requests"] += cell.gateway.completed + cell.gateway.failed
     counts["allocations"] += registry.allocations
     counts["partitions"] += registry.index.partitions_visited
+counts["numpy"] = "numpy" in sys.modules
 print(json.dumps(counts))
 """
 
@@ -70,4 +78,47 @@ def load_phase_counts(workload):
 @pytest.mark.parametrize("workload", sorted(PINNED))
 def test_load_phase_counts_are_pinned(workload):
     counts = load_phase_counts(workload)
+    assert counts.pop("numpy") is False, (
+        f"{workload}: a timing-only build and load imported numpy")
     assert counts == PINNED[workload], f"{workload}, seed 1: {counts}"
+
+
+def _module_level_numpy_imports(tree, where):
+    """``where:line`` of each numpy import that runs when ``tree`` loads.
+
+    Function bodies run later and ``if TYPE_CHECKING:`` blocks never run;
+    every other statement nested in the module body runs at import.
+    """
+    found = []
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            pending.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            pending.extend(child for child in ast.iter_child_nodes(node)
+                           if isinstance(child, ast.stmt))
+            for handler in getattr(node, "handlers", ()):
+                pending.extend(handler.body)
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            found.append(f"{where}:{node.lineno}")
+    return found
+
+
+def test_no_module_imports_numpy_at_module_level():
+    package = Path(ROOT) / "src" / "repro"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found.extend(_module_level_numpy_imports(
+            tree, path.relative_to(ROOT)))
+    assert found == []
