@@ -10,10 +10,12 @@ collected in a registry that can be scraped (see
 from __future__ import annotations
 
 import math
+import sys
 from typing import (
     Callable,
     Dict,
     Iterable,
+    List,
     Mapping,
     Optional,
     Sequence,
@@ -39,36 +41,35 @@ class MetricError(ValueError):
     """Raised on metric misuse (bad labels, decreasing counter, ...)."""
 
 
+def label_key(pairs: Iterable[Tuple[str, str]]) -> LabelValues:
+    """The sorted ``"key=value"`` tuple of a label set.
+
+    The strings are interned, so the same label (``le="0.005"``,
+    ``type="write"``) is one string in every family and series that
+    holds it; an interned string is freed with its last holder.
+    """
+    return tuple(sys.intern(f"{key}={value}") for key, value in sorted(pairs))
+
+
 class _Child:
-    """A single labelled time series within a metric family."""
+    """A single labelled time series within a metric family.
+
+    A child of a collector-backed family holds no sample: its value is
+    read from the collector.
+    """
+
+    __slots__ = ("_family", "_labels", "_value", "_sum", "_count",
+                 "_bucket_counts")
 
     def __init__(self, family: "MetricFamily", labels: LabelValues):
         self._family = family
         self._labels = labels
         self._value = 0.0
-        # Render caches, fixed at creation: the label dict and the sorted
-        # "key=value" tuple used by collect()/scrapes.
-        self._label_dict = dict(zip(family.labelnames, labels))
-        self._label_key = tuple(
-            f"{k}={v}" for k, v in sorted(self._label_dict.items())
-        )
-        # Histogram-only state:
+        # Histogram-only state; buckets are stored non-cumulatively.
         self._sum = 0.0
         self._count = 0
-        self._bucket_counts: Optional[list[int]] = None
-        self._bucket_label_dicts: Optional[list[dict]] = None
-        self._bucket_label_keys: Optional[list[LabelValues]] = None
-        if family.type == "histogram":
-            self._bucket_counts = [0] * len(family.buckets)
-            self._bucket_label_dicts = []
-            self._bucket_label_keys = []
-            for bound in family.buckets:
-                le = "+Inf" if math.isinf(bound) else repr(bound)
-                bucket_labels = {**self._label_dict, "le": le}
-                self._bucket_label_dicts.append(bucket_labels)
-                self._bucket_label_keys.append(tuple(
-                    f"{k}={v}" for k, v in sorted(bucket_labels.items())
-                ))
+        self._bucket_counts: Optional[List[int]] = (
+            [0] * len(family.buckets) if family.type == "histogram" else None)
 
     @property
     def value(self) -> float:
@@ -76,7 +77,10 @@ class _Child:
         if family.type == "histogram":
             raise MetricError("histograms have no scalar value; use sum/count")
         if family._collect is not None:
-            family._sync()
+            for labels, value in family._collect():
+                if labels == self._labels:
+                    return value
+            return 0.0
         return self._value
 
     @property
@@ -117,7 +121,6 @@ class _Child:
         self._sum += value
         self._count += 1
         self._family._version += 1
-        # Buckets are stored non-cumulatively; samples() cumulates on render.
         for index, bound in enumerate(self._family.buckets):
             if value <= bound:
                 self._bucket_counts[index] += 1
@@ -150,7 +153,17 @@ class _Child:
 
 
 class MetricFamily:
-    """A named metric with a fixed label schema and many label children."""
+    """A named metric with a fixed label schema and many label children.
+
+    Its *rows* are its samples in exposition order: one per label set,
+    sorted by label values (a histogram has one per bucket, then its sum
+    and count).  Label sets are never removed, so the rows only grow, and
+    an existing row moves only when a new label set sorts before it.
+    """
+
+    __slots__ = ("name", "help", "type", "labelnames", "buckets",
+                 "_collect", "_unlabelled", "_children", "_positions",
+                 "_version", "_values_version", "_values")
 
     def __init__(
         self,
@@ -159,12 +172,13 @@ class MetricFamily:
         type: str,
         labelnames: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
+        collect: Optional[Collector] = None,
     ):
         if type not in _VALID_METRIC_TYPES:
             raise MetricError(f"unknown metric type {type!r}")
         if not name or not name.replace("_", "a").replace(":", "a").isalnum():
             raise MetricError(f"invalid metric name {name!r}")
-        self.name = name
+        self.name = sys.intern(name)
         self.help = help
         self.type = type
         self.labelnames = tuple(labelnames)
@@ -175,30 +189,31 @@ class MetricFamily:
             if not buckets or not math.isinf(buckets[-1]):
                 buckets = buckets + (float("inf"),)
             self.buckets = buckets
-        self._children: Dict[LabelValues, _Child] = {}
-        #: Bumped on every sample mutation and child creation; the caches
-        #: below remember the version they were computed at, so unchanged
-        #: families are never re-sorted or re-rendered (scrapes only pay
-        #: for dirty families).
-        self._version = 1
-        #: Bumped on child creation only — the sorted ordering of children
-        #: (and of each child's labels) cannot change otherwise.
-        self._children_version = 1
-        self._sorted_version = 0
-        self._sorted_cache: list = []
-        self._rows_version = 0
-        self._rows_cache: list = []
-        self._text_version = 0
-        self._text_cache = ""
         #: Set for a family made with ``collect=``: the samples are then
-        #: read from their owner at collection, never written.
-        self._collect: Optional[Collector] = None
-        #: The one child of an unlabelled metric, for the passthroughs.
+        #: read from their owner at each collection, never stored here.
+        self._collect = collect
+        #: The one child of an unlabelled metric; a collected family makes
+        #: it on first use, as it holds no sample.
         self._unlabelled: Optional[_Child] = None
-        if not self.labelnames:
+        #: A labelled pushed family's children, by label values.
+        self._children: Optional[Dict[LabelValues, _Child]] = None
+        #: A labelled collected family's label sets, in row order, each
+        #: mapped to its row.
+        self._positions: Optional[Dict[LabelValues, int]] = None
+        #: A pushed family's row values, rebuilt when ``_version`` (bumped
+        #: on every sample mutation and child creation) has moved.
+        self._version = 1
+        self._values_version = 0
+        self._values: Optional[List[float]] = None
+        if self.labelnames:
+            if collect is None:
+                self._children = {}
+            else:
+                self._positions = {}
+        elif collect is None:
             # Unlabelled metrics are exposed immediately (at zero), like the
             # Prometheus client library does.
-            self._unlabelled = self.labels()
+            self._unlabelled = _Child(self, ())
 
     def labels(self, *values: str, **kwvalues: str) -> _Child:
         """Get (creating if needed) the child for a label-value combination."""
@@ -217,43 +232,37 @@ class MetricFamily:
             raise MetricError(
                 f"{self.name} expects labels {self.labelnames}, got {values}"
             )
-        child = self._children.get(values)
+        if not values:
+            return self._default
+        if self._positions is not None:
+            if values not in self._positions:
+                self._add_label_set(values)
+            return _Child(self, values)
+        children = self._children
+        child = children.get(values)
         if child is None:
-            child = _Child(self, values)
-            self._children[values] = child
-            self._children_version += 1
+            child = children[values] = _Child(self, values)
             self._version += 1
         return child
 
-    def _sync(self) -> None:
-        """Read a collector-backed family's samples from their owner.
-
-        A label set seen for the first time gets its child now, as
-        :meth:`labels` would have made it when the owner first counted
-        it; only a changed sample dirties the family's caches.
-        """
-        children = self._children
-        for values, value in self._collect():
-            child = children.get(values)
-            if child is None:
-                child = self.labels(*values)
-            if child._value != value:
-                child._value = value
-                self._version += 1
-
-    def _sorted_children(self) -> list:
-        # Invalidated on child creation only (sample mutations cannot
-        # reorder a fixed label set).
-        if self._sorted_version != self._children_version:
-            self._sorted_cache = sorted(self._children.items())
-            self._sorted_version = self._children_version
-        return self._sorted_cache
+    def _add_label_set(self, values: LabelValues) -> None:
+        """Give a collected family's new label set its row."""
+        if len(values) != len(self.labelnames):
+            raise MetricError(
+                f"{self.name} expects labels {self.labelnames}, got {values}"
+            )
+        self._positions = {
+            labels: row for row, labels
+            in enumerate(sorted([*self._positions, values]))
+        }
 
     @property
     def _default(self) -> _Child:
         child = self._unlabelled
         if child is None:
-            raise MetricError(f"{self.name} requires labels()")
+            if self.labelnames:
+                raise MetricError(f"{self.name} requires labels()")
+            child = self._unlabelled = _Child(self, ())
         return child
 
     # Convenience passthroughs for unlabelled metrics -----------------------
@@ -270,46 +279,106 @@ class MetricFamily:
     def value(self) -> float:
         return self._default.value
 
-    def collect_rows(self) -> list:
-        """Cached ``(sample_name, labels, label_key, value)`` rows.
+    def _label_sets(self) -> List[LabelValues]:
+        """The family's label sets, in row order."""
+        if not self.labelnames:
+            return [()]
+        if self._positions is not None:
+            return list(self._positions)
+        return sorted(self._children)
 
-        ``label_key`` is the sorted ``"key=value"`` tuple collect()/scrapes
-        key children by.  Rows are recomputed only when the family changed
-        since the last call (dirty-family tracking): a scrape re-renders
-        only the families that were touched since the previous scrape.
-        """
-        if self._collect is not None:
-            self._sync()
-        if self._rows_version == self._version:
-            return self._rows_cache
-        rows: list = []
-        name = self.name
+    def row_count(self) -> int:
+        """How many rows the family has."""
+        label_sets = 1 if not self.labelnames else len(
+            self._children if self._positions is None else self._positions)
         if self.type == "histogram":
-            bucket_name = f"{name}_bucket"
-            sum_name = f"{name}_sum"
-            count_name = f"{name}_count"
-            for _labelvalues, child in self._sorted_children():
-                cumulative = 0
-                assert child._bucket_counts is not None
-                for index, bucket_count in enumerate(child._bucket_counts):
-                    cumulative += bucket_count
-                    rows.append((
-                        bucket_name,
-                        child._bucket_label_dicts[index],
-                        child._bucket_label_keys[index],
-                        float(cumulative),
-                    ))
-                rows.append((sum_name, child._label_dict,
-                             child._label_key, child._sum))
-                rows.append((count_name, child._label_dict,
-                             child._label_key, float(child._count)))
+            return label_sets * (len(self.buckets) + 2)
+        return label_sets
+
+    def row_values(self) -> List[float]:
+        """The value of each row, in row order.
+
+        A collected family reads its owner now; a label set the collector
+        returns for the first time gets its row.  A label set it stops
+        returning reads 0.0, so a collector returns every label set it
+        has returned before, as an owner's accumulators do.  A pushed
+        family's list is rebuilt only after a change, and is shared until
+        the next one: callers must not modify it.
+        """
+        collect = self._collect
+        if collect is not None:
+            positions = self._positions
+            if positions is None:
+                value = 0.0
+                for _labels, value in collect():
+                    pass
+                return [value]
+            values = [0.0] * len(positions)
+            for labels, value in collect():
+                row = positions.get(labels)
+                if row is None:
+                    self._add_label_set(labels)
+                    return self.row_values()
+                values[row] = value
+            return values
+        if self._values_version != self._version:
+            if self._children is None:
+                children = [self._unlabelled]
+            else:
+                children = [self._children[labels]
+                            for labels in self._label_sets()]
+            values = []
+            if self.type == "histogram":
+                for child in children:
+                    cumulative, value = 0, 0.0
+                    for count in child._bucket_counts:
+                        if count:  # unmoved buckets share one float
+                            cumulative += count
+                            value = float(cumulative)
+                        values.append(value)
+                    values.append(child._sum)
+                    values.append(float(child._count))
+            else:
+                values = [child._value for child in children]
+            self._values = values
+            self._values_version = self._version
+        return self._values
+
+    def row_labels(self) -> List[Tuple[str, Tuple[Tuple[str, str], ...]]]:
+        """``(sample_name, label pairs)`` of each row, in row order; the
+        pairs follow ``labelnames``, then ``le`` for a bucket.
+
+        Call it after :meth:`row_values`, which may add a row.
+        """
+        name, labelnames = self.name, self.labelnames
+        rows = []
+        if self.type == "histogram":
+            bucket_name = sys.intern(f"{name}_bucket")
+            sum_name = sys.intern(f"{name}_sum")
+            count_name = sys.intern(f"{name}_count")
+            bounds = [("le", "+Inf" if math.isinf(bound) else repr(bound))
+                      for bound in self.buckets]
+            for values in self._label_sets():
+                pairs = tuple(zip(labelnames, values))
+                rows.extend((bucket_name, pairs + (le,)) for le in bounds)
+                rows.append((sum_name, pairs))
+                rows.append((count_name, pairs))
         else:
-            for _labelvalues, child in self._sorted_children():
-                rows.append((name, child._label_dict,
-                             child._label_key, child._value))
-        self._rows_cache = rows
-        self._rows_version = self._version
+            rows = [(name, tuple(zip(labelnames, values)))
+                    for values in self._label_sets()]
         return rows
+
+    def collect_rows(self) -> list:
+        """``(sample_name, labels, label_key, value)`` rows, in row order.
+
+        ``labels`` is the label dict and ``label_key`` the sorted
+        ``"key=value"`` tuple :meth:`MetricsRegistry.collect` keys
+        samples by.  The rows are built at each call.
+        """
+        values = self.row_values()
+        return [(sample_name, dict(pairs), label_key(pairs), value)
+                for (sample_name, pairs), value
+                in zip(self.row_labels(), values)]
 
     def samples(self) -> Iterable[Tuple[str, Mapping[str, str], float]]:
         """Yield ``(sample_name, labels, value)`` triples, Prometheus-style."""
@@ -327,11 +396,9 @@ class MetricsRegistry:
     def _full_name(self, name: str) -> str:
         return f"{self.namespace}_{name}" if self.namespace else name
 
-    def _register(self, family: MetricFamily,
-                  collect: Optional[Collector] = None) -> MetricFamily:
+    def _register(self, family: MetricFamily) -> MetricFamily:
         if family.name in self._families:
             raise MetricError(f"duplicate metric {family.name!r}")
-        family._collect = collect
         self._families[family.name] = family
         return family
 
@@ -349,10 +416,9 @@ class MetricsRegistry:
         first collection after it is first returned, at the value
         returned then.  Values must be floats, as pushed ones are.
         """
-        return self._register(
-            MetricFamily(self._full_name(name), help, "counter", labelnames),
-            collect,
-        )
+        return self._register(MetricFamily(
+            self._full_name(name), help, "counter", labelnames,
+            collect=collect))
 
     def gauge(
         self, name: str, help: str = "", labelnames: Sequence[str] = (),
@@ -360,10 +426,9 @@ class MetricsRegistry:
     ) -> MetricFamily:
         """A gauge; ``collect`` reads it from its owner, as for
         :meth:`counter` (and refuses ``set()``)."""
-        return self._register(
-            MetricFamily(self._full_name(name), help, "gauge", labelnames),
-            collect,
-        )
+        return self._register(MetricFamily(
+            self._full_name(name), help, "gauge", labelnames,
+            collect=collect))
 
     def histogram(
         self,
@@ -394,28 +459,17 @@ class MetricsRegistry:
         return snapshot
 
     def render_text(self) -> str:
-        """Render the registry in the Prometheus text exposition format.
-
-        Per-family text blocks are cached and re-rendered only for
-        families touched since the previous render.
-        """
-        blocks: list[str] = []
+        """Render the registry in the Prometheus text exposition format."""
+        lines: List[str] = []
         for family in self._families.values():
-            rows = family.collect_rows()
-            if family._text_version != family._version:
-                lines = [
-                    f"# HELP {family.name} {family.help}",
-                    f"# TYPE {family.name} {family.type}",
-                ]
-                for sample_name, labels, _key, value in rows:
-                    if labels:
-                        rendered = ",".join(
-                            f'{key}="{val}"' for key, val in labels.items()
-                        )
-                        lines.append(f"{sample_name}{{{rendered}}} {value}")
-                    else:
-                        lines.append(f"{sample_name} {value}")
-                family._text_cache = "\n".join(lines)
-                family._text_version = family._version
-            blocks.append(family._text_cache)
-        return "\n".join(blocks) + "\n"
+            lines.append(f"# HELP {family.name} {family.help}")
+            lines.append(f"# TYPE {family.name} {family.type}")
+            for sample_name, labels, _key, value in family.collect_rows():
+                if labels:
+                    rendered = ",".join(
+                        f'{key}="{val}"' for key, val in labels.items()
+                    )
+                    lines.append(f"{sample_name}{{{rendered}}} {value}")
+                else:
+                    lines.append(f"{sample_name} {value}")
+        return "\n".join(lines) + "\n"

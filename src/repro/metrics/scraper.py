@@ -8,9 +8,9 @@ database, exactly as the paper's Registry queries Prometheus.
 
 Scale machinery (all off by default, bit-identical when unused):
 
-* each target memoizes the mapping from a family's sample rows to the
-  database series objects, so the steady-state scrape is one list append
-  per sample — no label-string rebuilding, no dict churn;
+* each target keeps the series its registry's rows feed, in row order,
+  and one time column they share, so the steady-state scrape is one
+  timestamp per target and one list append per sample;
 * ``retention`` bounds every created series to a trailing ring buffer;
 * ``wheel`` rides a shared :class:`~repro.sim.wheel.TimerWheel` instead of
   scheduling a private periodic event, and listeners registered through
@@ -20,29 +20,87 @@ Scale machinery (all off by default, bit-identical when unused):
 
 from __future__ import annotations
 
+import bisect
 import time as _time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim import Environment, Interrupt
-from .registry import MetricsRegistry
-from .timeseries import TimeSeriesDatabase
+from .registry import MetricsRegistry, label_key
+from .timeseries import TimeColumn, TimeSeries, TimeSeriesDatabase
 
 
 class ScrapeTarget:
     """A named component exposing a metrics registry."""
+
+    __slots__ = ("name", "registry", "instance_labels", "base_labels",
+                 "_series", "_sizes", "_times")
 
     def __init__(self, name: str, registry: MetricsRegistry,
                  instance_labels: Optional[Dict[str, str]] = None):
         self.name = name
         self.registry = registry
         self.instance_labels = dict(instance_labels or {})
-        self.base_labels = tuple(
-            f"{k}={v}" for k, v in sorted(
-                {**self.instance_labels, "instance": self.name}.items()
-            )
-        )
-        #: (sample_name, label_key) -> TimeSeries, filled on first scrape.
-        self._series_cache: dict = {}
+        self.base_labels = label_key(
+            {**self.instance_labels, "instance": self.name}.items())
+        #: The series each row of the registry feeds, family by family in
+        #: row order, and each family's row count.  Rows are never
+        #: removed, so a change of layout shows as a change of row count,
+        #: which rebinds the families whose count moved.
+        self._series: List[TimeSeries] = []
+        self._sizes: Tuple[int, ...] = ()
+        #: The timestamps of this target's scrapes, shared by its series.
+        self._times = TimeColumn()
+
+    def _bind(self, database: TimeSeriesDatabase,
+              retention: Optional[float]) -> List[TimeSeries]:
+        """Look up (creating if needed) the series of every row of each
+        family whose row count moved; keep the others' series.
+
+        A new series joins this target's time column at the next scrape.
+        One whose samples an earlier target of this name scraped keeps its
+        own timestamps (:meth:`TimeSeries.append`).
+        """
+        base, times = self.base_labels, self._times
+        old, old_sizes = self._series, self._sizes
+        bound: List[TimeSeries] = []
+        sizes: List[int] = []
+        start = 0
+        for index, family in enumerate(self.registry.families()):
+            size = family.row_count()
+            old_size = old_sizes[index] if index < len(old_sizes) else 0
+            if size == old_size:
+                bound += old[start:start + size]
+            else:
+                for sample_name, pairs in family.row_labels():
+                    key = label_key(pairs)
+                    labels = tuple(sorted(base + key)) if key else base
+                    series = database.series(sample_name, labels, retention)
+                    if not series._values:
+                        series._times, series._start = times, len(times)
+                    bound.append(series)
+            start += old_size
+            sizes.append(size)
+        self._series, self._sizes = bound, tuple(sizes)
+        return bound
+
+    def _trim(self, cutoff: float) -> None:
+        """Drop the column's samples older than ``cutoff``, in chunks, from
+        the column and every series on it at once."""
+        times = self._times
+        if not times or times[0] >= cutoff:
+            return
+        lo = bisect.bisect_left(times, cutoff)
+        if lo < 64 and lo * 2 < len(times):
+            return
+        for series in self._series:
+            if series._times is times:
+                start = series._start
+                if start < lo:
+                    del series._values[:lo - start]
+                    series._start = 0
+                else:
+                    series._start = start - lo
+        del times[:lo]
 
 
 class Scraper:
@@ -95,19 +153,21 @@ class Scraper:
         database = self.database
         retention = self.retention
         for target in self._targets.values():
-            cache = target._series_cache
-            base_labels = target.base_labels
+            values: List[float] = []
             for family in target.registry.families():
-                for sample_name, _labels, label_key, value \
-                        in family.collect_rows():
-                    key = (sample_name, label_key)
-                    series = cache.get(key)
-                    if series is None:
-                        labels = tuple(sorted(base_labels + label_key))
-                        series = database.series(sample_name, labels,
-                                                 retention=retention)
-                        cache[key] = series
-                    series.append(now, value)
+                values += family.row_values()
+            series = target._series
+            if len(series) != len(values):
+                series = target._bind(database, retention)
+            times = target._times
+            times.append(now)
+            for one, value in zip(series, values):
+                if one._times is times:
+                    one._values.append(value)
+                else:
+                    one.append(now, value)
+            if retention is not None:
+                target._trim(now - retention)
         self.scrape_count += 1
         self.scrape_wall += _time.perf_counter() - start
         for listener in self._listeners:

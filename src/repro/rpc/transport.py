@@ -30,7 +30,7 @@ import abc
 from collections import deque
 from copy import copy
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ocl.errors import CL_DEVICE_NOT_AVAILABLE
 from ..sim import Environment, Event
@@ -100,8 +100,9 @@ class Transport(abc.ABC):
         #: a break fails them in call order).
         self.calls: Dict[Event, None] = {}
         #: Per direction (to the server, to the client): the messages a
-        #: fault holds and those sent after them, in send order.
-        self._held = (deque(), deque())
+        #: fault holds and those sent after them, in send order.  Made
+        #: when a fault first holds a message.
+        self._held: Optional[Tuple[deque, deque]] = None
 
     # -- control plane -----------------------------------------------------
     def _arrival(self, src: NetworkHost, nbytes=None, value=None) -> Event:
@@ -226,9 +227,13 @@ class Transport(abc.ABC):
         ``land(value)`` in send order, once it has been sent."""
         faults = self.network.faults
         verdict = faults.message_action(src.name, dst.name, key, reply)
-        queue = self._held[direction]
+        held = self._held
+        queue = None if held is None else held[direction]
         if not (verdict.drop or verdict.delay or queue):
             return None
+        if queue is None:
+            held = self._held = (deque(), deque())
+            queue = held[direction]
         entry = [False, land, value]
         queue.append(entry)
         return self._carry(queue, entry, src, dst, key, verdict, reply)
@@ -269,7 +274,7 @@ class Transport(abc.ABC):
         if self.broken is not None:
             return
         self.broken = reason
-        for queue in self._held:
+        for queue in self._held or ():
             queue.clear()
         calls, self.calls = self.calls, {}
         for response in calls:

@@ -15,7 +15,10 @@ only ever move down.
 The same interpreter also reports whether numpy was loaded.  Timing-only
 boards carry sizes and no bytes, so building and loading a workload must
 never import it; a static check keeps every numpy import under
-``src/repro`` inside the functions that compute bytes.
+``src/repro`` inside the functions that compute bytes.  It counts, too,
+the GC-tracked objects the build and load leave alive, which are capped:
+the cyclic collector walks each of them in every full collection of a
+later build.
 """
 
 import ast
@@ -32,12 +35,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 
 #: Runs one workload's cells at seed 1 and prints its load-phase counts.
 _MEASURE = """
-import json, sys
+import gc, json, sys
 from repro.sim import Environment
 from workloads import WORKLOADS
 
 workload = WORKLOADS[sys.argv[1]]
 counts = dict(events=0, requests=0, allocations=0, partitions=0)
+gc.collect()
+tracked = len(gc.get_objects())
 for index in range(workload.cells):
     env = Environment()
     cell = workload.build(env, 1, index)
@@ -49,6 +54,8 @@ for index in range(workload.cells):
     counts["allocations"] += registry.allocations
     counts["partitions"] += registry.index.partitions_visited
 counts["numpy"] = "numpy" in sys.modules
+gc.collect()
+counts["tracked"] = len(gc.get_objects()) - tracked
 print(json.dumps(counts))
 """
 
@@ -60,6 +67,16 @@ PINNED = {
                       partitions=1106),
     "storm-live-durable": dict(events=70118, requests=3500,
                                allocations=21, partitions=39),
+}
+
+
+#: Upper bounds on the GC-tracked objects a workload's build and load leave
+#: alive (its last cell's system), counted after ``gc.collect()`` at seed 1.
+#: Bounds only ever move down.
+TRACKED_OBJECTS = {
+    "paper-sobel-high": 1045,
+    "fleet-256": 79032,
+    "storm-live-durable": 1680,
 }
 
 
@@ -80,6 +97,9 @@ def test_load_phase_counts_are_pinned(workload):
     counts = load_phase_counts(workload)
     assert counts.pop("numpy") is False, (
         f"{workload}: a timing-only build and load imported numpy")
+    tracked = counts.pop("tracked")
+    assert tracked <= TRACKED_OBJECTS[workload], (
+        f"{workload}, seed 1: {tracked} GC-tracked objects left")
     assert counts == PINNED[workload], f"{workload}, seed 1: {counts}"
 
 
