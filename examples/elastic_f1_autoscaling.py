@@ -26,8 +26,8 @@ def main():
     autoscaler = NodeAutoscaler(
         env, testbed, registry, system.router,
         policy=AutoscalerPolicy(
-            scale_out_threshold=0.45, scale_in_threshold=-1.0,
-            interval=2.0, cooldown=15.0, boot_delay=20.0, max_nodes=5,
+            scale_out_threshold=0.45, interval=2.0, cooldown=15.0,
+            boot_delay=20.0, max_nodes=5,
         ),
     )
 

@@ -9,8 +9,6 @@ from .breakdown import (
 from .queueing import (
     md1_response,
     md1_wait,
-    mg1_wait,
-    mm1_response,
     mm1_wait,
     utilization,
 )
@@ -20,8 +18,6 @@ __all__ = [
     "default_pod_to_function",
     "md1_response",
     "md1_wait",
-    "mg1_wait",
-    "mm1_response",
     "mm1_wait",
     "render_breakdown",
     "request_breakdown",

@@ -27,13 +27,6 @@ def mm1_wait(arrival_rate: float, service_rate: float) -> float:
     return rho / (service_rate - arrival_rate)
 
 
-def mm1_response(arrival_rate: float, service_rate: float) -> float:
-    """Mean response time (wait + service) for M/M/1."""
-    if service_rate <= arrival_rate:
-        return math.inf
-    return 1.0 / (service_rate - arrival_rate)
-
-
 def md1_wait(arrival_rate: float, service_time: float) -> float:
     """Mean time in queue for M/D/1 (Pollaczek–Khinchine, zero variance).
 
@@ -50,12 +43,3 @@ def md1_response(arrival_rate: float, service_time: float) -> float:
     wait = md1_wait(arrival_rate, service_time)
     return wait + service_time if math.isfinite(wait) else math.inf
 
-
-def mg1_wait(arrival_rate: float, mean_service: float,
-             service_variance: float) -> float:
-    """Mean time in queue for M/G/1 (general Pollaczek–Khinchine)."""
-    rho = utilization(arrival_rate, mean_service)
-    if rho >= 1.0:
-        return math.inf
-    second_moment = service_variance + mean_service ** 2
-    return arrival_rate * second_moment / (2.0 * (1.0 - rho))

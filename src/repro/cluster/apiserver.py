@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..sim import Environment, Interrupt
+from ..sim import Environment
 from .objects import (
     ClusterNode,
     Pod,
@@ -62,26 +62,6 @@ class Cluster:
             return self.nodes[name]
         except KeyError:
             raise KeyError(f"unknown node {name!r}") from None
-
-    def fail_node(self, name: str) -> List[Pod]:
-        """Mark a node NotReady and evict its pods (kubelet gone).
-
-        Returns the evicted pods; each is terminated through the normal
-        delete path so watchers (the function controller) observe the
-        deletions and can respawn elsewhere.
-        """
-        node = self.node(name)
-        node.ready = False
-        evicted = []
-        for pod in list(node.pods.values()):
-            evicted.append(self.delete_pod(pod.name))
-        return evicted
-
-    def recover_node(self, name: str) -> ClusterNode:
-        """Bring a failed node back into scheduling rotation."""
-        node = self.node(name)
-        node.ready = True
-        return node
 
     # -- hooks & watches -------------------------------------------------------
     def add_admission_hook(self, hook: AdmissionHook) -> None:
@@ -136,9 +116,6 @@ class Cluster:
         pod.spec.env.update(env_updates)
         self._notify(WatchEventType.MODIFIED, pod)
         return pod
-
-    def pods_on(self, node_name: str) -> List[Pod]:
-        return list(self.node(node_name).pods.values())
 
     def pods_of_function(self, function: str) -> List[Pod]:
         return list(self._pods_by_function.get(function, {}).values())

@@ -3,7 +3,7 @@
 "Future work will address the integration with AWS F1 for nodes
 autoscaling" — this module provides that integration against the simulated
 cloud: a :class:`NodeAutoscaler` watches the fleet's FPGA time utilization
-and provisions (or retires) FPGA instances, wiring each new node's board
+and provisions FPGA instances, wiring each new node's board
 and Device Manager into the cluster, the Accelerators Registry and the
 Remote OpenCL Library's router so subsequently created function instances
 can land on it.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from ..fpga.hwspec import HOST_I7_6700, NodeSpec, PCIE_GEN3_X8
-from ..sim import Environment, Interrupt
+from ..sim import Environment
 from .testbed import Testbed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster ↔ core)
@@ -29,8 +29,6 @@ class AutoscalerPolicy:
 
     #: Scale out when mean fleet utilization exceeds this fraction.
     scale_out_threshold: float = 0.70
-    #: Scale in when it drops below this fraction (added nodes only).
-    scale_in_threshold: float = 0.15
     #: Utilization averaging window, seconds.
     window: float = 10.0
     #: Evaluation period, seconds.
@@ -44,7 +42,7 @@ class AutoscalerPolicy:
 
 
 class NodeAutoscaler:
-    """Grows/shrinks the FPGA node pool based on fleet utilization."""
+    """Grows the FPGA node pool based on fleet utilization."""
 
     def __init__(
         self,
@@ -62,11 +60,10 @@ class NodeAutoscaler:
         self.policy = policy
         self.node_template = node_template
         self.scale_outs = 0
-        self.scale_ins = 0
         self.added_nodes: List[str] = []
         self._last_action = -policy.cooldown
         self._next_index = 1
-        self._process = env.process(self._run())
+        env.process(self._run())
 
     # -- observation -----------------------------------------------------------
     def fleet_utilization(self) -> float:
@@ -95,52 +92,19 @@ class NodeAutoscaler:
         self.scale_outs += 1
         return manager
 
-    def scale_in(self, node_name: str) -> bool:
-        """Retire an autoscaled node if no instance is allocated to it."""
-        manager_name = f"dm-{node_name}"
-        if (manager_name not in self.registry.devices
-                or self.registry.functions.instances_on_device(manager_name)):
-            return False
-        if self.testbed.cluster.pods_on(node_name):
-            return False
-        if not self.registry.deregister_manager(manager_name):
-            return False
-        manager = self.testbed.managers.pop(manager_name, None)
-        if manager is not None:
-            manager.stop()
-        if self.testbed.scraper is not None:
-            self.testbed.scraper.remove_target(manager_name)
-        if self.router is not None:
-            self.router.remove_manager(manager_name)
-        self.testbed.cluster.nodes.pop(node_name, None)
-        self.added_nodes.remove(node_name)
-        self.scale_ins += 1
-        return True
-
-    def stop(self) -> None:
-        if self._process.is_alive:
-            self._process.interrupt("autoscaler stopped")
-
     # -- control loop ---------------------------------------------------------
     def _run(self):
-        try:
-            while True:
-                yield self.env.timeout(self.policy.interval)
-                utilization = self.fleet_utilization()
-                now = self.env.now
-                if now - self._last_action < self.policy.cooldown:
-                    continue
-                node_count = len(self.testbed.cluster.nodes)
-                if (utilization > self.policy.scale_out_threshold
-                        and node_count < self.policy.max_nodes):
-                    self._last_action = now
-                    yield from self.scale_out()
-                elif (utilization < self.policy.scale_in_threshold
-                        and self.added_nodes):
-                    if self.scale_in(self.added_nodes[-1]):
-                        self._last_action = now
-        except Interrupt:
-            return
+        while True:
+            yield self.env.timeout(self.policy.interval)
+            utilization = self.fleet_utilization()
+            now = self.env.now
+            if now - self._last_action < self.policy.cooldown:
+                continue
+            if (utilization > self.policy.scale_out_threshold
+                    and len(self.testbed.cluster.nodes)
+                    < self.policy.max_nodes):
+                self._last_action = now
+                yield from self.scale_out()
 
     def _new_node_spec(self) -> NodeSpec:
         while True:

@@ -71,10 +71,6 @@ class Pod:
     def name(self) -> str:
         return self.spec.name
 
-    def __repr__(self) -> str:
-        where = self.node.name if self.node else "unscheduled"
-        return f"<Pod {self.name} [{self.phase.value}] on {where}>"
-
 
 class ClusterNode:
     """One machine of the testbed: host, network identity and FPGA board."""
@@ -91,14 +87,6 @@ class ClusterNode:
     @property
     def name(self) -> str:
         return self.spec.name
-
-    @property
-    def is_master(self) -> bool:
-        return self.spec.is_master
-
-    def __repr__(self) -> str:
-        return f"<ClusterNode {self.name} pods={len(self.pods)}>"
-
 
 class WatchEventType(enum.Enum):
     ADDED = "ADDED"

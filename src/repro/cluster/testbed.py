@@ -60,16 +60,6 @@ class Testbed:
                                     node=spec.name, device=board.name)
         return manager
 
-    def manager_on(self, node_name: str) -> DeviceManager:
-        for manager in self.managers.values():
-            if manager.node.name == node_name:
-                return manager
-        raise KeyError(f"no Device Manager on node {node_name!r}")
-
-    def boards(self) -> List[FPGABoard]:
-        return [n.board for n in self.cluster.nodes.values() if n.board]
-
-
 def build_testbed(
     env: Environment,
     node_specs: Optional[List[NodeSpec]] = None,

@@ -4,7 +4,6 @@ from . import protocol
 from .manager import ClientSession, DeviceManager, DeviceManagerError
 from .schedulers import (
     FIFOScheduler,
-    PriorityScheduler,
     SJFScheduler,
     TaskScheduler,
     WFQScheduler,
@@ -19,7 +18,6 @@ __all__ = [
     "FIFOScheduler",
     "Operation",
     "OpType",
-    "PriorityScheduler",
     "SJFScheduler",
     "Task",
     "TaskAccumulator",

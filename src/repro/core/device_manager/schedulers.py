@@ -5,10 +5,9 @@ that remains the default.  Because the central queue is the single point
 where time sharing happens, it is also the natural place to experiment with
 SLA-aware policies — the paper itself notes that "the metrics priority can
 be chosen depending on the system and applications SLA".  This module
-provides the FIFO baseline and three alternatives used by the scheduling
+provides the FIFO baseline and two alternatives used by the scheduling
 ablation:
 
-* :class:`PriorityScheduler` — strict client priority classes;
 * :class:`SJFScheduler` — shortest (estimated) task first, non-preemptive;
 * :class:`WFQScheduler` — weighted fair queueing over clients via
   start-time virtual clocks.
@@ -52,9 +51,9 @@ class TaskScheduler(abc.ABC):
             return None
         return self._queue.take_nowait()
 
-    @abc.abstractmethod
     def __len__(self) -> int:
         """Tasks currently waiting."""
+        return len(self._queue.items)
 
     def set_client_weight(self, client: str, weight: float) -> None:
         """SLA hint (ignored by weight-agnostic policies)."""
@@ -108,9 +107,6 @@ class FIFOScheduler(TaskScheduler):
     def push(self, task: Task, estimate: float) -> None:
         self._queue.hand_over(task)
 
-    def __len__(self) -> int:
-        return len(self._queue.items)
-
 
 class _Backlog(PriorityStore):
     """A heap of :class:`PriorityItem` entries whose gets receive tasks.
@@ -153,33 +149,6 @@ class _HeapBacklogMixin:
         heapq.heapify(self._queue.items)
 
 
-class PriorityScheduler(_HeapBacklogMixin, TaskScheduler):
-    """Strict priority classes per client (lower value = served first)."""
-
-    name = "priority"
-    uses_estimates = False
-
-    def __init__(self, env: Environment, default_priority: int = 10):
-        super().__init__(env)
-        self._queue = _Backlog(env)
-        self._priorities: Dict[str, int] = {}
-        self.default_priority = default_priority
-
-    def set_client_priority(self, client: str, priority: int) -> None:
-        self._priorities[client] = priority
-
-    def set_client_weight(self, client: str, weight: float) -> None:
-        # Higher weight → better (lower) priority value.
-        self.set_client_priority(client, int(100 / max(weight, 1e-6)))
-
-    def push(self, task: Task, estimate: float) -> None:
-        priority = self._priorities.get(task.client, self.default_priority)
-        self._queue.hand_over(PriorityItem(priority, task))
-
-    def __len__(self) -> int:
-        return len(self._queue.items)
-
-
 class SJFScheduler(_HeapBacklogMixin, TaskScheduler):
     """Non-preemptive shortest-estimated-job-first."""
 
@@ -191,9 +160,6 @@ class SJFScheduler(_HeapBacklogMixin, TaskScheduler):
 
     def push(self, task: Task, estimate: float) -> None:
         self._queue.hand_over(PriorityItem(estimate, task))
-
-    def __len__(self) -> int:
-        return len(self._queue.items)
 
 
 class WFQScheduler(_HeapBacklogMixin, TaskScheduler):
@@ -231,13 +197,9 @@ class WFQScheduler(_HeapBacklogMixin, TaskScheduler):
         self._virtual_now = max(self._virtual_now, entry.priority)
         return entry.item
 
-    def __len__(self) -> int:
-        return len(self._queue.items)
-
 
 _SCHEDULERS = {
     "fifo": FIFOScheduler,
-    "priority": PriorityScheduler,
     "sjf": SJFScheduler,
     "wfq": WFQScheduler,
 }

@@ -82,9 +82,6 @@ class Task:
             raise ValueError("operation belongs to a different task stream")
         self.operations.append(operation)
 
-    def __len__(self) -> int:
-        return len(self.operations)
-
     @property
     def empty(self) -> bool:
         return not self.operations
@@ -117,6 +114,3 @@ class TaskAccumulator:
         """Close every open task of a client (used on disconnect)."""
         keys = [key for key in self._open if key[0] == client]
         return [self._open.pop(key) for key in keys]
-
-    def open_count(self) -> int:
-        return len(self._open)

@@ -27,7 +27,7 @@ from .services import (
     InstanceRecord,
 )
 from .standby import STANDBY_HOST, StandbyPolicy, WarmStandby
-from .store import RegistryStore, StoreError, WalRecord
+from .store import RegistryStore, WalRecord
 
 __all__ = [
     "AcceleratorsRegistry",
@@ -46,7 +46,6 @@ __all__ = [
     "RegistryUnavailableError",
     "STANDBY_HOST",
     "StandbyPolicy",
-    "StoreError",
     "WalRecord",
     "WarmStandby",
     "MetricFilter",

@@ -57,11 +57,6 @@ class MetricFilter:
     metric: str
     predicate: Callable[[float], bool]
 
-    @classmethod
-    def below(cls, metric: str, threshold: float) -> "MetricFilter":
-        return cls(metric, lambda value: value < threshold)
-
-
 @dataclass
 class AllocationDecision:
     """Outcome of Algorithm 1 for one instance."""

@@ -10,7 +10,7 @@ time) are used to improve allocation of functions."
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict
 
 from ...metrics import Scraper
 
@@ -58,16 +58,6 @@ class MetricsGatherer:
         if math.isnan(rate) or first is None:
             return value, math.inf
         return value, first + self.window
-
-    def function_utilization(self, device: str, client: str) -> float:
-        """Per-function share of a device's busy time (Table II's Util.)."""
-        series = self.scraper.database.select_matching(
-            "dm_client_busy_seconds_total", instance=device, client=client
-        )
-        if not series:
-            return 0.0
-        rate = series[0].rate(self.window, now=self.scraper.env.now)
-        return 0.0 if math.isnan(rate) else max(rate, 0.0)
 
     def connected_functions(self, device: str) -> int:
         series = self.scraper.database.select_matching(

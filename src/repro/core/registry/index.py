@@ -90,12 +90,6 @@ class DeviceIndex:
         #: buckets compatible with it.
         self.partitions_visited = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     # -- maintenance -------------------------------------------------------
     def _sort_key(self, view: DeviceView) -> tuple:
         metrics = view.metrics
@@ -123,14 +117,6 @@ class DeviceIndex:
             return
         bucket_key, bitstream, key, _view = entry
         self._buckets[bucket_key][bitstream].remove(key)
-
-    def view(self, name: str) -> Optional[DeviceView]:
-        entry = self._entries.get(name)
-        return entry[3] if entry is not None else None
-
-    def views(self) -> List[DeviceView]:
-        """All indexed views in Algorithm 1's pre-sort (name) order."""
-        return [self._entries[name][3] for name in sorted(self._entries)]
 
     # -- queries -----------------------------------------------------------
     @staticmethod
@@ -163,10 +149,6 @@ class DeviceIndex:
                     partition.entries, 0 if bitstream == accelerator else 1
                 ))
         return heapq.merge(*iterators, key=lambda item: item[0])
-
-    def ordered(self, query: DeviceQuery) -> List[DeviceView]:
-        """Filtered candidates in the oracle's final order (for tests)."""
-        return [view for view in self._walk(query)]
 
     def _walk(self, query: DeviceQuery):
         filters = self.metrics_filters

@@ -242,7 +242,8 @@ class AcceleratorsRegistry:
             return
         if self.gatherer is not None:
             self.gatherer.scraper.add_target(
-                manager.name, manager.metrics, node=manager.node.name
+                manager.name, manager.metrics, node=manager.node.name,
+                device=manager.board.name,
             )
         if self.health is not None:
             self.health.watch_manager(manager)

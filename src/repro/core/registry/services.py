@@ -88,15 +88,8 @@ class DevicesService:
                                   key=lambda d: d.name)
         return list(self._sorted)
 
-    def on_node(self, node: str) -> List[DeviceRecord]:
-        return [d for d in self.all() if d.node == node]
-
     def __contains__(self, name: str) -> bool:
         return name in self._devices
-
-    def __len__(self) -> int:
-        return len(self._devices)
-
 
 @dataclass
 class InstanceRecord:

@@ -27,10 +27,9 @@ Registry's reducer:
   monitor;
 * ``epoch`` — a Registry (re)start fencing-token bump (``epoch``).
 
-The wire format mirrors PR 4's BFCK1 checkpoint format: a magic prefix,
-an 8-byte big-endian length, then ``sorted(keys)`` compact JSON — fully
-deterministic, so ``to_wire → from_wire → to_wire`` is bit-identical and
-seeded goldens that embed store statistics stay reproducible.
+Records and snapshots are sized as ``sorted(keys)`` compact JSON, which is
+deterministic, so seeded goldens that embed store statistics stay
+reproducible.
 """
 
 from __future__ import annotations
@@ -38,14 +37,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-#: Wire-format magic prefix (Registry Store, version 1).
-MAGIC = b"BFRS1\n"
-
-
-class StoreError(RuntimeError):
-    """The durable state could not be parsed or replayed."""
-
 
 def _encode(payload: dict) -> bytes:
     return json.dumps(payload, sort_keys=True,
@@ -62,11 +53,6 @@ class WalRecord:
 
     def to_meta(self) -> dict:
         return {"seq": self.seq, "op": self.op, "args": dict(self.args)}
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "WalRecord":
-        return cls(seq=meta["seq"], op=meta["op"],
-                   args=dict(meta["args"]))
 
     @property
     def nbytes(self) -> int:
@@ -192,46 +178,3 @@ class RegistryStore:
             applied += 1
         self.epoch = max(self.epoch, epoch)
         return applied
-
-    # -- wire format ----------------------------------------------------------
-    def to_wire(self) -> bytes:
-        """Serialize: MAGIC + 8-byte length + sorted-keys compact JSON."""
-        meta = {
-            "epoch": self.epoch,
-            "seq": self.seq,
-            "snapshot": self.snapshot_state,
-            "snapshot_seq": self.snapshot_seq,
-            "wal": [record.to_meta() for record in self.wal],
-        }
-        encoded = _encode(meta)
-        return b"".join([MAGIC, len(encoded).to_bytes(8, "big"), encoded])
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "RegistryStore":
-        if not data.startswith(MAGIC):
-            raise StoreError("not a registry store image (bad magic)")
-        cursor = len(MAGIC)
-        meta_len = int.from_bytes(data[cursor:cursor + 8], "big")
-        cursor += 8
-        try:
-            meta = json.loads(data[cursor:cursor + meta_len])
-        except ValueError as exc:
-            raise StoreError(f"corrupt store image: {exc}") from None
-        store = cls()
-        store.epoch = meta["epoch"]
-        store.seq = meta["seq"]
-        store.snapshot_state = meta["snapshot"]
-        store.snapshot_seq = meta["snapshot_seq"]
-        store.wal = [WalRecord.from_meta(m) for m in meta["wal"]]
-        return store
-
-    def clone(self) -> "RegistryStore":
-        """Deep copy through the wire format (replica bootstrap)."""
-        return RegistryStore.from_wire(self.to_wire())
-
-    @property
-    def wire_nbytes(self) -> int:
-        return len(self.to_wire())
-
-    def __len__(self) -> int:
-        return len(self.wal)

@@ -258,9 +258,6 @@ class Connection:
     def forget(self, tag: Any) -> None:
         self._machines.pop(tag, None)
 
-    def machine(self, tag: Any) -> Optional[RemoteEventMachine]:
-        return self._machines.get(tag)
-
     @property
     def inflight(self) -> int:
         return len(self._machines)

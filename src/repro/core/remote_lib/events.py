@@ -61,10 +61,6 @@ class RemoteEventMachine:
         self.is_write = write_nbytes > 0 or write_payload is not None
         self.tag = cl_event.id
 
-    @property
-    def terminal(self) -> bool:
-        return self.state in _TERMINAL
-
     def on_notification(self, message: Message) -> None:
         """Advance on a Device Manager notification (connection thread)."""
         if self.state in _TERMINAL:

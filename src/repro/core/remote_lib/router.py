@@ -61,13 +61,6 @@ class PlatformRouter:
         for address in addresses:
             self.add_manager(address)
 
-    def remove_manager(self, name: str) -> None:
-        """Forget a Device Manager (node retired by the autoscaler)."""
-        self._managers.pop(name, None)
-
-    def managers(self) -> List[str]:
-        return sorted(self._managers)
-
     def connect(
         self,
         client_name: str,

@@ -102,12 +102,18 @@ def _chaos():
     ), [digest]
 
 
+def _write_record(name: str, record: dict) -> None:
+    """Rewrite ``BENCH_<name>.json``, a record of a full-length run only."""
+    if not quick_mode():
+        path = ROOT / f"BENCH_{name}.json"
+        path.write_text(json.dumps(record, indent=2) + "\n")
+
+
 def _migration():
-    from .migration import render_migration, run_migration, write_bench_json
+    from .migration import bench_record, render_migration, run_migration
 
     result = run_migration()
-    if not quick_mode():
-        write_bench_json(result, ROOT / "BENCH_migration.json")
+    _write_record("migration", bench_record(result))
     digest = result.to_golden()
     return render_migration(result) + "\n\n" + _digest_table(
         digest, "Migration digest", arms=True), [digest]
@@ -123,11 +129,10 @@ def _registry_chaos():
 
 
 def _scale():
-    from .scale import render_scale, run_scale_sweep, write_bench_json
+    from .scale import bench_record, render_scale, run_scale_sweep
 
     cells = run_scale_sweep()
-    if not quick_mode():
-        write_bench_json(cells, ROOT / "BENCH_scale.json")
+    _write_record("scale", bench_record(cells))
     return render_scale(cells), [cell.to_record() for cell in cells]
 
 

@@ -79,7 +79,6 @@ class ChaosResult:
     #: Crash until every function is back at full ready capacity.
     recovery_seconds: float = float("nan")
     migrations: int = 0
-    heals: int = 0
     device_failures: int = 0
     recoveries_detected: int = 0
     rpc_retries: int = 0
@@ -117,7 +116,6 @@ class ChaosResult:
                 else round(self.recovery_seconds, 4)
             ),
             "migrations": self.migrations,
-            "heals": self.heals,
             "device_failures": self.device_failures,
             "recoveries_detected": self.recoveries_detected,
             "rpc_retries": self.rpc_retries,
@@ -141,7 +139,6 @@ def run_chaos(spec: Optional[ChaosSpec] = None) -> ChaosResult:
     env = Environment()
     system = build_system(env, SystemConfig(
         gateway=spec.gateway, retry=spec.retry, health=spec.health,
-        self_heal=True,
     ))
     testbed, registry, controller = (
         system.testbed, system.registry, system.controller)
@@ -227,7 +224,6 @@ def run_chaos(spec: Optional[ChaosSpec] = None) -> ChaosResult:
             health.failures_detected[0][0] - crash_at
         )
     result.migrations = registry.migrations
-    result.heals = controller.heals
     result.device_failures = registry.device_failures
     result.recoveries_detected = len(health.recoveries_detected)
     result.rpc_retries = sum(c.retries for c in system.router.connections)

@@ -1,4 +1,4 @@
-"""Machine-readable experiment output (JSON / CSV).
+"""Machine-readable experiment output (JSON).
 
 Every harness result can be serialized for plotting or regression
 tracking: sweep points from the Figure 4 harnesses and scenario results
@@ -8,8 +8,6 @@ uses these writers.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import Dict, Iterable, List
 
@@ -69,40 +67,3 @@ def write_json(records, path: str) -> None:
     with open(path, "w") as f:
         f.write(to_json(records))
 
-
-def sweep_to_csv(points: Iterable[SweepPoint]) -> str:
-    """CSV text with one row per (size, system) measurement."""
-    records = sweep_to_records(points)
-    out = io.StringIO()
-    writer = csv.DictWriter(
-        out, fieldnames=["label", "size_bytes", "system", "rtt_seconds"]
-    )
-    writer.writeheader()
-    writer.writerows(records)
-    return out.getvalue()
-
-
-def scenarios_to_csv(results: Dict[tuple, ScenarioResult]) -> str:
-    """CSV text with one row per function per scenario."""
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=[
-        "use_case", "configuration", "runtime", "function", "node",
-        "device", "utilization_pct", "mean_latency_seconds",
-        "processed_rps", "target_rps",
-    ])
-    writer.writeheader()
-    for _key, result in sorted(results.items()):
-        for fn in result.functions:
-            writer.writerow({
-                "use_case": result.use_case,
-                "configuration": result.configuration,
-                "runtime": result.runtime,
-                "function": fn.function,
-                "node": fn.node,
-                "device": fn.device,
-                "utilization_pct": fn.utilization_pct,
-                "mean_latency_seconds": fn.latency,
-                "processed_rps": fn.processed,
-                "target_rps": fn.target,
-            })
-    return out.getvalue()

@@ -290,15 +290,13 @@ def render_migration(result: MigrationResult) -> str:
     )
 
 
-def write_bench_json(result: MigrationResult, path) -> None:
-    """Persist the comparison as ``BENCH_migration.json``."""
-    import json
+def bench_record(result: MigrationResult) -> dict:
+    """The comparison as ``BENCH_migration.json`` records it."""
     import platform
 
     timing = result.spec.load_timing()
-    payload = {
+    return {
         "python": platform.python_version(),
         "timing": {"warmup_s": timing.warmup, "duration_s": timing.duration},
         "modes": result.to_golden(),
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n")

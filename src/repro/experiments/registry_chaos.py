@@ -16,7 +16,7 @@ Both arms finish with an epoch-fenced reconciliation pass against the
 Device Managers' reported ground truth, then a **zombie probe** replays a
 pre-crash-epoch command at a DM to show the fence holds.  The run
 reports the control-plane blackout, replayed WAL records, reconciliation
-diffs, how many blackout-time deploys/heals were absorbed by retry
+diffs, how many blackout-time deploys were absorbed by retry
 budgets, and asserts the two safety invariants of the acceptance
 criteria: zero double allocations and zero lost instances.  Everything
 is DES-clock driven, so each arm is bit-reproducible from its spec.
@@ -88,8 +88,6 @@ class RegistryChaosModeResult:
     denied_admissions: int = 0
     missed_watch_events: int = 0
     deploy_retries: int = 0
-    heal_retries: int = 0
-    heals: int = 0
     wal_appends: int = 0
     snapshots_taken: int = 0
     #: Reconciliation diffs (ground truth vs replayed state).
@@ -127,8 +125,6 @@ class RegistryChaosModeResult:
             "denied_admissions": self.denied_admissions,
             "missed_watch_events": self.missed_watch_events,
             "deploy_retries": self.deploy_retries,
-            "heal_retries": self.heal_retries,
-            "heals": self.heals,
             "wal_appends": self.wal_appends,
             "snapshots_taken": self.snapshots_taken,
             "reconciliation": dict(sorted(self.reconciliation.items())),
@@ -202,7 +198,7 @@ def run_registry_chaos_mode(mode: str,
     env = Environment()
     system = build_system(env, SystemConfig(
         boards=spec.boards, durability=mode, gateway=spec.gateway,
-        health=spec.health, self_heal=True,
+        health=spec.health,
     ))
     registry, managers, standby = (
         system.registry, system.testbed.managers, system.standby)
@@ -225,7 +221,7 @@ def run_registry_chaos_mode(mode: str,
               lambda: injector.zombie_probe(probe_target))
     script.arm()
 
-    # Let in-flight retries, heals and evacuations settle, then stop the
+    # Let in-flight retries and evacuations settle, then stop the
     # perpetual processes so nothing is left unaccounted.
     stats_list = system.drive(
         *storm_plan(system, spec, tenants, timing),
@@ -256,8 +252,6 @@ def run_registry_chaos_mode(mode: str,
     result.deploy_retries = sum(
         f.deploy_retries for f in system.gateway.functions.values()
     )
-    result.heal_retries = system.controller.heal_retries
-    result.heals = system.controller.heals
     result.wal_appends = registry.store.appends
     result.snapshots_taken = registry.store.snapshots_taken
     result.reconciliation = dict(registry.reconciliation)

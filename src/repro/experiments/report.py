@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence],
@@ -94,17 +94,3 @@ def render_bars(
         lines.append("")
     return "\n".join(lines).rstrip()
 
-
-def ratio(measured: float, paper: float) -> Optional[float]:
-    """measured / paper, or None when the reference is unusable."""
-    if paper == 0 or math.isnan(paper) or math.isnan(measured):
-        return None
-    return measured / paper
-
-
-def fmt_ms(seconds: float) -> float:
-    return seconds * 1e3
-
-
-def fmt_pct(fraction: float) -> float:
-    return fraction * 100.0

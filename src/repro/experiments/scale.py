@@ -235,16 +235,13 @@ def render_scale(cells: List[ScaleCell]) -> str:
     )
 
 
-def write_bench_json(cells: List[ScaleCell], path) -> None:
-    """Persist the sweep as ``BENCH_scale.json``, a record of its wall
-    times."""
-    import json
+def bench_record(cells: List[ScaleCell]) -> dict:
+    """The sweep as ``BENCH_scale.json`` records it, with its wall times."""
     import platform
 
-    payload = {
+    return {
         "python": platform.python_version(),
         "timing": {"warmup_s": SCALE_TIMING.warmup,
                    "duration_s": SCALE_TIMING.duration},
         "cells": {str(cell.boards): cell.to_record() for cell in cells},
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -81,24 +81,6 @@ class FaultScript:
                     lambda: plane.heal(a, b))
         return self
 
-    def isolate(self, plane: NetworkFaultPlane, host: str, at: float,
-                rejoin_after: Optional[float] = None) -> "FaultScript":
-        """Isolate a host from the network; optionally rejoin it later."""
-        self.at(at, f"isolate {host}", lambda: plane.isolate(host))
-        if rejoin_after is not None:
-            self.at(at + rejoin_after, f"rejoin {host}",
-                    lambda: plane.rejoin(host))
-        return self
-
-    def fail_node(self, cluster, name: str, at: float,
-                  recover_after: Optional[float] = None) -> "FaultScript":
-        """Fail a cluster node (tears down its pods); optionally recover."""
-        self.at(at, f"fail node {name}", lambda: cluster.fail_node(name))
-        if recover_after is not None:
-            self.at(at + recover_after, f"recover node {name}",
-                    lambda: cluster.recover_node(name))
-        return self
-
     # -- execution ----------------------------------------------------------
     def arm(self):
         """Start the driver process; returns it (joinable)."""

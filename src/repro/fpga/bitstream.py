@@ -8,8 +8,8 @@ deciding whether allocating a function to a device requires reconfiguration
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable
 
 from ..kernels.base import AcceleratorKernel
 
@@ -39,9 +39,6 @@ class Bitstream:
             f"(has {[k.name for k in self.kernels]})"
         )
 
-    def kernel_names(self) -> list[str]:
-        return [kernel.name for kernel in self.kernels]
-
     def __contains__(self, kernel_name: str) -> bool:
         return any(kernel.name == kernel_name for kernel in self.kernels)
 
@@ -65,9 +62,6 @@ class BitstreamLibrary:
             return self._bitstreams[name]
         except KeyError:
             raise KeyError(f"unknown bitstream {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._bitstreams
 
     def names(self) -> list[str]:
         return sorted(self._bitstreams)

@@ -153,11 +153,6 @@ class FPGABoard:
         return self.spec.pr_slots
 
     @property
-    def compute(self) -> Resource:
-        """The primary slot's execution lock (single-slot compatibility)."""
-        return self._slot_locks[0]
-
-    @property
     def bitstream(self) -> Optional[Bitstream]:
         """The primary slot's image (single-slot compatibility)."""
         return self.slots[0]
@@ -239,10 +234,6 @@ class FPGABoard:
             f"kernel {name!r} not programmed on board {self.name} "
             f"(slots: {[b.name if b else None for b in self.slots]})"
         )
-
-    def kernel(self, name: str) -> AcceleratorKernel:
-        """Look up a kernel among the programmed slots."""
-        return self.kernel_slot(name)[1]
 
     # -- programming ---------------------------------------------------------
     def program(self, bitstream: Bitstream):
@@ -456,7 +447,3 @@ class FPGABoard:
                     f"board {self.name}"
                 )
         return duration
-
-    def __repr__(self) -> str:
-        configured = self.bitstream.name if self.bitstream else None
-        return f"<FPGABoard {self.name} bitstream={configured!r}>"

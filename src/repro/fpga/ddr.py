@@ -182,9 +182,6 @@ class DeviceBuffer:
                 f"size {self.size}"
             )
 
-    def __repr__(self) -> str:
-        return f"<DeviceBuffer id={self.id} size={self.size}>"
-
 
 class MemoryAllocator:
     """First-fit allocator over a fixed-size device memory."""
@@ -200,11 +197,6 @@ class MemoryAllocator:
         self._ordered: List[DeviceBuffer] = []
         self._next_id = 1
         self._used = 0
-
-    @property
-    def used(self) -> int:
-        """Bytes currently allocated."""
-        return self._used
 
     @property
     def free(self) -> int:
@@ -275,12 +267,6 @@ class MemoryAllocator:
         ids again for new allocations.
         """
         self._next_id = max(self._next_id, beyond + 1)
-
-    def get(self, buffer_id: int) -> DeviceBuffer:
-        try:
-            return self._buffers[buffer_id]
-        except KeyError:
-            raise KeyError(f"unknown buffer id {buffer_id}") from None
 
     def release(self, buffer: DeviceBuffer | int) -> None:
         """Free a buffer (idempotent on already-freed ids is an error)."""

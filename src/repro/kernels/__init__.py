@@ -22,7 +22,6 @@ from .alexnet import (
     LRNSpec,
     PoolSpec,
     alexnet_layers,
-    total_macs,
 )
 from .fir import FIRKernel, fir_reference
 from .histogram import HistogramKernel, histogram_reference
@@ -83,5 +82,4 @@ __all__ = [
     "pipecnn_kernels",
     "scalar_arg",
     "sobel_reference",
-    "total_macs",
 ]

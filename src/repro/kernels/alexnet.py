@@ -11,8 +11,8 @@ application can consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 
 @dataclass(frozen=True)
@@ -28,18 +28,6 @@ class ConvSpec:
     pad: int
     groups: int = 1
     relu: bool = True
-
-    @property
-    def macs(self) -> int:
-        """Multiply-accumulate operations for one inference of this stage."""
-        return (
-            self.out_size * self.out_size * self.out_channels
-            * self.kernel * self.kernel * (self.in_channels // self.groups)
-        )
-
-    @property
-    def is_fully_connected(self) -> bool:
-        return self.out_size == 1
 
     @property
     def weight_count(self) -> int:
@@ -69,10 +57,6 @@ class PoolSpec:
     kernel: int
     stride: int
 
-    @property
-    def ops(self) -> int:
-        return self.out_size * self.out_size * self.channels * self.kernel ** 2
-
     def __post_init__(self) -> None:
         expected = (self.in_size - self.kernel) // self.stride + 1
         if expected != self.out_size:
@@ -92,10 +76,6 @@ class LRNSpec:
     alpha: float = 1e-4
     beta: float = 0.75
     k: float = 1.0
-
-    @property
-    def ops(self) -> int:
-        return self.size * self.size * self.channels * self.local_size
 
 
 @dataclass(frozen=True)
@@ -163,13 +143,6 @@ def alexnet_layers() -> List[LayerSpec]:
             ConvSpec(4096, 1, 1000, 1, kernel=1, stride=1, pad=0, relu=False),
         ),
     ]
-
-
-def total_macs(layers: Optional[List[LayerSpec]] = None) -> int:
-    """Total multiply-accumulates for one inference."""
-    if layers is None:
-        layers = alexnet_layers()
-    return sum(layer.conv.macs for layer in layers)
 
 
 #: Input image geometry expected by AlexNet.

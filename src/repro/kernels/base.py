@@ -98,9 +98,6 @@ class AcceleratorKernel(abc.ABC):
     def compute(self, args: Mapping[str, Any]) -> None:
         """Run the computation, writing results into the output buffers."""
 
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name!r}>"
-
 
 def buffer_arg(name: str, direction: Direction = Direction.IN) -> KernelArgSpec:
     """Shorthand for a global-memory buffer argument."""

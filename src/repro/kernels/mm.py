@@ -65,7 +65,3 @@ class MatrixMultiplyKernel(AcceleratorKernel):
         b = args["b"].as_array(np.float32, (k, n))  # type: ignore[union-attr]
         c = args["c"].as_array(np.float32, (m, n))  # type: ignore[union-attr]
         c[:, :] = a @ b
-
-    @staticmethod
-    def matrix_bytes(rows: int, cols: int) -> int:
-        return rows * cols * BYTES_PER_ELEMENT

@@ -78,12 +78,6 @@ class SobelKernel(AcceleratorKernel):
         out = out_buf.as_array(np.uint32, (height, width))  # type: ignore[union-attr]
         out[:, :] = magnitude
 
-    @staticmethod
-    def image_bytes(width: int, height: int) -> int:
-        """Size of one image transfer (one direction)."""
-        return width * height * BYTES_PER_PIXEL
-
-
 def sobel_reference(image: np.ndarray) -> np.ndarray:
     """Golden-model Sobel: |gx| + |gy| with zero borders, saturating.
 

@@ -115,10 +115,6 @@ class BoardCheckpoint:
     captured_at: float
     sessions: List[SessionCheckpoint]
 
-    @property
-    def transfer_nbytes(self) -> int:
-        return sum(s.transfer_nbytes for s in self.sessions)
-
     # -- wire format ---------------------------------------------------------
     def to_wire(self) -> bytes:
         """Serialize: MAGIC + 8-byte length + sorted-keys JSON + blobs.

@@ -60,27 +60,6 @@ class LoadStats:
             return math.nan
         return sum(self.latencies) / len(self.latencies)
 
-    def latency_percentile(self, q: float) -> float:
-        return percentile(self.latencies, q)
-
-    @property
-    def target_gap(self) -> float:
-        """Relative shortfall vs the target rate (paper's difference %)."""
-        if self.target_rate <= 0:
-            return 0.0
-        return max(0.0, 1.0 - self.achieved_rate / self.target_rate)
-
-    def merge(self, other: "LoadStats") -> "LoadStats":
-        """Aggregate another run's counters into this one (same duration)."""
-        self.sent += other.sent
-        self.completed += other.completed
-        self.errors += other.errors
-        self.latencies.extend(other.latencies)
-        self.error_latencies.extend(other.error_latencies)
-        self.target_rate += other.target_rate
-        return self
-
-
 def run_load(
     env: Environment,
     gateway: Gateway,

@@ -16,7 +16,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -83,14 +82,6 @@ class _Child:
             return 0.0
         return self._value
 
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
-    def count(self) -> int:
-        return self._count
-
     # -- counter ---------------------------------------------------------
     def inc(self, amount: float = 1.0) -> None:
         family = self._family
@@ -125,32 +116,6 @@ class _Child:
             if value <= bound:
                 self._bucket_counts[index] += 1
                 break
-
-    def quantile(self, q: float) -> float:
-        """Estimate quantile ``q`` from the cumulative bucket counts.
-
-        Uses the same linear interpolation as Prometheus'
-        ``histogram_quantile``.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise MetricError(f"quantile {q} outside [0, 1]")
-        assert self._bucket_counts is not None
-        if self._count == 0:
-            return math.nan
-        rank = q * self._count
-        cumulative = 0
-        lower = 0.0
-        for index, bound in enumerate(self._family.buckets):
-            previous = cumulative
-            cumulative += self._bucket_counts[index]
-            if cumulative >= rank and self._bucket_counts[index] > 0:
-                if math.isinf(bound):
-                    return lower
-                fraction = (rank - previous) / self._bucket_counts[index]
-                return lower + (bound - lower) * min(max(fraction, 0.0), 1.0)
-            lower = bound if not math.isinf(bound) else lower
-        return lower
-
 
 class MetricFamily:
     """A named metric with a fixed label schema and many label children.
@@ -275,10 +240,6 @@ class MetricFamily:
     def observe(self, value: float) -> None:
         self._default.observe(value)
 
-    @property
-    def value(self) -> float:
-        return self._default.value
-
     def _label_sets(self) -> List[LabelValues]:
         """The family's label sets, in row order."""
         if not self.labelnames:
@@ -380,12 +341,6 @@ class MetricFamily:
                 for (sample_name, pairs), value
                 in zip(self.row_labels(), values)]
 
-    def samples(self) -> Iterable[Tuple[str, Mapping[str, str], float]]:
-        """Yield ``(sample_name, labels, value)`` triples, Prometheus-style."""
-        for sample_name, labels, _key, value in self.collect_rows():
-            yield sample_name, labels, value
-
-
 class MetricsRegistry:
     """A collection of metric families exposed by one component."""
 
@@ -444,32 +399,5 @@ class MetricsRegistry:
     def get(self, name: str) -> MetricFamily:
         return self._families[self._full_name(name)]
 
-    def __contains__(self, name: str) -> bool:
-        return self._full_name(name) in self._families
-
     def families(self) -> Iterable[MetricFamily]:
         return self._families.values()
-
-    def collect(self) -> Dict[str, Dict[LabelValues, float]]:
-        """Snapshot all scalar samples as ``{name: {labelvalues: value}}``."""
-        snapshot: Dict[str, Dict[LabelValues, float]] = {}
-        for family in self._families.values():
-            for sample_name, _labels, key, value in family.collect_rows():
-                snapshot.setdefault(sample_name, {})[key] = value
-        return snapshot
-
-    def render_text(self) -> str:
-        """Render the registry in the Prometheus text exposition format."""
-        lines: List[str] = []
-        for family in self._families.values():
-            lines.append(f"# HELP {family.name} {family.help}")
-            lines.append(f"# TYPE {family.name} {family.type}")
-            for sample_name, labels, _key, value in family.collect_rows():
-                if labels:
-                    rendered = ",".join(
-                        f'{key}="{val}"' for key, val in labels.items()
-                    )
-                    lines.append(f"{sample_name}{{{rendered}}} {value}")
-                else:
-                    lines.append(f"{sample_name} {value}")
-        return "\n".join(lines) + "\n"

@@ -173,13 +173,6 @@ class Scraper:
         for listener in self._listeners:
             listener(now)
 
-    def stop(self) -> None:
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("scraper stopped")
-        if self._subscription is not None and self._wheel is not None:
-            self._wheel.cancel(self._subscription)
-            self._subscription = None
-
     def _run(self):
         try:
             while True:

@@ -45,9 +45,6 @@ class TimeSeries:
         self._start = 0
         self._values: List[float] = []
 
-    def __len__(self) -> int:
-        return len(self._values)
-
     def append(self, time: float, value: float) -> None:
         """Append a sample; timestamps must be non-decreasing."""
         times = self._times
@@ -79,10 +76,6 @@ class TimeSeries:
         """Most recent sample value, or None if empty."""
         return self._values[-1] if self._values else None
 
-    def latest_time(self) -> Optional[float]:
-        values = self._values
-        return self._times[self._start + len(values) - 1] if values else None
-
     def window(self, start: float, end: float) -> List[Tuple[float, float]]:
         """Samples with ``start <= t <= end``."""
         times, first = self._times, self._start
@@ -113,7 +106,8 @@ class TimeSeries:
         with fewer than two samples.
         """
         if now is None:
-            now = self.latest_time() if self._values else 0.0
+            now = self._times[self._start + len(self._values) - 1] \
+                if self._values else 0.0
         samples = self.window(now - window, now)
         if len(samples) < 2:
             return math.nan
@@ -128,36 +122,32 @@ class TimeSeries:
     def avg(self, window: float, now: Optional[float] = None) -> float:
         """Average of samples over the trailing ``window`` (gauge average)."""
         if now is None:
-            now = self.latest_time() if self._values else 0.0
+            now = self._times[self._start + len(self._values) - 1] \
+                if self._values else 0.0
         samples = self.window(now - window, now)
         if not samples:
             return math.nan
         return sum(v for _, v in samples) / len(samples)
 
-    def increase(self, window: float, now: Optional[float] = None) -> float:
-        """Total increase over the trailing window (counter increase)."""
-        r = self.rate(window, now)
-        return r * window if not math.isnan(r) else math.nan
-
-
 class TimeSeriesDatabase:
     """All series scraped from all targets, keyed by (metric, labels).
 
     One index maps each metric name to its series by label tuple, in
-    insertion order.  A name's postings, its series by every
-    ``"label=value"`` string, are built on its first
-    :meth:`select_matching` and kept up to date from then on, so that
-    query is independent of the total series count (the Metrics
-    Gatherer queries a few names per device on every allocation) while
-    names nobody filters cost nothing.  Postings preserve insertion
-    order, so callers relying on "first matching series" semantics see
-    exactly what a full scan returned.
+    insertion order.  A name's postings for one label key, its series by
+    each ``"key=value"`` string of that key, are built on the first
+    :meth:`select_matching` that filters the name on that key first, and
+    kept up to date from then on, so that query is independent of the
+    total series count (the Metrics Gatherer queries a few names per
+    device on every allocation) while names and keys nobody filters on
+    cost nothing.  Postings preserve insertion order, so callers relying
+    on "first matching series" semantics see exactly what a full scan
+    returned.
     """
 
     def __init__(self) -> None:
         self._names: Dict[str, Dict[Tuple[str, ...], TimeSeries]] = {}
-        self._postings: Dict[str, Dict[str, List[TimeSeries]]] = {}
-        self._count = 0
+        #: name -> ``"key="`` prefix -> ``"key=value"`` -> series.
+        self._postings: Dict[str, Dict[str, Dict[str, List[TimeSeries]]]] = {}
 
     def series(self, name: str, labels: Tuple[str, ...] = (),
                retention: Optional[float] = None) -> TimeSeries:
@@ -169,34 +159,28 @@ class TimeSeriesDatabase:
         found = named.get(labels)
         if found is None:
             found = named[labels] = TimeSeries(name, labels, retention)
-            self._count += 1
-            postings = self._postings.get(name)
-            if postings is not None:
+            indexed = self._postings.get(name)
+            if indexed is not None:
                 for label in labels:
-                    postings.setdefault(label, []).append(found)
+                    postings = indexed.get(label[:label.index("=") + 1])
+                    if postings is not None:
+                        postings.setdefault(label, []).append(found)
         return found
-
-    def lookup(self, name: str, labels: Tuple[str, ...] = ()) -> Optional[TimeSeries]:
-        """Get a series if it exists, without creating it."""
-        named = self._names.get(name)
-        return None if named is None else named.get(tuple(labels))
-
-    def select(self, name: str) -> List[TimeSeries]:
-        """All series of a metric name regardless of labels."""
-        named = self._names.get(name)
-        return [] if named is None else list(named.values())
 
     def select_matching(self, name: str, **label_filters: str) -> List[TimeSeries]:
         """Series of ``name`` whose labels contain all given ``key=value``."""
         if not label_filters:
-            return self.select(name)
-        postings = self._postings.get(name)
+            return list(self._names.get(name, {}).values())
+        wanted = [f"{k}={v}" for k, v in label_filters.items()]
+        prefix = wanted[0][:wanted[0].index("=") + 1]
+        indexed = self._postings.setdefault(name, {})
+        postings = indexed.get(prefix)
         if postings is None:
-            postings = self._postings[name] = {}
+            postings = indexed[prefix] = {}
             for series in self._names.get(name, {}).values():
                 for label in series.labels:
-                    postings.setdefault(label, []).append(series)
-        wanted = [f"{k}={v}" for k, v in label_filters.items()]
+                    if label.startswith(prefix):
+                        postings.setdefault(label, []).append(series)
         candidates = postings.get(wanted[0])
         if not candidates:
             return []
@@ -207,6 +191,3 @@ class TimeSeriesDatabase:
             series for series in candidates
             if all(label in series.labels for label in rest)
         ]
-
-    def __len__(self) -> int:
-        return self._count

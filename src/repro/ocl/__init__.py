@@ -24,11 +24,9 @@ from .objects import (
 )
 from .types import (
     CommandType,
-    DeviceInfo,
     DeviceType,
     ExecutionStatus,
     MemFlags,
-    PlatformInfo,
     ProfilingInfo,
     QueueProperties,
 )
@@ -41,9 +39,7 @@ __all__ = [
     "CommandType",
     "Context",
     "Device",
-    "DeviceInfo",
     "DeviceType",
-    "PlatformInfo",
     "Driver",
     "ExecutionStatus",
     "Kernel",

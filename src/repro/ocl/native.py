@@ -167,12 +167,6 @@ class NativeDriver(Driver):
         # The native worker drains continuously; flush is a no-op.
         queue._check_live()
 
-    def close(self) -> None:
-        for _store, worker in self._queues.values():
-            if worker.is_alive:
-                worker.interrupt("driver closed")
-        self._queues.clear()
-
     # -- worker --------------------------------------------------------------
     def _worker(self, store: Store):
         """In-order executor for one command queue."""

@@ -18,9 +18,8 @@ split of the OpenCL specification.
 from __future__ import annotations
 
 import abc
-import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..fpga.ddr import materialize
 from ..sim import AllOf, Environment, Event
@@ -38,11 +37,9 @@ from .errors import (
 )
 from .types import (
     CommandType,
-    DeviceInfo,
     DeviceType,
     ExecutionStatus,
     MemFlags,
-    PlatformInfo,
     ProfilingInfo,
     QueueProperties,
 )
@@ -62,14 +59,13 @@ class CLEvent:
 
     Wraps one simulation event (:attr:`completion`) that triggers when the
     command reaches ``COMPLETE`` (value = the command's result, e.g. the
-    bytes of a read) or fails (value = :class:`CLError`).  Supports
-    ``clSetEventCallback``-style status callbacks and
-    ``clGetEventProfilingInfo``-style timestamps.
+    bytes of a read) or fails (value = :class:`CLError`), and keeps
+    ``clGetEventProfilingInfo``-style timestamps in :attr:`profiling`.
     """
 
     #: One per command: no per-instance ``__dict__``.
     __slots__ = ("id", "env", "command_type", "_status", "_error",
-                 "profiling", "completion", "value", "_callbacks")
+                 "profiling", "completion", "value")
 
     def __init__(self, env: Environment, command_type: CommandType):
         self.id = env.new_id("ocl")
@@ -82,29 +78,10 @@ class CLEvent:
         }
         self.completion: Event = Event(env)
         self.value: Any = None
-        self._callbacks: List[Callable[["CLEvent", int], None]] = []
-
-    # -- status ------------------------------------------------------------
-    @property
-    def status(self) -> int:
-        """Current execution status (negative = error code)."""
-        if self._error is not None:
-            return self._error.code
-        return int(self._status)
 
     @property
     def is_complete(self) -> bool:
         return self._status is ExecutionStatus.COMPLETE or self._error is not None
-
-    def on_status_change(
-        self, callback: Callable[["CLEvent", int], None]
-    ) -> None:
-        """Register a ``clSetEventCallback``-style callback."""
-        self._callbacks.append(callback)
-
-    def _fire_callbacks(self) -> None:
-        for callback in list(self._callbacks):
-            callback(self, self.status)
 
     def set_status(self, status: ExecutionStatus) -> None:
         """Advance the event's status (stamps profiling timestamps)."""
@@ -121,8 +98,6 @@ class CLEvent:
         stamp = _STATUS_STAMPS[status]
         if stamp is not None:
             self.profiling[stamp] = self.env.now
-        if self._callbacks:
-            self._fire_callbacks()
         if status is ExecutionStatus.COMPLETE:
             # Host code waits on few completions (a blocking read's, handed
             # off to its waiter); the rest settle without an event.
@@ -148,43 +123,11 @@ class CLEvent:
         self.completion.fail(error)
         # Nobody is obliged to wait on a failed event; don't crash the sim.
         self.completion.defused = True
-        self._fire_callbacks()
 
     # -- waiting -------------------------------------------------------------
     def wait(self) -> Event:
         """Simulation event to ``yield`` on until completion."""
         return self.completion
-
-    def get_profiling_info(self, param: ProfilingInfo) -> float:
-        """``clGetEventProfilingInfo`` (seconds, not nanoseconds)."""
-        try:
-            return self.profiling[param]
-        except KeyError:
-            from .errors import CL_PROFILING_INFO_NOT_AVAILABLE
-
-            raise CLError(
-                CL_PROFILING_INFO_NOT_AVAILABLE,
-                f"{param.name} not stamped yet for {self!r}",
-            ) from None
-
-    def duration(self) -> float:
-        """Execution time (START→END), per clGetEventProfilingInfo."""
-        try:
-            return (
-                self.profiling[ProfilingInfo.END]
-                - self.profiling[ProfilingInfo.START]
-            )
-        except KeyError:
-            raise CLError(
-                CL_INVALID_VALUE, "profiling info not yet available"
-            ) from None
-
-    def __repr__(self) -> str:
-        return (
-            f"<CLEvent #{self.id} {self.command_type.name} "
-            f"status={self.status}>"
-        )
-
 
 def wait_for_events(events: Sequence[CLEvent]) -> Event:
     """``clWaitForEvents``: a simulation event for *all* of ``events``."""
@@ -261,10 +204,6 @@ class Driver(abc.ABC):
     def flush(self, queue: "CommandQueue") -> None:
         """``clFlush``: guarantee eventual submission of enqueued work."""
 
-    def host_sync_delay(self) -> float:
-        """Host-side overhead of returning from a blocking wait."""
-        return 0.0
-
     def close(self) -> None:
         """Release driver-wide resources (connections, workers)."""
 
@@ -291,25 +230,6 @@ class Platform:
             if device_type is DeviceType.ALL or device.type & device_type
         ]
 
-    def get_info(self, param: PlatformInfo) -> str:
-        """``clGetPlatformInfo``."""
-        values = {
-            PlatformInfo.PROFILE: "EMBEDDED_PROFILE",
-            PlatformInfo.VERSION: self.version,
-            PlatformInfo.NAME: self.name,
-            PlatformInfo.VENDOR: self.vendor,
-            PlatformInfo.EXTENSIONS: "",
-        }
-        try:
-            return values[param]
-        except KeyError:
-            raise CLError(CL_INVALID_VALUE,
-                          f"unknown platform info {param!r}") from None
-
-    def __repr__(self) -> str:
-        return f"<Platform {self.name!r}>"
-
-
 class Device:
     """An OpenCL device (an FPGA accelerator board)."""
 
@@ -322,26 +242,6 @@ class Device:
         self.type = info.get("type", DeviceType.ACCELERATOR)
         self.global_mem_size = info.get("global_mem_size", 0)
         self.vendor = info.get("vendor", platform.vendor)
-
-    def get_info(self, param: DeviceInfo):
-        """``clGetDeviceInfo``."""
-        values = {
-            DeviceInfo.TYPE: self.type,
-            DeviceInfo.NAME: self.name,
-            DeviceInfo.VENDOR: self.vendor,
-            DeviceInfo.GLOBAL_MEM_SIZE: self.global_mem_size,
-            DeviceInfo.AVAILABLE: True,
-            DeviceInfo.PLATFORM: self.platform,
-        }
-        try:
-            return values[param]
-        except KeyError:
-            raise CLError(CL_INVALID_VALUE,
-                          f"unknown device info {param!r}") from None
-
-    def __repr__(self) -> str:
-        return f"<Device {self.name!r}>"
-
 
 class Context:
     """``clCreateContext``: owns buffers, programs and queues."""
@@ -444,9 +344,6 @@ class MemBuffer:
         if self.released:
             raise CLError(CL_INVALID_MEM_OBJECT, "buffer released")
 
-    def __repr__(self) -> str:
-        return f"<MemBuffer #{self.id} size={self.size}>"
-
 
 class Program:
     """``cl_program``: a bitstream handle; building may reconfigure."""
@@ -481,10 +378,6 @@ class Kernel:
         self._arg_count = self.context.driver.kernel_arg_count(self)
         self._args: List[Any] = [_UNSET] * self._arg_count
 
-    @property
-    def arg_count(self) -> int:
-        return self._arg_count
-
     def set_arg(self, index: int, value: Any) -> None:
         """``clSetKernelArg``."""
         check(0 <= index < self._arg_count, CL_INVALID_ARG_INDEX,
@@ -512,16 +405,9 @@ class Kernel:
             )
         return list(self._args)
 
-    def __repr__(self) -> str:
-        return f"<Kernel {self.name!r}>"
 
-
-class _Unset:
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<unset>"
-
-
-_UNSET = _Unset()
+#: Marks a kernel argument not set yet.
+_UNSET = object()
 
 
 class CommandQueue:
@@ -663,19 +549,6 @@ class CommandQueue:
         self.driver.enqueue(self, Command(CommandType.MARKER, event))
         return event
 
-    def enqueue_barrier(self) -> CLEvent:
-        """``clEnqueueBarrier`` (same as a marker for an in-order queue).
-
-        Like ``clFinish``/``clFlush``, a barrier causes BlastFunction's
-        Device Manager to close and submit the current task.
-        """
-        self._check_live()
-        event = CLEvent(self.env, CommandType.BARRIER)
-        command = Command(CommandType.BARRIER, event)
-        self.driver.enqueue(self, command)
-        self.driver.flush(self)
-        return event
-
     # -- flush / finish -------------------------------------------------------
     def flush(self) -> None:
         """``clFlush``."""
@@ -735,9 +608,6 @@ class CommandQueue:
         # for every command.
         if self.released:
             raise CLError(CL_INVALID_COMMAND_QUEUE, "queue released")
-
-    def __repr__(self) -> str:
-        return f"<CommandQueue #{self.id} on {self.device.name!r}>"
 
 
 def _as_payload(data):

@@ -71,24 +71,3 @@ class ProfilingInfo(enum.IntEnum):
     SUBMIT = 0x1281
     START = 0x1282
     END = 0x1283
-
-
-class PlatformInfo(enum.Enum):
-    """clGetPlatformInfo parameter names (cl_platform_info)."""
-
-    PROFILE = 0x0900
-    VERSION = 0x0901
-    NAME = 0x0902
-    VENDOR = 0x0903
-    EXTENSIONS = 0x0904
-
-
-class DeviceInfo(enum.Enum):
-    """clGetDeviceInfo parameter names (cl_device_info subset)."""
-
-    TYPE = 0x1000
-    NAME = 0x102B
-    VENDOR = 0x102C
-    GLOBAL_MEM_SIZE = 0x101F
-    AVAILABLE = 0x1027
-    PLATFORM = 0x1031

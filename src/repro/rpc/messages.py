@@ -91,9 +91,6 @@ class RpcEndpoint:
         """Arrival-event callback: deliver the message the event carries."""
         self.deliver(arrival._value)
 
-    def __repr__(self) -> str:
-        return f"<RpcEndpoint {self.name}>"
-
 
 def send_to_client(transport: Transport, endpoint: RpcEndpoint,
                    message: Message) -> Event:

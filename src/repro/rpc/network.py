@@ -30,9 +30,6 @@ class NetworkHost:
         #: queue of capacity one, kept as the time it drains.
         self.nic_free = 0.0
 
-    def __repr__(self) -> str:
-        return f"<NetworkHost {self.name}>"
-
 
 class Network:
     """Moves raw bytes between hosts with the appropriate path model."""

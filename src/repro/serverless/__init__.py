@@ -9,7 +9,6 @@ from .apps import (
     MMApp,
     SobelApp,
 )
-from .autoscaler import FunctionAutoscaler, FunctionAutoscalerPolicy
 from .controller import FunctionController
 from .gateway import (
     GATEWAY_OVERHEAD,
@@ -29,8 +28,6 @@ __all__ = [
     "FIRApp",
     "FunctionApp",
     "HistogramApp",
-    "FunctionAutoscaler",
-    "FunctionAutoscalerPolicy",
     "FunctionController",
     "FunctionInstance",
     "FunctionSpec",

@@ -13,20 +13,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..cluster.apiserver import Cluster
-from ..cluster.objects import Pod, PodPhase, PodSpec, WatchEvent, WatchEventType
+from ..cluster.objects import PodPhase, PodSpec, WatchEvent, WatchEventType
 from ..core.remote_lib.router import PlatformRouter
 from ..sim import Environment
-from .gateway import DeployedFunction, Gateway
+from .gateway import Gateway
 from .instance import FunctionInstance
 
 
 class FunctionController:
     """Reconciles pods of deployed functions with running instances."""
-
-    #: Heal-path retries across retryable control-plane errors; sized to
-    #: outlast a registry blackout of a few seconds at the backoff below.
-    HEAL_RETRY_BUDGET = 6
-    HEAL_RETRY_BACKOFF = 0.25
 
     def __init__(
         self,
@@ -34,22 +29,12 @@ class FunctionController:
         cluster: Cluster,
         gateway: Gateway,
         router: Optional[PlatformRouter] = None,
-        self_heal: bool = False,
     ):
         self.env = env
         self.cluster = cluster
         self.gateway = gateway
         self.router = router
         self.instances: Dict[str, FunctionInstance] = {}
-        #: When set, deleted pods that drop a function below its replica
-        #: count are respawned (deployment-controller reconciliation).
-        self.self_heal = self_heal
-        self.heals = 0
-        self.heal_failures = 0
-        #: Heal attempts retried across a retryable control-plane error
-        #: (e.g. registry blackout) instead of giving up immediately.
-        self.heal_retries = 0
-        self._healing: Dict[str, int] = {}
         cluster.watch(self._on_watch)
         gateway.on_deploy = lambda function: None  # deploy is pod-driven
 
@@ -68,55 +53,6 @@ class FunctionController:
         elif event.type is WatchEventType.DELETED:
             self.instances.pop(pod.name, None)
             function.remove_pod(pod.name)
-            if self.self_heal:
-                self.env.process(self._heal(function))
-
-    def _heal(self, function: DeployedFunction):
-        """Process: respawn pods until the function is back at replicas.
-
-        Migrations never trigger a respawn — create-before-delete means
-        the replacement pod is already counted when the old one goes.
-        """
-        # Let same-tick deletions settle before counting.
-        yield self.env.timeout(0)
-        name = function.spec.name
-        missing = (function.spec.replicas - len(function.pod_names)
-                   - self._healing.get(name, 0))
-        if missing <= 0:
-            return
-        self._healing[name] = self._healing.get(name, 0) + missing
-        try:
-            for _ in range(missing):
-                replacement = function.next_instance_name()
-                spec = PodSpec(
-                    name=replacement,
-                    function=name,
-                    device_query=function.spec.device_query,
-                    labels={"runtime": function.spec.runtime,
-                            "healed": "true"},
-                )
-                pod = None
-                for attempt in range(self.HEAL_RETRY_BUDGET + 1):
-                    if attempt:
-                        # Registry blackout: back off and retry — the
-                        # control plane replays its WAL and comes back.
-                        self.heal_retries += 1
-                        yield self.env.timeout(
-                            self.HEAL_RETRY_BACKOFF * 2 ** (attempt - 1)
-                        )
-                    try:
-                        pod = yield from self.cluster.create_pod(spec)
-                        break
-                    except Exception as exc:  # noqa: BLE001 - see below
-                        if getattr(exc, "retryable", False) \
-                                and attempt < self.HEAL_RETRY_BUDGET:
-                            continue
-                        self.heal_failures += 1  # no capacity left
-                        return
-                function.add_pod(pod.name)
-                self.heals += 1
-        finally:
-            self._healing[name] -= missing
 
     def live_instances(self, function_name: str) -> List[FunctionInstance]:
         """Instances of a function currently attached to running pods."""

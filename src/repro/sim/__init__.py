@@ -25,10 +25,7 @@ from .events import (
 from .watchdog import WatchdogError, pending_summary, run_guarded
 from .wheel import TimerWheel, WheelSubscription
 from .resources import (
-    Container,
-    FilterStore,
     PriorityItem,
-    PriorityResource,
     PriorityStore,
     Request,
     Resource,
@@ -41,15 +38,12 @@ __all__ = [
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "EmptySchedule",
     "Environment",
     "Event",
-    "FilterStore",
     "Initialize",
     "Interrupt",
     "PriorityItem",
-    "PriorityResource",
     "PriorityStore",
     "Process",
     "Request",

@@ -116,16 +116,6 @@ class Environment:
         """Start a new process running ``generator``."""
         return Process(self, generator)
 
-    def all_of(self, events) -> Event:
-        from .events import AllOf
-
-        return AllOf(self, events)
-
-    def any_of(self, events) -> Event:
-        from .events import AnyOf
-
-        return AnyOf(self, events)
-
     # -- scheduling --------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Enqueue ``event`` to be processed after ``delay`` seconds."""
@@ -291,11 +281,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return self._ok is None
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw an :class:`Interrupt` into the process.

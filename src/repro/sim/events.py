@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .core import Environment, Process
 
+
 #: Scheduling priorities (lower sorts first at equal timestamps).
 URGENT = 0
 NORMAL = 1
@@ -68,11 +69,6 @@ class Event:
     def triggered(self) -> bool:
         """True once the event has been scheduled to occur."""
         return self._ok is not None
-
-    @property
-    def processed(self) -> bool:
-        """True once the event's callbacks have been executed."""
-        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -130,28 +126,6 @@ class Event:
         self.env.schedule(self, 0.0, NORMAL)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another (triggered) event.
-
-        Used as a callback to chain events together.
-        """
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defused = True
-            self.fail(event._value)
-
-    # -- composition ----------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} at {id(self):#x}>"
-
-
 class Timeout(Event):
     """An event that triggers after a fixed simulated delay."""
 
@@ -165,13 +139,6 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         env.schedule(self, delay, NORMAL)
-
-    @property
-    def delay(self) -> float:
-        return self._delay
-
-    def __repr__(self) -> str:
-        return f"<Timeout delay={self._delay}>"
 
 
 class Initialize(Event):
@@ -199,29 +166,6 @@ class ConditionValue:
         if key not in self.events:
             raise KeyError(key)
         return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def todict(self) -> dict[Event, Any]:
-        return {event: event._value for event in self.events}
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
 
 class Condition(Event):
     """Composite event evaluating a predicate over child events.

@@ -81,10 +81,6 @@ class TimerWheel:
         except ValueError:
             pass
 
-    def stop(self) -> None:
-        if self._proc.is_alive:
-            self._proc.interrupt("timer wheel stopped")
-
     # -- process ---------------------------------------------------------
     def _run(self):
         try:

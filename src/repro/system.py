@@ -72,9 +72,6 @@ class SystemConfig:
     #: Heartbeat/lease failure detection.  A coalescing policy runs in
     #: fleet mode: one timer wheel carries the heartbeats and the scraper.
     health: Optional[HealthPolicy] = None
-    #: The controller respawns pods that drop a function below its
-    #: replica count.
-    self_heal: bool = False
 
 
 @dataclass(frozen=True)
@@ -216,15 +213,10 @@ def build_system(env: Environment,
         wheel = TimerWheel(env, tick=config.health.heartbeat_interval)
         testbed.scraper = Scraper(env, interval=1.0, retention=60.0,
                                   wheel=wheel)
-        for manager in testbed.managers.values():
-            testbed.scraper.add_target(manager.name, manager.metrics,
-                                       node=manager.node.name,
-                                       device=manager.board.name)
     gateway = Gateway(env, testbed.cluster, policy=config.gateway)
     if config.runtime == "native":
         controller = FunctionController(env, testbed.cluster, gateway,
-                                        router=None,
-                                        self_heal=config.self_heal)
+                                        router=None)
         return System(env, config, testbed, gateway, controller)
 
     registry = AcceleratorsRegistry(
@@ -241,8 +233,7 @@ def build_system(env: Environment,
     router.add_managers(
         [ManagerAddress.of(m) for m in testbed.managers.values()]
     )
-    controller = FunctionController(env, testbed.cluster, gateway, router,
-                                    self_heal=config.self_heal)
+    controller = FunctionController(env, testbed.cluster, gateway, router)
     registry.migrator = controller.migrate
     system = System(env, config, testbed, gateway, controller,
                     registry, router)

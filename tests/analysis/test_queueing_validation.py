@@ -77,7 +77,7 @@ class TestSimulatedMD1:
 
             def run():
                 # Queue wait = time to acquire the board's compute slot.
-                with board.compute.request() as grant:
+                with board._slot_locks[0].request() as grant:
                     yield grant
                     start_event["start"] = env.now
                     yield env.timeout(service)

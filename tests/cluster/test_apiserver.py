@@ -37,7 +37,7 @@ def run(env, generator):
 class TestTopology:
     def test_nodes_registered(self, cluster):
         assert sorted(cluster.nodes) == ["A", "B", "C"]
-        assert cluster.node("A").is_master
+        assert cluster.node("A").spec.is_master
 
     def test_duplicate_node_rejected(self, env, cluster):
         with pytest.raises(ValueError):
@@ -171,7 +171,7 @@ class TestTestbedBuilder:
         testbed = build_testbed(env)
         assert sorted(testbed.cluster.nodes) == ["A", "B", "C"]
         assert len(testbed.managers) == 3
-        assert testbed.manager_on("B").name == "dm-B"
+        assert testbed.cluster.node("B").board is testbed.managers["dm-B"].board
         # Node A's board sits behind PCIe gen2.
         assert testbed.cluster.node("A").board.link.spec.generation == 2
         assert testbed.cluster.node("B").board.link.spec.generation == 3

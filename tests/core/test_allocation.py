@@ -46,14 +46,14 @@ class TestFilters:
         hot = view("dm-A", "A", metrics={"utilization": 0.95})
         cool = view("dm-B", "B", metrics={"utilization": 0.10})
         kept = filterby_metrics(
-            [hot, cool], [MetricFilter.below("utilization", 0.9)]
+            [hot, cool], [MetricFilter("utilization", lambda value: value < 0.9)]
         )
         assert kept == [cool]
 
     def test_missing_metric_defaults_to_zero(self):
         device = view("dm-A", "A")
         kept = filterby_metrics(
-            [device], [MetricFilter.below("utilization", 0.9)]
+            [device], [MetricFilter("utilization", lambda value: value < 0.9)]
         )
         assert kept == [device]
 

@@ -73,7 +73,7 @@ orders = st.permutations(METRICS).flatmap(
 filter_sets = st.one_of(
     st.just(()),
     st.sampled_from([0.25, 0.5, 1.0]).map(
-        lambda t: (MetricFilter.below("utilization", t),)
+        lambda t: (MetricFilter("utilization", lambda value: value < t),)
     ),
 )
 
@@ -192,11 +192,11 @@ class TestIndexMaintenance:
                                 {"connected_functions": 2.0}))
         index.refresh(self.view("dm-A", "sobel",
                                 {"connected_functions": 0.0}))
-        assert len(index) == 1
+        assert list(index._entries) == ["dm-A"]
         decision = index.allocate(DeviceQuery(accelerator="sobel"), "")
         assert decision.device.metrics["connected_functions"] == 0.0
         index.remove("dm-A")
-        assert "dm-A" not in index
+        assert "dm-A" not in index._entries
         with pytest.raises(AllocationError):
             index.allocate(DeviceQuery(accelerator="sobel"), "")
 
@@ -214,12 +214,6 @@ class TestIndexMaintenance:
         decision = index.allocate(DeviceQuery(accelerator="mm"), "")
         assert decision.device.name == "dm-b"
         assert not decision.needs_reconfiguration
-
-    def test_views_returns_name_order(self):
-        index = DeviceIndex()
-        for name in ("dm-c", "dm-a", "dm-b"):
-            index.refresh(self.view(name, "sobel"))
-        assert [v.name for v in index.views()] == ["dm-a", "dm-b", "dm-c"]
 
     def test_redistribution_matches_oracle(self):
         """The conflicting-workload slow path materializes the same

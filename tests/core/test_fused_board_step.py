@@ -38,6 +38,8 @@ from repro.rpc import Message, Network, RpcEndpoint, ShmTransport, unary_call
 from repro.sim import Environment
 from repro.sim.events import NORMAL
 
+from ..metrics.reads import collect
+
 CLIENTS = ("c0", "c1")
 #: Bytes of each client buffer: one 32x32 RGBA image.
 BUFFER_BYTES = 32 * 32 * 4
@@ -212,7 +214,7 @@ class Rig:
             "completed": self.completed,
             "stamps": [(op.tag, op.started_at, op.finished_at)
                        for op in self.operations if op.tag in notified],
-            "metrics": self.manager.metrics.collect(),
+            "metrics": collect(self.manager.metrics),
             "board": (self.board.busy_seconds, self.board.kernel_runs,
                       self.board.link.transfer_count),
             "now": self.env.now,

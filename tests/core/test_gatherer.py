@@ -39,27 +39,6 @@ class TestUtilization:
         env.run(until=20.0)
         assert gatherer.utilization("dm-B") == pytest.approx(0.6, rel=0.05)
 
-    def test_per_function_utilization(self, setup):
-        env, scraper, gatherer, busy, client_busy, *_ = setup
-
-        def device():
-            while True:
-                client_busy.labels("fn-a-i1").inc(0.3)
-                client_busy.labels("fn-b-i1").inc(0.1)
-                yield env.timeout(1.0)
-
-        env.process(device())
-        env.run(until=20.0)
-        assert gatherer.function_utilization("dm-B", "fn-a-i1") == \
-            pytest.approx(0.3, rel=0.05)
-        assert gatherer.function_utilization("dm-B", "fn-b-i1") == \
-            pytest.approx(0.1, rel=0.05)
-
-    def test_unknown_client_is_zero(self, setup):
-        env, scraper, gatherer, *_ = setup
-        env.run(until=3.0)
-        assert gatherer.function_utilization("dm-B", "ghost") == 0.0
-
 
 class TestGaugeMetrics:
     def test_connected_functions_latest(self, setup):

@@ -89,7 +89,7 @@ class TestFlushBoundaryProperties:
             yield wait_for_events(events)
 
         env.run(until=env.process(flow()))
-        assert manager.metrics.get("tasks_total").value == len(group_sizes)
+        assert manager.metrics.get("tasks_total").labels().value == len(group_sizes)
         total_ops = sum(group_sizes)
         assert manager.metrics.get("ops_total").labels("write").value == \
             total_ops

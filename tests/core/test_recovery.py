@@ -66,7 +66,7 @@ class TestBoardFaults:
         board.lock_up()
         board.recover()
         assert board.alive
-        assert board.memory.used == 0  # lock-up recovery wipes memory
+        assert board.memory._used == 0  # lock-up recovery wipes memory
         board.allocate(64)  # serves again
 
     def test_reconfiguration_failure_leaves_board_unprogrammed(self):

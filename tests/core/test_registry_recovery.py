@@ -107,7 +107,7 @@ class TestCrashRestart:
         injector = RegistryCrash(registry)
         injector.kill()
         assert not registry.alive
-        assert len(registry.devices) == 0  # process memory gone
+        assert registry.devices.all() == []  # process memory gone
         assert registry.functions.all() == []
         env.run(until=env.now + 0.5)
         env.run(until=injector.restore())
@@ -491,7 +491,7 @@ class TestMutationFences:
         env.run(until=recovery)
         env.run(until=env.now + 1.0)
         assert registry.store.seq == seq
-        assert len(registry.devices) == 0
+        assert registry.devices.all() == []
         assert registry.functions.all() == []
         assert not any(registry.reconciliation.values())
 
@@ -533,7 +533,7 @@ class TestMutationFences:
         seq = registry.store.seq
         registry.register_manager(manager)
         assert registry.store.seq == seq
-        assert len(registry.devices) == 0
+        assert registry.devices.all() == []
         env.run(until=registry.restart())
         assert registry.reconciliation["adopted_devices"] == 1
         assert registry.devices.get(manager.name).alive

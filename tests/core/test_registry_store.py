@@ -1,19 +1,11 @@
-"""The Registry's durable medium: WAL, snapshots, wire format, replication.
+"""The Registry's durable medium: WAL, snapshots, replication.
 
-Pure data-structure tests — no simulation clock.  The wire format must be
-bit-deterministic (``to_wire → from_wire → to_wire`` identical), append /
-snapshot / truncate must keep the sequence and epoch bookkeeping exact,
-and the replication delta must be idempotent under duplicate delivery.
+Pure data-structure tests — no simulation clock.  Append / snapshot /
+truncate must keep the sequence and epoch bookkeeping exact, and the
+replication delta must be idempotent under duplicate delivery.
 """
 
-import pytest
-
-from repro.core.registry.store import (
-    MAGIC,
-    RegistryStore,
-    StoreError,
-    WalRecord,
-)
+from repro.core.registry.store import RegistryStore, WalRecord
 
 
 def populated() -> RegistryStore:
@@ -45,10 +37,9 @@ class TestWalAppend:
 
     def test_record_meta_round_trip(self):
         record = WalRecord(seq=7, op="admit", args={"instance": "x"})
-        assert WalRecord.from_meta(record.to_meta()) == record
+        assert WalRecord(**record.to_meta()) == record
         assert record.nbytes == len(
-            str(record.to_meta()).encode()
-        ) or record.nbytes > 0  # deterministic, compact JSON
+            '{"args":{"instance":"x"},"op":"admit","seq":7}')
 
 
 class TestSnapshot:
@@ -136,40 +127,6 @@ class TestReplicationDelta:
         replica.ingest_delta(snapshot, records,
                              snapshot_seq=leader.snapshot_seq,
                              epoch=leader.epoch)
-        assert replica.to_wire() == leader.to_wire()
-
-
-class TestWireFormat:
-    def test_round_trip_is_bit_identical(self):
-        store = populated()
-        store.take_snapshot({"epoch": 1, "devices": {"dm-A": {}}})
-        store.append("device_dead", manager="dm-A")
-        wire = store.to_wire()
-        assert wire.startswith(MAGIC)
-        again = RegistryStore.from_wire(wire)
-        assert again.to_wire() == wire
-        assert again.seq == store.seq
-        assert again.epoch == store.epoch
-        assert again.wal == store.wal
-
-    def test_clone_is_independent(self):
-        store = populated()
-        clone = store.clone()
-        clone.append("device_dead", manager="dm-A")
-        assert len(clone) == len(store) + 1
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(StoreError):
-            RegistryStore.from_wire(b"NOPE" + b"\x00" * 16)
-
-    def test_corrupt_payload_rejected(self):
-        wire = populated().to_wire()
-        with pytest.raises(StoreError):
-            RegistryStore.from_wire(
-                wire[: len(MAGIC) + 8] + b"{" * (len(wire) - len(MAGIC) - 8)
-            )
-
-    def test_wire_nbytes_and_len(self):
-        store = populated()
-        assert store.wire_nbytes == len(store.to_wire())
-        assert len(store) == 4
+        for field in ("seq", "epoch", "snapshot_seq", "snapshot_state",
+                      "wal"):
+            assert getattr(replica, field) == getattr(leader, field)

@@ -59,13 +59,6 @@ class TestRouter:
         assert platform.driver.connection.manager_endpoint is \
             manager.endpoint
 
-    def test_remove_manager(self, rig):
-        env, network, library, node, board, manager = rig
-        router = PlatformRouter(env, network, library)
-        router.add_manager(ManagerAddress.of(manager))
-        router.remove_manager("dm-B")
-        assert router.managers() == []
-
 
 class TestEventMachineProtocol:
     class FakeConnection:
@@ -114,7 +107,7 @@ class TestEventMachineProtocol:
         machine.on_notification(_note(env, protocol.OP_ENQUEUED))
         machine.on_notification(_note(env, protocol.OP_ENQUEUED))
         assert machine.state is FsmState.FAILED
-        assert event.status < 0
+        assert event._error is not None
 
     def test_unknown_notification_fails_machine(self):
         env = Environment()
@@ -163,7 +156,7 @@ class TestEagerResourceFailures:
         error = run(env, flow())
         assert error is not None
         # The op never reached the manager (no tasks executed).
-        assert manager.metrics.get("tasks_total").value == 0
+        assert manager.metrics.get("tasks_total").labels().value == 0
 
     def test_release_buffer_frees_remote_memory(self, rig):
         env, network, library, node, board, manager = rig
@@ -175,10 +168,10 @@ class TestEagerResourceFailures:
             context = Context(platform.get_devices())
             buffer = context.create_buffer(2048)
             yield env.timeout(0.05)
-            assert board.memory.used == 2048
+            assert board.memory._used == 2048
             buffer.release()
             yield env.timeout(0.05)
-            return board.memory.used
+            return board.memory._used
 
         assert run(env, flow()) == 0
 
@@ -195,6 +188,6 @@ class TestEagerResourceFailures:
             buffer.release()
             buffer.release()
             yield env.timeout(0.05)
-            return board.memory.used
+            return board.memory._used
 
         assert run(env, flow()) == 0

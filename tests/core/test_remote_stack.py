@@ -14,7 +14,7 @@ from repro.fpga import FPGABoard, standard_library
 from repro.kernels import sobel_reference
 from repro.ocl import CLError, Context, native_platform
 from repro.rpc import Network
-from repro.sim import Environment
+from repro.sim import AllOf, Environment
 
 
 @pytest.fixture
@@ -83,7 +83,7 @@ class TestDataPath:
             yield env.timeout(0.01)
 
         run(env, flow(env))
-        assert board.memory.used == 4096
+        assert board.memory._used == 4096
 
     def test_oom_fails_dependent_operations(self, rig):
         env, network, library, node, board, manager = rig
@@ -232,9 +232,8 @@ class TestTaskBatching:
             yield from queue.finish()
 
         def main(env):
-            yield env.process(client_flow(env, "fn-a")) & env.process(
-                client_flow(env, "fn-b")
-            )
+            yield AllOf(env, [env.process(client_flow(env, "fn-a")),
+                              env.process(client_flow(env, "fn-b"))])
 
         run(env, main(env))
         # Strip reconfigurations; remaining ops must form contiguous
@@ -290,12 +289,12 @@ class TestIsolationAndLifecycle:
             context = Context(platform.get_devices())
             context.create_buffer(1024)
             yield env.timeout(0.01)
-            assert board.memory.used == 1024
+            assert board.memory._used == 1024
             yield from platform.driver.connection.disconnect()
 
         run(env, flow(env))
         assert manager.connected_clients == 0
-        assert board.memory.used == 0
+        assert board.memory._used == 0
 
     def test_reconfiguration_via_remote_build(self, rig):
         env, network, library, node, board, manager = rig
@@ -316,7 +315,7 @@ class TestIsolationAndLifecycle:
         assert first_build >= board.spec.reconfiguration_time
         assert second_build < 0.1
         assert board.bitstream.name == "mm"
-        assert manager.metrics.get("reconfigurations_total").value == 1
+        assert manager.metrics.get("reconfigurations_total").labels().value == 1
 
     def test_metrics_exported(self, rig):
         env, network, library, node, board, manager = rig
@@ -331,11 +330,11 @@ class TestIsolationAndLifecycle:
 
         run(env, flow(env))
         metrics = manager.metrics
-        assert metrics.get("busy_seconds_total").value > 0
-        assert metrics.get("tasks_total").value == 2
+        assert metrics.get("busy_seconds_total").labels().value > 0
+        assert metrics.get("tasks_total").labels().value == 2
         client_busy = metrics.get("client_busy_seconds_total")
         assert client_busy.labels("fn-1").value > 0
-        assert metrics.get("connected_clients").value == 1
+        assert metrics.get("connected_clients").labels().value == 1
 
 
 class TestEventStateMachine:
@@ -350,7 +349,7 @@ class TestEventStateMachine:
             buffer = context.create_buffer(64)
             event = queue.enqueue_write_buffer(buffer, b"x" * 64)
             connection = platform.driver.connection
-            machine = connection.machine(event.id)
+            machine = connection._machines.get(event.id)
             states.append(machine.state)
             queue.flush()
             yield event.wait()

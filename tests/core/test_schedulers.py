@@ -7,17 +7,50 @@ from repro.core.device_manager import (
     FIFOScheduler,
     Operation,
     OpType,
-    PriorityScheduler,
     SJFScheduler,
     Task,
     WFQScheduler,
     make_scheduler,
 )
+from repro.core.device_manager import schedulers
 from repro.core.remote_lib import remote_platform
 from repro.fpga import FPGABoard, standard_library
 from repro.rpc import Network
 from repro.serverless import SobelApp
 from repro.sim import Environment
+
+
+class PriorityScheduler(schedulers._HeapBacklogMixin,
+                        schedulers.TaskScheduler):
+    """Strict priority classes per client (lower value is served first):
+    a policy built on the scheduler interface, registered as "priority"
+    for these tests."""
+
+    name = "priority"
+    uses_estimates = False
+
+    def __init__(self, env, default_priority=10):
+        super().__init__(env)
+        self._queue = schedulers._Backlog(env)
+        self._priorities = {}
+        self.default_priority = default_priority
+
+    def set_client_priority(self, client, priority):
+        self._priorities[client] = priority
+
+    def set_client_weight(self, client, weight):
+        # Higher weight, better (lower) priority value.
+        self.set_client_priority(client, int(100 / max(weight, 1e-6)))
+
+    def push(self, task, estimate):
+        priority = self._priorities.get(task.client, self.default_priority)
+        self._queue.hand_over(schedulers.PriorityItem(priority, task))
+
+
+@pytest.fixture(autouse=True)
+def priority_policy(monkeypatch):
+    monkeypatch.setitem(schedulers._SCHEDULERS, "priority",
+                        PriorityScheduler)
 
 
 def make_task(client: str, tag=None) -> Task:

@@ -14,7 +14,7 @@ from repro.core.remote_lib import remote_platform
 from repro.fpga import DE5A_NET, FPGABoard, standard_library
 from repro.ocl import Context
 from repro.rpc import Network
-from repro.sim import Environment
+from repro.sim import AllOf, Environment
 
 
 @pytest.fixture
@@ -69,7 +69,7 @@ def test_two_accelerators_coexist(rig):
     def main():
         first = env.process(sobel_client())
         second = env.process(mm_client())
-        yield first & second
+        yield AllOf(env, [first, second])
 
     run(env, main())
     names = {slot.name for slot in board.slots if slot is not None}
@@ -133,7 +133,7 @@ def test_concurrent_kernels_across_slots(rig):
     def main():
         a = env.process(client("fn-sobel", "sobel", sobel_args)())
         b = env.process(client("fn-mm", "mm", mm_args)())
-        yield a & b
+        yield AllOf(env, [a, b])
 
     run(env, main())
     mm_time = library.get("mm").kernel("mm").duration(

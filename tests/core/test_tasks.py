@@ -17,7 +17,7 @@ class TestTask:
         for op in ops:
             task.append(op)
         assert [op.tag for op in task.operations] == [0, 1, 2]
-        assert len(task) == 3
+        assert len(task.operations) == 3
 
     def test_append_wrong_client_rejected(self):
         task = Task("fn-1", 0, 1)
@@ -53,7 +53,7 @@ class TestTaskAccumulator:
         t3 = acc.add(make_op(client="b", queue_id=0, tag=3))
         assert t1 is t2
         assert t3 is not t1
-        assert len(t1) == 2
+        assert len(t1.operations) == 2
 
     def test_separate_queues_separate_tasks(self):
         acc = TaskAccumulator(Environment())
@@ -66,7 +66,7 @@ class TestTaskAccumulator:
         acc.add(make_op(tag=1))
         task = acc.flush("fn-1", 0)
         assert task is not None
-        assert len(task) == 1
+        assert len(task.operations) == 1
         # A new op after flush opens a fresh task.
         fresh = acc.add(make_op(tag=2))
         assert fresh is not task
@@ -82,7 +82,7 @@ class TestTaskAccumulator:
         acc.add(make_op(client="other"))
         flushed = acc.flush_client("fn-1")
         assert len(flushed) == 2
-        assert acc.open_count() == 1
+        assert len(acc._open) == 1
 
     def test_write_op_needs_data(self):
         assert make_op(op_type=OpType.WRITE).needs_data()

@@ -1,16 +1,12 @@
 """Tests for experiment result export and the CLI entry point."""
 
-import csv
-import io
 import json
 
 import pytest
 
 from repro.experiments.export import (
     scenario_to_record,
-    scenarios_to_csv,
     scenarios_to_records,
-    sweep_to_csv,
     sweep_to_records,
     to_json,
     write_json,
@@ -37,17 +33,6 @@ class TestSweepExport:
             "system": "native", "rtt_seconds": 0.0002,
         }]
 
-    def test_csv_round_trip(self):
-        points = [
-            SweepPoint("1KB", 1024, "native", 0.0002),
-            SweepPoint("1KB", 1024, "blastfunction_shm", 0.0018),
-        ]
-        text = sweep_to_csv(points)
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 2
-        assert rows[1]["system"] == "blastfunction_shm"
-        assert float(rows[1]["rtt_seconds"]) == pytest.approx(0.0018)
-
 
 class TestScenarioExport:
     def test_record_shape(self):
@@ -63,13 +48,6 @@ class TestScenarioExport:
         }
         records = scenarios_to_records(results)
         assert len(records) == 2
-
-    def test_csv_one_row_per_function(self):
-        results = {("blastfunction", "low"): make_scenario()}
-        rows = list(csv.DictReader(io.StringIO(scenarios_to_csv(results))))
-        assert len(rows) == 1
-        assert rows[0]["function"] == "sobel-1"
-        assert rows[0]["node"] == "B"
 
     def test_json_serializable(self):
         record = scenario_to_record(make_scenario())

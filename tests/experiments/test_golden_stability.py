@@ -23,11 +23,11 @@ GOLDEN_DIGESTS = {
     "golden_table2.json":
         "d8b3fb66dc84f3b31b890512a215873d09a3ea95a026919e92cf2dc160448eee",
     "golden_chaos.json":
-        "29be5111ceaf256d393d03ccb18900b9967457665751acf70a31872ef80cce31",
+        "1310b4f31035d989dabf04d0f29653d644df804d618c42527f925a3c89fbf37f",
     "golden_migration.json":
         "9674068e0bc99fdd080185f4008a4afa9da0bec2d993c9b0ed1ddd263ca3272e",
     "golden_registry_chaos.json":
-        "a0655967fbc2f3eb130503254eeb6fd1df85ae334aa9c7145baabd48d23133bf",
+        "d5e754c1599a59825db74422d3968546354240e308e4baa0cc4dc3e47c1672c3",
 }
 
 

@@ -1,9 +1,8 @@
 """Tests for report rendering and the experiment configuration tables."""
 
-import pytest
 
 from repro.experiments import TABLE1_RATES, rates_for, run_table1
-from repro.experiments.report import fmt_ms, fmt_pct, ratio, render_table
+from repro.experiments.report import render_table
 
 
 class TestRenderTable:
@@ -34,17 +33,6 @@ class TestRenderTable:
     def test_nan_renders(self):
         text = render_table(["a"], [[float("nan")]])
         assert "nan" in text
-
-
-class TestHelpers:
-    def test_ratio(self):
-        assert ratio(2.0, 4.0) == 0.5
-        assert ratio(1.0, 0.0) is None
-        assert ratio(float("nan"), 1.0) is None
-
-    def test_units(self):
-        assert fmt_ms(0.0215) == pytest.approx(21.5)
-        assert fmt_pct(0.305) == pytest.approx(30.5)
 
 
 class TestTable1:

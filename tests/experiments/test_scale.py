@@ -15,9 +15,9 @@ from repro.experiments.scale import (
     FUNCTIONS_PER_BOARD,
     ScaleCell,
     _workload_plan,
+    bench_record,
     render_scale,
     run_scale_cell,
-    write_bench_json,
 )
 
 TINY = LoadTiming(warmup=0.25, duration=0.75)
@@ -71,10 +71,8 @@ class TestCell:
 
 
 class TestBenchJson:
-    def test_round_trips_cells_keyed_by_boards(self, cell, tmp_path):
-        path = tmp_path / "BENCH_scale.json"
-        write_bench_json([cell], path)
-        payload = json.loads(path.read_text())
+    def test_round_trips_cells_keyed_by_boards(self, cell):
+        payload = json.loads(json.dumps(bench_record([cell])))
         assert set(payload) == {"python", "timing", "cells"}
         record = payload["cells"]["3"]
         assert record["boards"] == 3

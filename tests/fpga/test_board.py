@@ -45,9 +45,9 @@ class TestProgramming:
         board = make_board(env)
         run(env, board.program(library.get("sobel")))
         board.allocate(1024)
-        assert board.memory.used == 1024
+        assert board.memory._used == 1024
         run(env, board.program(library.get("mm")))
-        assert board.memory.used == 0
+        assert board.memory._used == 0
 
     def test_program_blocks_kernel_execution(self, env, library):
         board = make_board(env, functional=False)
@@ -80,7 +80,7 @@ class TestProgramming:
         board = make_board(env)
         run(env, board.program(library.get("sobel")))
         with pytest.raises(KeyError):
-            board.kernel("mm")
+            board.kernel_slot("mm")
 
 
 class TestDMA:

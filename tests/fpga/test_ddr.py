@@ -13,7 +13,7 @@ class TestAllocation:
     def test_allocate_tracks_usage(self):
         allocator = MemoryAllocator(1000)
         buffer = allocator.allocate(300)
-        assert allocator.used == 300
+        assert allocator._used == 300
         assert allocator.free == 700
         assert buffer.size == 300
 
@@ -27,7 +27,7 @@ class TestAllocation:
         allocator = MemoryAllocator(100)
         buffer = allocator.allocate(80)
         allocator.release(buffer)
-        assert allocator.used == 0
+        assert allocator._used == 0
         allocator.allocate(100)  # must fit again
 
     def test_release_unknown_id_raises(self):
@@ -39,7 +39,7 @@ class TestAllocation:
         allocator = MemoryAllocator(100)
         buffers = [allocator.allocate(10) for _ in range(5)]
         assert allocator.release_all() == 5
-        assert allocator.used == 0
+        assert allocator._used == 0
         for buffer in buffers:
             assert buffer.freed
 
@@ -51,7 +51,7 @@ class TestAllocation:
     def test_get_by_id(self):
         allocator = MemoryAllocator(100)
         buffer = allocator.allocate(10)
-        assert allocator.get(buffer.id) is buffer
+        assert allocator._buffers[buffer.id] is buffer
 
     def test_buffers_do_not_overlap(self):
         allocator = MemoryAllocator(1000)
@@ -81,7 +81,7 @@ class TestAllocation:
             live.append(buffer)
             if index % 3 == 2:
                 allocator.release(live.pop(0))
-        assert allocator.used == sum(b.size for b in live)
+        assert allocator._used == sum(b.size for b in live)
         spans = sorted((b.offset, b.offset + b.size) for b in live)
         for (_, end), (start, _) in zip(spans, spans[1:]):
             assert end <= start

@@ -7,7 +7,7 @@ from repro.core.remote_lib import remote_platform
 from repro.fpga import FPGABoard, KernelFault, standard_library
 from repro.ocl import CLError, Context, native_platform
 from repro.rpc import Network
-from repro.sim import Environment
+from repro.sim import AllOf, Environment
 
 
 def every_nth(n):
@@ -170,7 +170,7 @@ class TestRemoteRuntime:
         def main():
             first = env.process(client("fn-a", 6))
             second = env.process(client("fn-b", 6))
-            yield first & second
+            yield AllOf(env, [first, second])
 
         env.run(until=env.process(main()))
         # 12 runs total, every 3rd faulted → 8 successes split between them.

@@ -52,7 +52,7 @@ class TestPartialReconfiguration:
         run(env, board.program_slot(0, library.get("sobel")))
         board.allocate(1024)
         run(env, board.program_slot(1, library.get("mm")))
-        assert board.memory.used == 1024
+        assert board.memory._used == 1024
 
     def test_full_program_wipes_all_slots_and_memory(self, env, library):
         board = FPGABoard(env, spec=multi_slot_spec(), functional=False)
@@ -61,7 +61,7 @@ class TestPartialReconfiguration:
         run(env, board.program(library.get("sobel")))
         assert board.slots[0].name == "sobel"
         assert board.slots[1] is None
-        assert board.memory.used == 0
+        assert board.memory._used == 0
 
     def test_slot_out_of_range(self, env, library):
         board = FPGABoard(env, spec=multi_slot_spec(), functional=False)

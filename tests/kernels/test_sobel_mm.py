@@ -120,9 +120,6 @@ class TestSobelKernel:
             sobel_reference(image),
         )
 
-    def test_image_bytes(self):
-        assert SobelKernel.image_bytes(1920, 1080) == 1920 * 1080 * 4
-
     def test_resolve_args_validates_types(self):
         kernel = SobelKernel()
         with pytest.raises(KernelArgumentError):

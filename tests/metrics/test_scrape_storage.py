@@ -15,6 +15,8 @@ from repro.metrics import MetricsRegistry, Scraper, TimeSeries, TimeSeriesDataba
 from repro.metrics.registry import label_key
 from repro.sim import Environment
 
+from .reads import latest_time, lookup, select
+
 NAMES = ("m", "n", "o")
 KEYS = ("a", "b", "c")
 
@@ -51,7 +53,7 @@ def test_queries_match_a_linear_scan_in_insertion_order(operations):
             if not existing:
                 scanned.append(series)
         elif kind == "select":
-            assert database.select(name) == [
+            assert select(database, name) == [
                 s for s in scanned if s.name == name]
         elif kind == "match":
             wanted = [f"{k}={v}" for k, v in operation[2].items()]
@@ -61,9 +63,9 @@ def test_queries_match_a_linear_scan_in_insertion_order(operations):
         else:
             found = [s for s in scanned
                      if s.name == name and s.labels == operation[2]]
-            assert database.lookup(name, operation[2]) == (
+            assert lookup(database, name, operation[2]) == (
                 found[0] if found else None)
-        assert len(database) == len(scanned)
+        assert sum(map(len, database._names.values())) == len(scanned)
 
 
 def assert_rows_scraped(scraper, target_name, registry, at):
@@ -72,11 +74,11 @@ def assert_rows_scraped(scraper, target_name, registry, at):
     base = scraper._targets[target_name].base_labels
     for family in registry.families():
         for sample_name, _labels, key, value in family.collect_rows():
-            series = scraper.database.lookup(
+            series = lookup(scraper.database,
                 sample_name, tuple(sorted(base + key)))
             assert series is not None, (sample_name, key)
             assert series.latest() == value, (sample_name, key)
-            assert series.latest_time() == at
+            assert latest_time(series) == at
 
 
 def test_new_label_sets_that_sort_first_keep_series_aligned():
@@ -112,10 +114,10 @@ def test_new_label_sets_that_sort_first_keep_series_aligned():
     owned["m"] = 6.0
     env.run(until=3.5)
     assert_rows_scraped(scraper, "t", registry, at=3.0)
-    row = scraper.database.lookup("owned_total",
+    row = lookup(scraper.database, "owned_total",
                                   ("client=b", "instance=t", "node=n0"))
     assert row.window(0.0, 10.0) == [(3.0, 0.0)]
-    first = scraper.database.lookup("pushed_total",
+    first = lookup(scraper.database, "pushed_total",
                                     ("client=m", "instance=t", "node=n0"))
     assert first.window(0.0, 10.0) == [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]
 
@@ -149,12 +151,12 @@ def test_a_trimmed_column_keeps_what_each_series_would(joins, retention):
             mine = reference.setdefault(page, TimeSeries("ref",
                                                          retention=retention))
             mine.append(now, family_row[3])
-            series = scraper.database.lookup(
+            series = lookup(scraper.database,
                 "hits_total", ("instance=t", f"page={page}"))
             assert series.window(now - retention, now) == mine.window(
                 now - retention, now)
-            assert series.latest_time() == now
-            assert len(series) <= 2 * max(64.0, retention) + 1
+            assert latest_time(series) == now
+            assert len(series._values) <= 2 * max(64.0, retention) + 1
 
     scraper.add_listener(check)
     env.process(traffic())
@@ -177,13 +179,13 @@ def test_a_readded_target_continues_its_series():
     scraper.add_target("t", registry)
     registry.gauge("h").set(5.0)
     env.run(until=6.5)
-    series = scraper.database.lookup("g", ("instance=t",))
+    series = lookup(scraper.database, "g", ("instance=t",))
     assert series.window(0.0, 10.0) == [(1.0, 1.0), (2.0, 1.0),
                                         (5.0, 2.0), (6.0, 2.0)]
-    later = scraper.database.lookup("h", ("instance=t",))
+    later = lookup(scraper.database, "h", ("instance=t",))
     assert later.window(0.0, 10.0) == [(5.0, 5.0), (6.0, 5.0)]
     series.append(7.0, 3.0)
-    assert series.latest_time() == 7.0 and len(series) == 5
+    assert latest_time(series) == 7.0 and len(series._values) == 5
     assert later.window(0.0, 10.0) == [(5.0, 5.0), (6.0, 5.0)]
 
 

@@ -144,4 +144,4 @@ class TestRemoteCopy:
             return data
 
         assert run(env, flow()) == b"batched!"
-        assert manager.metrics.get("tasks_total").value == 1
+        assert manager.metrics.get("tasks_total").labels().value == 1

@@ -23,7 +23,7 @@ def deploy_and_invoke(app_factory, accelerator, invocations=1):
         manager = testbed.managers[
             testbed.cluster.pods["fn-i1"].spec.env["BF_MANAGER"]
         ]
-        before_tasks = manager.metrics.get("tasks_total").value
+        before_tasks = manager.metrics.get("tasks_total").labels().value
         before_ops = {
             kind: manager.metrics.get("ops_total").labels(kind).value
             for kind in ("write", "read", "kernel", "marker")
@@ -32,7 +32,7 @@ def deploy_and_invoke(app_factory, accelerator, invocations=1):
         for _ in range(invocations):
             latency, _result = yield from gateway.invoke("fn")
             latencies.append(latency)
-        after_tasks = manager.metrics.get("tasks_total").value
+        after_tasks = manager.metrics.get("tasks_total").labels().value
         after_ops = {
             kind: manager.metrics.get("ops_total").labels(kind).value
             for kind in before_ops

@@ -193,12 +193,11 @@ class TestResilientInvoke:
 
 
 # ---------------------------------------------------------------------------
-# Full stack: controller self-heal and in-flight failure on instance death
+# Full stack: no respawn, and in-flight failure on instance death
 # ---------------------------------------------------------------------------
 
-def _full_stack(env, policy=None, self_heal=True):
-    system = build_system(env, SystemConfig(gateway=policy,
-                                            self_heal=self_heal))
+def _full_stack(env):
+    system = build_system(env, SystemConfig())
     return system.testbed, system.registry, system.gateway, system.controller
 
 
@@ -216,45 +215,20 @@ def _deploy_sobel(env, gateway, controller, name="sobel-1"):
 
 
 class TestSelfHeal:
-    def test_deleted_pod_is_respawned(self):
+    def test_self_heal_off_leaves_function_down(self):
         env = Environment()
         testbed, registry, gateway, controller = _full_stack(env)
         _deploy_sobel(env, gateway, controller)
         function = gateway.function("sobel-1")
-        victim = next(iter(function.pod_names))
-
-        testbed.cluster.delete_pod(victim)
-        run_guarded(env, until=env.process(
-            controller.wait_ready("sobel-1")), what="self-heal")
-
-        assert controller.heals == 1
-        assert victim not in function.pod_names
-        replacement = next(iter(function.pod_names))
-        assert replacement != victim
-        pod = testbed.cluster.pods[replacement]
-        assert pod.spec.labels.get("healed") == "true"
-        latency, result = run_guarded(
-            env, until=env.process(gateway.invoke("sobel-1")),
-            what="invoke after heal")
-        assert result["bytes"] == 64 * 64 * 4
-
-    def test_self_heal_off_leaves_function_down(self):
-        env = Environment()
-        testbed, registry, gateway, controller = _full_stack(
-            env, self_heal=False)
-        _deploy_sobel(env, gateway, controller)
-        function = gateway.function("sobel-1")
         testbed.cluster.delete_pod(next(iter(function.pod_names)))
         env.run(until=env.now + 2.0)
-        assert controller.heals == 0
         assert not function.pod_names
 
 
 class TestInstanceDeathMidRequest:
     def test_inflight_request_fails_instead_of_hanging(self):
         env = Environment()
-        testbed, registry, gateway, controller = _full_stack(
-            env, self_heal=False)
+        testbed, registry, gateway, controller = _full_stack(env)
         _deploy_sobel(env, gateway, controller)
         function = gateway.function("sobel-1")
         victim = next(iter(function.pod_names))
@@ -276,24 +250,3 @@ class TestInstanceDeathMidRequest:
                               what="invoke during pod kill")
         assert outcome is not None
         assert "terminated mid-request" in outcome
-
-    def test_retry_plus_heal_masks_the_death(self):
-        env = Environment()
-        policy = GatewayPolicy(retry_budget=2, retry_backoff=0.2)
-        testbed, registry, gateway, controller = _full_stack(
-            env, policy=policy, self_heal=True)
-        _deploy_sobel(env, gateway, controller)
-        function = gateway.function("sobel-1")
-        victim = next(iter(function.pod_names))
-
-        def killer():
-            yield env.timeout(0.002)
-            testbed.cluster.delete_pod(victim)
-
-        env.process(killer())
-        latency, result = run_guarded(
-            env, until=env.process(gateway.invoke("sobel-1")),
-            what="invoke riding out pod kill")
-        assert result["bytes"] == 64 * 64 * 4
-        assert function.retries >= 1
-        assert controller.heals == 1

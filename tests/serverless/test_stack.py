@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import DeviceQuery
 from repro.core.registry import MANAGER_ENV
-from repro.loadgen import LoadStats, percentile, run_load
+from repro.loadgen import percentile, run_load
 from repro.serverless import FunctionSpec, MMApp, SobelApp
 from repro.sim import Environment
 from repro.system import SystemConfig, build_system
@@ -135,7 +135,8 @@ class TestDeployment:
 
         run(env, flow(env))
         programmed = [
-            b.bitstream.name for b in testbed.boards() if b.bitstream
+            m.board.bitstream.name for m in testbed.managers.values()
+            if m.board.bitstream
         ]
         assert programmed.count("mm") == 1
 
@@ -174,7 +175,6 @@ class TestLoadGenerator:
 
         stats = run(env, flow(env))
         assert stats.achieved_rate == pytest.approx(10.0, rel=0.05)
-        assert stats.target_gap < 0.05
         assert stats.mean_latency < 0.02
 
     def test_closed_loop_caps_at_one_over_latency(self):
@@ -200,17 +200,7 @@ class TestLoadGenerator:
         assert stats.achieved_rate < 200.0
         cap = 1.0 / stats.mean_latency
         assert stats.achieved_rate == pytest.approx(cap, rel=0.1)
-        assert stats.target_gap > 0.5
-
-    def test_stats_merge(self):
-        a = LoadStats("f", 10.0, 5.0, sent=50, completed=50,
-                      latencies=[0.01] * 50)
-        b = LoadStats("f", 20.0, 5.0, sent=80, completed=70,
-                      latencies=[0.02] * 70)
-        a.merge(b)
-        assert a.completed == 120
-        assert a.target_rate == 30.0
-        assert len(a.latencies) == 120
+        assert stats.achieved_rate < 0.5 * 200.0
 
     def test_invalid_rate_rejected(self):
         env = Environment()

@@ -289,7 +289,7 @@ def test_a_second_interrupt_of_the_same_instant_finds_the_process_ended():
     env.process(interrupter(env, v))
     env.run()
     assert log == ["crash"]
-    assert v.processed and v.ok
+    assert v.callbacks is None and v.ok
 
 
 def test_interrupted_process_not_resumed_by_stale_target():

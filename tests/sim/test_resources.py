@@ -1,15 +1,12 @@
-"""Unit and property-based tests for Resource/Store/Container primitives."""
+"""Unit and property-based tests for the Resource and Store primitives."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
-    Container,
     Environment,
-    FilterStore,
     PriorityItem,
-    PriorityResource,
     PriorityStore,
     Resource,
     Store,
@@ -69,9 +66,9 @@ class TestResource:
         env.process(user(env))
         env.process(user(env))
         env.run(until=0.5)
-        assert resource.count == 2
+        assert len(resource.users) == 2
         env.run()
-        assert resource.count == 0
+        assert resource.users == []
 
     def test_cancel_queued_request(self):
         env = Environment()
@@ -86,7 +83,7 @@ class TestResource:
         def impatient(env):
             req = resource.request()
             yield env.timeout(1.0)
-            req.cancel()
+            resource.release(req)
 
         def patient(env):
             yield env.timeout(0.5)
@@ -102,52 +99,6 @@ class TestResource:
         assert granted == [10.0]
 
 
-class TestPriorityResource:
-    def test_priority_grant_order(self):
-        env = Environment()
-        resource = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder(env):
-            with resource.request(priority=0) as req:
-                yield req
-                yield env.timeout(5.0)
-
-        def user(env, name, priority, arrival):
-            yield env.timeout(arrival)
-            with resource.request(priority=priority) as req:
-                yield req
-                order.append(name)
-
-        env.process(holder(env))
-        env.process(user(env, "low", 5, 1.0))
-        env.process(user(env, "high", 1, 2.0))
-        env.run()
-        assert order == ["high", "low"]
-
-    def test_equal_priority_is_fifo(self):
-        env = Environment()
-        resource = PriorityResource(env, capacity=1)
-        order = []
-
-        def holder(env):
-            with resource.request(priority=0) as req:
-                yield req
-                yield env.timeout(5.0)
-
-        def user(env, name, arrival):
-            yield env.timeout(arrival)
-            with resource.request(priority=3) as req:
-                yield req
-                order.append(name)
-
-        env.process(holder(env))
-        env.process(user(env, "first", 1.0))
-        env.process(user(env, "second", 2.0))
-        env.run()
-        assert order == ["first", "second"]
-
-
 class TestStore:
     def test_put_get_fifo(self):
         env = Environment()
@@ -156,7 +107,7 @@ class TestStore:
 
         def producer(env):
             for i in range(3):
-                yield store.put(i)
+                store.put_nowait(i)
                 yield env.timeout(1.0)
 
         def consumer(env):
@@ -180,84 +131,12 @@ class TestStore:
 
         def producer(env):
             yield env.timeout(4.0)
-            yield store.put("x")
+            store.put_nowait("x")
 
         env.process(consumer(env))
         env.process(producer(env))
         env.run()
         assert got == [(4.0, "x")]
-
-    def test_bounded_capacity_blocks_put(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        log = []
-
-        def producer(env):
-            yield store.put("a")
-            log.append(("put-a", env.now))
-            yield store.put("b")
-            log.append(("put-b", env.now))
-
-        def consumer(env):
-            yield env.timeout(3.0)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert log == [("put-a", 0.0), ("put-b", 3.0)]
-
-    def test_len_reports_items(self):
-        env = Environment()
-        store = Store(env)
-        store.put("a")
-        store.put("b")
-        env.run()
-        assert len(store) == 2
-
-
-class TestFilterStore:
-    def test_filter_skips_non_matching(self):
-        env = Environment()
-        store = FilterStore(env)
-        got = []
-
-        def consumer(env):
-            item = yield store.get(lambda i: i % 2 == 0)
-            got.append(item)
-
-        def producer(env):
-            yield store.put(1)
-            yield store.put(2)
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [2]
-        assert store.items == [1]
-
-    def test_blocked_filter_get_does_not_block_others(self):
-        env = Environment()
-        store = FilterStore(env)
-        got = []
-
-        def never(env):
-            yield store.get(lambda i: i == "never")
-
-        def matcher(env):
-            item = yield store.get(lambda i: i == "yes")
-            got.append(item)
-
-        env.process(never(env))
-        env.process(matcher(env))
-
-        def producer(env):
-            yield env.timeout(1.0)
-            yield store.put("yes")
-
-        env.process(producer(env))
-        env.run(until=10.0)
-        assert got == ["yes"]
 
 
 class TestPriorityStore:
@@ -266,10 +145,9 @@ class TestPriorityStore:
         store = PriorityStore(env)
         got = []
 
-        def producer(env):
-            yield store.put(PriorityItem(2, "low"))
-            yield store.put(PriorityItem(0, "high"))
-            yield store.put(PriorityItem(1, "mid"))
+        store.put_nowait(PriorityItem(2, "low"))
+        store.put_nowait(PriorityItem(0, "high"))
+        store.put_nowait(PriorityItem(1, "mid"))
 
         def consumer(env):
             yield env.timeout(1.0)
@@ -277,60 +155,9 @@ class TestPriorityStore:
                 item = yield store.get()
                 got.append(item.item)
 
-        env.process(producer(env))
         env.process(consumer(env))
         env.run()
         assert got == ["high", "mid", "low"]
-
-
-class TestContainer:
-    def test_get_blocks_until_level(self):
-        env = Environment()
-        container = Container(env, capacity=10.0, init=0.0)
-        got = []
-
-        def consumer(env):
-            yield container.get(5.0)
-            got.append(env.now)
-
-        def producer(env):
-            for _ in range(5):
-                yield env.timeout(1.0)
-                yield container.put(1.0)
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [5.0]
-        assert container.level == 0.0
-
-    def test_put_blocks_at_capacity(self):
-        env = Environment()
-        container = Container(env, capacity=2.0, init=2.0)
-        done = []
-
-        def producer(env):
-            yield container.put(1.0)
-            done.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(2.0)
-            yield container.get(1.5)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert done == [2.0]
-
-    def test_invalid_amounts(self):
-        env = Environment()
-        container = Container(env, capacity=1.0)
-        with pytest.raises(ValueError):
-            container.put(0)
-        with pytest.raises(ValueError):
-            container.get(-1)
-        with pytest.raises(ValueError):
-            Container(env, capacity=1.0, init=5.0)
 
 
 class TestStoreProperties:
@@ -341,16 +168,13 @@ class TestStoreProperties:
         store = Store(env)
         received = []
 
-        def producer(env):
-            for item in items:
-                yield store.put(item)
-
         def consumer(env):
             for _ in items:
                 received.append((yield store.get()))
 
-        env.process(producer(env))
         env.process(consumer(env))
+        for item in items:
+            store.put_nowait(item)
         env.run()
         assert received == items
 
@@ -365,9 +189,8 @@ class TestStoreProperties:
         tagged = list(enumerate(priorities))
         received = []
 
-        def producer(env):
-            for index, priority in tagged:
-                yield store.put(PriorityItem(priority, index))
+        for index, priority in tagged:
+            store.put_nowait(PriorityItem(priority, index))
 
         def consumer(env):
             yield env.timeout(1.0)
@@ -375,7 +198,6 @@ class TestStoreProperties:
                 item = yield store.get()
                 received.append(item)
 
-        env.process(producer(env))
         env.process(consumer(env))
         env.run()
         expected = sorted(tagged, key=lambda pair: (pair[1], pair[0]))
@@ -402,11 +224,11 @@ class TestStoreProperties:
             nonlocal max_seen
             with resource.request() as req:
                 yield req
-                max_seen = max(max_seen, resource.count)
+                max_seen = max(max_seen, len(resource.users))
                 yield env.timeout(hold)
 
         for hold in holds:
             env.process(user(env, hold))
         env.run()
         assert max_seen <= capacity
-        assert resource.count == 0
+        assert resource.users == []

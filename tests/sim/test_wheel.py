@@ -74,16 +74,6 @@ class TestLifecycle:
         env.run(until=3.1)
         assert fired == [1.0]
 
-    def test_stop_kills_the_wheel_process(self):
-        env = Environment()
-        wheel = TimerWheel(env, tick=1.0)
-        fired = []
-        wheel.every(1, lambda: fired.append(env.now))
-        env.run(until=1.1)
-        wheel.stop()
-        env.run(until=5.0)
-        assert fired == [1.0]
-
 
 class TestValidation:
     def test_rejects_nonpositive_tick(self):

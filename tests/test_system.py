@@ -10,6 +10,8 @@ from repro.live import LiveMigrator
 from repro.sim import Environment
 from repro.system import SystemConfig, build_system
 
+from .metrics.reads import select
+
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "src" / "repro" / \
     "experiments"
 
@@ -34,7 +36,7 @@ def test_wiring(name):
 
     assert registry.migrator == controller.migrate
     assert controller.router is system.router
-    assert len(system.router.managers()) == len(system.testbed.managers)
+    assert sorted(system.router._managers) == sorted(system.testbed.managers)
     assert (system.live_migrator is not None) == (config.migration == "live")
     assert registry.live_migrator is system.live_migrator
     if system.live_migrator is not None:
@@ -76,3 +78,17 @@ def test_experiments_build_systems_only_through_build_system():
                 if name in wired:
                     offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []
+
+
+def test_fleet_scrape_targets_carry_node_and_device():
+    # The Registry owns each manager's scrape target, and labels it with
+    # the manager's node and board.
+    system = build_system(Environment(), CONFIGS["fleet"])
+    system.env.run(until=1.5)
+    series = select(system.testbed.scraper.database, "dm_busy_seconds_total")
+    assert len(series) == len(system.testbed.managers)
+    for one in series:
+        manager = system.testbed.managers[dict(
+            label.split("=", 1) for label in one.labels)["instance"]]
+        assert f"node={manager.node.name}" in one.labels
+        assert f"device={manager.board.name}" in one.labels
